@@ -26,12 +26,6 @@ from ipcrypt.noise import CENTERED_BINOMIAL, ErrorParams
 from ipcrypt.symmetric import sym_encrypt, sym_keygen
 
 
-def method_label(method) -> str:
-    if isinstance(method, Tsvd):
-        return f"tsvd:{method.k}"
-    return f"tikhonov:{method.alpha:g}"
-
-
 def sweep(methods, scales, trials, t, n, seed):
     scheme = EncodingScheme.map2(t, n)
     factors = hso_svd(n)
@@ -72,7 +66,7 @@ def main() -> None:
     header = f"{'method':>16}" + "".join(f"{f'scale {s}':>12}" for s in args.scales)
     print(header)
     for i, method in enumerate(methods):
-        row = f"{method_label(method):>16}"
+        row = f"{method.label:>16}"
         row += "".join(f"{table[s][i]:>12.4f}" for s in args.scales)
         print(row)
 

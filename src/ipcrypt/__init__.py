@@ -28,6 +28,7 @@ from .hso import (
     SVDFactors,
     build_hso,
     classify_decay,
+    filtered_inverse,
     hso_svd,
     naive_inverse_apply,
     noise_amplification_experiment,
@@ -74,6 +75,7 @@ __all__ = [
     "SVDFactors",
     "build_hso",
     "classify_decay",
+    "filtered_inverse",
     "hso_svd",
     "naive_inverse_apply",
     "noise_amplification_experiment",

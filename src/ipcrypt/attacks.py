@@ -1,11 +1,13 @@
 """Attacks on the noise-masked cipher, honest and otherwise.
 
-The naive attack inverts the ciphertext on the exact singular system and
-decodes; the keyed error, amplified by 1/s_k across the spectrum, swamps
-the message and decoding degenerates to coin flipping.  Regularized
-variants (Tikhonov filtering, truncated SVD) trade that amplification
-for bias and do recover low-frequency structure when the noise is small,
-which is exactly the scale/cutoff trade-off the experiments chart.
+Every inversion attack is a spectral filter on the exact singular system:
+it keeps sum_k phi(s_k) <C, u_k> u_k and decodes.  The naive attack uses
+phi = 1/s; the keyed error, amplified by 1/s_k across the spectrum, swamps
+the message and decoding degenerates to coin flipping.  The regularized
+methods only change phi: truncated SVD keeps 1/s on the k largest modes,
+Tikhonov uses s / (s^2 + alpha).  They trade amplification for bias and
+do recover low-frequency structure when the noise is small, which is
+exactly the scale/cutoff trade-off the experiments chart.
 
 Two structural leaks are also implemented: nonce reuse, where the
 difference of two ciphertexts cancels the error exactly, and a
@@ -16,6 +18,7 @@ chosen queries say nothing about fresh errors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -50,6 +53,13 @@ class Tikhonov:
         if not self.alpha > 0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
 
+    @property
+    def label(self) -> str:
+        return f"tikhonov:{self.alpha:g}"
+
+    def filter(self, s: np.ndarray) -> np.ndarray:
+        return s / (s * s + self.alpha)
+
 
 @dataclass(frozen=True)
 class Tsvd:
@@ -60,6 +70,15 @@ class Tsvd:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError(f"cutoff must be positive, got {self.k}")
+
+    @property
+    def label(self) -> str:
+        return f"tsvd:{self.k}"
+
+    def filter(self, s: np.ndarray) -> np.ndarray:
+        if self.k > s.size:
+            raise ValueError(f"cutoff {self.k} exceeds {s.size} modes")
+        return 1.0 / s[: self.k]
 
 
 @dataclass(frozen=True)
@@ -103,28 +122,27 @@ def bit_accuracy(a: Message, b: Message) -> float:
 
 def tikhonov_apply(factors: hso.SVDFactors, v: GridFunction, alpha: float) -> GridFunction:
     """Filtered inversion sum_k s_k/(s_k^2 + alpha) <v, u_k> u_k."""
-    if not alpha > 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    if v.n != factors.n:
-        raise ValueError(f"grid size mismatch: {v.n} vs {factors.n}")
-    s = factors.singular_values
-    u = factors.left_vectors
-    coeffs = (u.T @ v.values) * s / (s * s + alpha)
-    return make_grid_function(u @ coeffs)
+    return hso.filtered_inverse(factors, v, Tikhonov(alpha).filter(factors.singular_values))
 
 
-def _report(
-    method: str,
-    inverted: GridFunction,
-    scheme: EncodingScheme,
+def _attack(
+    ct: SymCiphertext,
+    factors: hso.SVDFactors,
+    label: str,
+    invert: Callable[[GridFunction], GridFunction],
     truth: Message | None,
 ) -> AttackReport:
+    """Invert the ciphertext body, decode it, and score against truth."""
+    if ct.n != factors.n:
+        raise ValueError(f"ciphertext grid {ct.n} != factors grid {factors.n}")
+    scheme = ct.scheme()
+    inverted = invert(ct.body)
     recovered = decode(inverted, scheme)
     reference = truth if truth is not None else recovered
     residual = norm(make_grid_function(inverted.values - encode(reference, scheme).values))
     accuracy = bit_accuracy(recovered, truth) if truth is not None else None
     return AttackReport(
-        method=method,
+        method=label,
         recovered=recovered,
         bit_accuracy=accuracy,
         residual_norm=residual,
@@ -135,10 +153,7 @@ def attack_naive(
     ct: SymCiphertext, factors: hso.SVDFactors, truth: Message | None = None
 ) -> AttackReport:
     """Invert the raw ciphertext as if there were no error term."""
-    if ct.n != factors.n:
-        raise ValueError(f"ciphertext grid {ct.n} != factors grid {factors.n}")
-    inverted = hso.naive_inverse_apply(factors, ct.body)
-    return _report("naive", inverted, ct.scheme(), truth)
+    return _attack(ct, factors, "naive", lambda v: hso.naive_inverse_apply(factors, v), truth)
 
 
 def attack_regularized(
@@ -147,20 +162,11 @@ def attack_regularized(
     method: Tikhonov | Tsvd,
     truth: Message | None = None,
 ) -> AttackReport:
-    """Invert with a stabilizing filter instead of the exact inverse."""
-    if ct.n != factors.n:
-        raise ValueError(f"ciphertext grid {ct.n} != factors grid {factors.n}")
-    if isinstance(method, Tikhonov):
-        inverted = tikhonov_apply(factors, ct.body, method.alpha)
-        label = f"tikhonov:{method.alpha:g}"
-    elif isinstance(method, Tsvd):
-        if method.k > factors.n:
-            raise ValueError(f"cutoff {method.k} exceeds {factors.n} modes")
-        inverted = hso.naive_inverse_apply(factors, ct.body, k_max=method.k)
-        label = f"tsvd:{method.k}"
-    else:
+    """Invert with the method's stabilizing filter instead of the exact inverse."""
+    if not isinstance(method, (Tikhonov, Tsvd)):
         raise ValueError(f"unknown regularization method {method!r}")
-    return _report(label, inverted, ct.scheme(), truth)
+    phi = method.filter(factors.singular_values)
+    return _attack(ct, factors, method.label, lambda v: hso.filtered_inverse(factors, v, phi), truth)
 
 
 def error_reuse_diff(ct1: SymCiphertext, ct2: SymCiphertext) -> GridFunction:

@@ -106,6 +106,11 @@ class EncodingScheme:
                 raise ValueError(
                     f"map1 decoding enumerates 2^t candidates; t = {self.t} exceeds {_MAP1_MAX_T}"
                 )
+            cap = map1_capacity(self.n, self.basis)
+            if 1 << self.t > cap:
+                raise ValueError(
+                    f"map1 needs 2^t <= capacity {cap} of the n = {self.n} grid, got t = {self.t}"
+                )
         else:
             if self.basis is not None:
                 raise ValueError("map2 takes no basis")
@@ -201,8 +206,7 @@ def encode_map1(msg: Message, scheme: EncodingScheme) -> GridFunction:
 @lru_cache(maxsize=16)
 def _decode_table(scheme: EncodingScheme) -> np.ndarray:
     """Columns of candidate basis vectors, reused across decode calls."""
-    k_hi = min(1 << scheme.t, map1_capacity(scheme.n, scheme.basis))
-    table = np.column_stack([basis_vector(k, scheme) for k in range(1, k_hi + 1)])
+    table = np.column_stack([basis_vector(k, scheme) for k in range(1, (1 << scheme.t) + 1)])
     table.flags.writeable = False
     return table
 

@@ -25,8 +25,8 @@ __all__ = [
     "AmplificationReport",
     "build_hso",
     "apply_operator",
-    "svd",
     "hso_svd",
+    "filtered_inverse",
     "naive_inverse_apply",
     "default_fit_range",
     "classify_decay",
@@ -144,11 +144,11 @@ def apply_operator(op: DiscretizedOperator, u: GridFunction) -> GridFunction:
 
 
 @lru_cache(maxsize=8)
-def _svd_cached(n: int) -> SVDFactors:
-    op = build_hso(n)
+def hso_svd(n: int) -> SVDFactors:
+    """Cached singular system of the n-point operator."""
     # Symmetric PD, so eigh gives the singular system directly and keeps
     # U == V exactly; eigenvalues come back ascending.
-    w, v = np.linalg.eigh(op.matrix)
+    w, v = np.linalg.eigh(build_hso(n).matrix)
     order = np.argsort(w)[::-1]
     s = np.ascontiguousarray(w[order])
     vecs = np.ascontiguousarray(v[:, order])
@@ -157,35 +157,22 @@ def _svd_cached(n: int) -> SVDFactors:
     return SVDFactors(singular_values=s, left_vectors=vecs, right_vectors=vecs)
 
 
-def svd(op: DiscretizedOperator) -> SVDFactors:
-    return _svd_cached(op.n)
+def filtered_inverse(factors: SVDFactors, v: GridFunction, phi: np.ndarray) -> GridFunction:
+    """Spectral filter sum_{k < phi.size} phi_k <v, u_k> u_k.
 
-
-def hso_svd(n: int) -> SVDFactors:
-    """Cached singular system of the n-point operator."""
-    build_hso(n)
-    return _svd_cached(n)
-
-
-def naive_inverse_apply(
-    factors: SVDFactors, v: GridFunction, k_max: int | None = None
-) -> GridFunction:
-    """Unregularized inverse through the singular system.
-
-    k_max, when given, truncates the expansion to the k_max largest modes;
-    that is exactly the TSVD reconstruction, so the regularized attack
-    reuses this path.
+    Naive inversion, TSVD and Tikhonov differ only in the filter factors
+    phi (1/s, 1/s on the leading modes, s / (s^2 + alpha)); only the
+    phi.size leading modes are touched, so a short filter stays cheap.
     """
     if v.n != factors.n:
         raise ValueError(f"grid size mismatch: {v.n} vs {factors.n}")
-    if k_max is None:
-        k_max = factors.n
-    if not 1 <= k_max <= factors.n:
-        raise ValueError(f"k_max must be in [1, {factors.n}], got {k_max}")
-    u = factors.left_vectors[:, :k_max]
-    s = factors.singular_values[:k_max]
-    coeffs = (u.T @ v.values) / s
-    return make_grid_function(u @ coeffs)
+    u = factors.left_vectors[:, : phi.size]
+    return make_grid_function(u @ (phi * (u.T @ v.values)))
+
+
+def naive_inverse_apply(factors: SVDFactors, v: GridFunction) -> GridFunction:
+    """Unregularized inverse: every mode divided by its singular value."""
+    return filtered_inverse(factors, v, 1.0 / factors.singular_values)
 
 
 def default_fit_range(n: int) -> tuple[int, int]:
@@ -280,7 +267,7 @@ def noise_amplification_experiment(
     if noise_scale < 0:
         raise ValueError(f"noise scale must be nonnegative, got {noise_scale}")
 
-    factors = svd(op)
+    factors = hso_svd(op.n)
     clean = op.matrix @ psi.values
     sqrt_h = np.sqrt(psi.h)
 

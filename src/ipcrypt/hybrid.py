@@ -58,14 +58,9 @@ def pke_encrypt(
     scheme: EncodingScheme,
     rng: np.random.Generator | None = None,
     kem=DEFAULT_KEM,
-    error_params: ErrorParams | None = None,
 ) -> HybridCiphertext:
-    if error_params is None:
-        error_params = recommended_error_params(n=scheme.n)
-    if error_params.n != scheme.n:
-        raise ValueError(f"error grid {error_params.n} != scheme grid {scheme.n}")
     shared, c1 = kem.encaps(pk, rng)
-    key, nonce = _dem_material(shared, error_params)
+    key, nonce = _dem_material(shared, recommended_error_params(n=scheme.n))
     c2 = sym_encrypt(key, msg, scheme, nonce)
     return HybridCiphertext(c1=c1, c2=c2)
 
@@ -75,7 +70,6 @@ def pke_decrypt(
     ct: HybridCiphertext,
     scheme: EncodingScheme | None = None,
     kem=DEFAULT_KEM,
-    error_params: ErrorParams | None = None,
 ) -> Message:
     """Decapsulate, rebuild the symmetric key, decrypt.
 
@@ -89,8 +83,6 @@ def pke_decrypt(
         raise ValueError(
             f"scheme {scheme} does not match the ciphertext header {ct.c2.scheme()}"
         )
-    if error_params is None:
-        error_params = recommended_error_params(n=ct.c2.n)
     shared = kem.decaps(sk, ct.c1)
-    key, _ = _dem_material(shared, error_params)
+    key, _ = _dem_material(shared, recommended_error_params(n=ct.c2.n))
     return sym_decrypt(key, ct.c2)

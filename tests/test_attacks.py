@@ -18,7 +18,7 @@ from ipcrypt.attacks import (
 )
 from ipcrypt.encoding import EncodingScheme, Message, encode
 from ipcrypt.grid import make_grid_function, norm, zeros
-from ipcrypt.hso import apply_operator, build_hso, hso_svd, naive_inverse_apply
+from ipcrypt.hso import apply_operator, build_hso, filtered_inverse, hso_svd, naive_inverse_apply
 from ipcrypt.symmetric import recommended_error_params, sym_encrypt, sym_keygen
 
 SCHEME = EncodingScheme.map2(8, 256)
@@ -50,15 +50,26 @@ def test_method_validation():
 # ---------------------------------------------------------------- tikhonov filter
 
 
-def test_tikhonov_matches_filter_formula():
+@pytest.mark.parametrize(
+    "method",
+    [None, Tsvd(k=1), Tsvd(k=8), Tsvd(k=16), Tikhonov(alpha=0.01)],
+    ids=["naive", "tsvd1", "tsvd8", "tsvd16", "tikhonov"],
+)
+def test_tikhonov_matches_filter_formula(method):
+    """Every inversion equals the explicit filtered sum over its leading modes."""
     n = 16
     factors = hso_svd(n)
     rng = np.random.default_rng(0)
     v = make_grid_function(rng.standard_normal(n))
-    alpha = 0.01
-    got = tikhonov_apply(factors, v, alpha)
     s, u = factors.singular_values, factors.left_vectors
-    expected = u @ ((u.T @ v.values) * s / (s * s + alpha))
+    if method is None:
+        got, phi = naive_inverse_apply(factors, v), 1.0 / s
+    elif isinstance(method, Tsvd):
+        got, phi = filtered_inverse(factors, v, method.filter(s)), 1.0 / s[: method.k]
+    else:
+        got, phi = tikhonov_apply(factors, v, method.alpha), s / (s * s + method.alpha)
+    k = phi.size
+    expected = u[:, :k] @ (phi * (u[:, :k].T @ v.values))
     np.testing.assert_allclose(got.values, expected, atol=1e-12)
 
 

@@ -87,6 +87,8 @@ def test_scheme_validation():
         EncodingScheme.map1(4, 64, basis="walsh")
     with pytest.raises(ValueError, match="2\\^t"):
         EncodingScheme.map1(21, 1 << 21)  # decode table would be intractable
+    with pytest.raises(ValueError, match="capacity 255"):
+        EncodingScheme.map1(8, 256, basis="fourier")  # top index 256 is the Nyquist mode
     with pytest.raises(ValueError, match="no basis"):
         EncodingScheme(kind="map2", t=4, n=64, basis="fourier")
     with pytest.raises(ValueError, match="t \\| n"):
@@ -113,7 +115,7 @@ def test_fourier_nyquist_mode_vanishes_at_midpoints():
     n = 8
     y = (np.arange(n) + 0.5) / n
     assert np.abs(np.cos(2.0 * np.pi * (n // 2) * y)).max() < 1e-12
-    scheme = EncodingScheme.map1(3, n)
+    scheme = EncodingScheme.map1(2, n)
     with pytest.raises(ValueError, match="capacity"):
         basis_vector(n, scheme)
 

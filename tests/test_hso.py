@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from ipcrypt.attacks import Tsvd
 from ipcrypt.grid import make_grid_function, midpoints, norm, zeros
 from ipcrypt.hso import (
     MILD,
@@ -13,10 +14,10 @@ from ipcrypt.hso import (
     build_hso,
     classify_decay,
     default_fit_range,
+    filtered_inverse,
     hso_svd,
     naive_inverse_apply,
     noise_amplification_experiment,
-    svd,
 )
 
 
@@ -131,13 +132,6 @@ def test_spectrum_refinement_consistency(svd256, svd512):
     assert (np.abs(a - b) / b).max() < 0.01
 
 
-def test_svd_wrapper_matches_cached_path():
-    op = build_hso(64)
-    f1 = svd(op)
-    f2 = hso_svd(64)
-    np.testing.assert_array_equal(f1.singular_values, f2.singular_values)
-
-
 # ---------------------------------------------------------------- naive inversion
 
 
@@ -149,13 +143,13 @@ def test_naive_inverse_roundtrip(svd256):
 
 
 def test_naive_inverse_truncation_is_projection():
-    """k_max-truncated inversion of S(psi) is the projection onto leading modes."""
+    """TSVD-filtered inversion of S(psi) is the projection onto leading modes."""
     n = 64
     factors = hso_svd(n)
     psi = smooth_profile(n)
     v = apply_operator(build_hso(n), psi)
     k = 1
-    got = naive_inverse_apply(factors, v, k_max=k)
+    got = filtered_inverse(factors, v, Tsvd(k).filter(factors.singular_values))
     beta1 = factors.left_vectors[:, :k]
     projected = beta1 @ (beta1.T @ psi.values)
     assert np.abs(got.values - projected).max() < 1e-8
@@ -169,11 +163,6 @@ def test_naive_inverse_truncation_is_projection():
 
 def test_naive_inverse_rejects_bad_k_max():
     factors = hso_svd(16)
-    v = zeros(16)
-    with pytest.raises(ValueError):
-        naive_inverse_apply(factors, v, k_max=0)
-    with pytest.raises(ValueError):
-        naive_inverse_apply(factors, v, k_max=17)
     with pytest.raises(ValueError, match="mismatch"):
         naive_inverse_apply(factors, zeros(8))
 

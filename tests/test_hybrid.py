@@ -15,7 +15,6 @@ from ipcrypt.kem import (
     xof_expand,
 )
 from ipcrypt.noise import NONCE_BYTES
-from ipcrypt.symmetric import recommended_error_params
 
 SCHEME = EncodingScheme.map2(32, 256)
 
@@ -107,19 +106,6 @@ def test_scheme_cross_check():
     assert pke_decrypt(pair.secret, ct, scheme=SCHEME) == msg
     with pytest.raises(ValueError, match="does not match"):
         pke_decrypt(pair.secret, ct, scheme=EncodingScheme.map2(8, 256))
-
-
-def test_error_params_grid_must_match_scheme():
-    rng = np.random.default_rng(9)
-    pair = pke_keygen(rng)
-    with pytest.raises(ValueError, match="grid"):
-        pke_encrypt(
-            pair.public,
-            Message.random(32, rng),
-            SCHEME,
-            rng,
-            error_params=recommended_error_params(n=128),
-        )
 
 
 def test_keygen_delegates_to_kem():
