@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ipcrypt import symmetric
 from ipcrypt.cli import main
 from ipcrypt.formats import read_error_key, read_sym_ciphertext
 from ipcrypt.hso import hso_svd
@@ -223,6 +224,23 @@ def test_sym_pipeline_explicit_nonce(tmp_path, capsys):
     assert read_sym_ciphertext(ct_file.read_bytes()).nonce == bytes.fromhex(nonce_hex)
     code, stdout, _ = run(capsys, "decrypt-sym", "--key", str(key_file), "--in", str(ct_file))
     assert kv(stdout)["msg"] == "11111111"
+
+
+def test_decrypt_sym_out_of_memory_is_a_domain_error(tmp_path, capsys, monkeypatch):
+    """A header claiming a huge grid makes the decrypt run out of memory."""
+    key_file = tmp_path / "key.ipk"
+    ct_file = tmp_path / "msg.ipc"
+    run(capsys, "keygen-sym", "--out", str(key_file))
+    run(capsys, "encrypt-sym", "--key", str(key_file), "--msg", "01", "--out", str(ct_file))
+
+    def out_of_memory(key, ct):
+        raise MemoryError
+
+    monkeypatch.setattr(symmetric, "sym_decrypt", out_of_memory)
+    code, stdout, err = run(capsys, "decrypt-sym", "--key", str(key_file), "--in", str(ct_file))
+    assert code == 1
+    assert stdout == ""
+    assert err == "error: MemoryError\n"
 
 
 def test_encrypt_sym_rejects_short_nonce(tmp_path, capsys):

@@ -79,6 +79,17 @@ def test_apply_rejects_mismatched_grid():
         apply_operator(build_hso(16), zeros(8))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 256, 2048])
+def test_apply_matches_dense_matrix_in_linear_memory(n):
+    op = build_hso(n)
+    held = [a for a in vars(op).values() if isinstance(a, np.ndarray)]
+    assert held and all(a.size <= n and not a.flags.writeable for a in held)
+    u = np.random.default_rng(n).standard_normal(n)
+    dense = op.matrix @ u
+    out = apply_operator(op, make_grid_function(u)).values
+    assert np.abs(out - dense).max() <= 1e-13 * np.abs(dense).max()
+
+
 # ---------------------------------------------------------------- singular system
 
 
