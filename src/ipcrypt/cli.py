@@ -40,19 +40,21 @@ def _nonce_arg(text: str) -> bytes:
     return data
 
 
-def _bits_arg(text: str) -> str:
+def _bits_arg(text: str) -> Message:
     """Message bits, either literal 0/1 digits or hex (4 bits per digit).
 
     A string of only 0s and 1s is taken literally; anything else must be
     valid hex and expands most significant bit first.
     """
     if text and all(c in "01" for c in text):
-        return text
-    if not text or any(c not in "0123456789abcdefABCDEF" for c in text):
+        bits = text
+    elif text and all(c in "0123456789abcdefABCDEF" for c in text):
+        bits = "".join(f"{int(c, 16):04b}" for c in text)
+    else:
         raise argparse.ArgumentTypeError(
             f"message must be a 0/1 string or hex digits, got {text!r}"
         )
-    return "".join(f"{int(c, 16):04b}" for c in text)
+    return Message(tuple(int(c) for c in bits))
 
 
 def _positive_int(text: str) -> int:
@@ -85,9 +87,14 @@ def _write_lines(path: str, lines: list[str]) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _demo_profile(n: int):
-    """Smooth source term for the amplification experiments."""
-    return make_grid_function(np.sin(2.0 * np.pi * midpoints(n)))
+def _amplification_run(
+    n: int, sigma: float, trials: int, seed: bytes, label: str
+) -> hso.AmplificationReport:
+    """Naive-inversion noise amplification on a smooth sine source term."""
+    profile = make_grid_function(np.sin(2.0 * np.pi * midpoints(n)))
+    return hso.noise_amplification_experiment(
+        hso.build_hso(n), profile, sigma, trials, _derive_entropy(seed, label)
+    )
 
 
 def _cmd_spectrum(args) -> int:
@@ -150,11 +157,7 @@ def _amplification_lines(report: hso.AmplificationReport, seed: bytes) -> list[s
 
 
 def _cmd_amplify(args) -> int:
-    op = hso.build_hso(args.n)
-    entropy = _derive_entropy(args.seed, "amplify")
-    report = hso.noise_amplification_experiment(
-        op, _demo_profile(args.n), args.sigma, args.trials, entropy
-    )
+    report = _amplification_run(args.n, args.sigma, args.trials, args.seed, "amplify")
     lines = _amplification_lines(report, args.seed)
     if args.out:
         _write_lines(args.out, lines)
@@ -163,16 +166,18 @@ def _cmd_amplify(args) -> int:
 
 
 def _cmd_encode(args) -> int:
-    msg = Message(tuple(int(c) for c in args.msg))
-    scheme = _scheme_from_args(args.encoding, msg.t, args.n)
-    u = encode(msg, scheme)
+    scheme = _scheme_from_args(args.encoding, args.msg.t, args.n)
+    u = encode(args.msg, scheme)
     if args.out:
         y = midpoints(scheme.n)
-        lines = [f"# encoded message, encoding={args.encoding} t={msg.t} n={scheme.n}", "i,y,value"]
+        lines = [
+            f"# encoded message, encoding={args.encoding} t={args.msg.t} n={scheme.n}",
+            "i,y,value",
+        ]
         lines += [f"{i},{float(y[i])!r},{float(v)!r}" for i, v in enumerate(u.values)]
         _write_lines(args.out, lines)
     print(f"encoding={args.encoding}")
-    print(f"t={msg.t}")
+    print(f"t={args.msg.t}")
     print(f"n={scheme.n}")
     print(f"norm={norm(u)!r}")
     return 0
@@ -202,12 +207,11 @@ def _cmd_keygen_sym(args) -> int:
 
 def _cmd_encrypt_sym(args) -> int:
     key = formats.read_error_key(Path(args.key).read_bytes())
-    msg = Message(tuple(int(c) for c in args.msg))
-    scheme = _scheme_from_args(args.encoding, msg.t, key.params.n)
+    scheme = _scheme_from_args(args.encoding, args.msg.t, key.params.n)
     nonce = args.nonce
     if nonce is None:
         nonce = xof_expand(args.seed + b"/encrypt-sym/nonce", 16)
-    ct = symmetric.sym_encrypt(key, msg, scheme, nonce)
+    ct = symmetric.sym_encrypt(key, args.msg, scheme, nonce)
     Path(args.out).write_bytes(formats.write_sym_ciphertext(ct))
     print(f"wrote ciphertext to {args.out}")
     print(f"t={ct.t}")
@@ -228,10 +232,15 @@ def _parse_method(text: str):
     if text == "naive":
         return None
     kind, _, value = text.partition(":")
-    if kind == "tsvd" and value:
-        return attacks.Tsvd(k=int(value))
-    if kind == "tikhonov" and value:
-        return attacks.Tikhonov(alpha=float(value))
+    method = {"tsvd": (attacks.Tsvd, int), "tikhonov": (attacks.Tikhonov, float)}.get(kind)
+    if method is not None:
+        cls, parse = method
+        try:
+            number = parse(value)
+        except ValueError:
+            pass
+        else:
+            return cls(number)
     raise ValueError(
         f"method must be naive, tsvd:<k>, or tikhonov:<alpha>, got {text!r}"
     )
@@ -315,13 +324,8 @@ def _cmd_analogy(args) -> int:
     else:
         factors = hso.hso_svd(args.grid_n)
         decay = hso.classify_decay(factors.singular_values)
-        op = hso.build_hso(args.grid_n)
-        amp = hso.noise_amplification_experiment(
-            op,
-            _demo_profile(args.grid_n),
-            args.sigma,
-            args.trials,
-            _derive_entropy(args.seed, "analogy/amplify"),
+        amp = _amplification_run(
+            args.grid_n, args.sigma, args.trials, args.seed, "analogy/amplify"
         )
         report = lwe.analogy_report(
             lwe=params, decay=decay, amplification=amp, brute_force_status=status
@@ -346,12 +350,11 @@ def _cmd_kem_keygen(args) -> int:
 
 def _cmd_pke_encrypt(args) -> int:
     pk = formats.read_kem_public_key(Path(args.pk).read_bytes())
-    msg = Message(tuple(int(c) for c in args.msg))
-    scheme = _scheme_from_args(args.encoding, msg.t, args.n)
-    ct = hybrid.pke_encrypt(pk, msg, scheme, _rng_for(args.seed, "pke-encrypt"))
+    scheme = _scheme_from_args(args.encoding, args.msg.t, args.n)
+    ct = hybrid.pke_encrypt(pk, args.msg, scheme, _rng_for(args.seed, "pke-encrypt"))
     Path(args.out).write_bytes(formats.write_hybrid_ciphertext(ct))
     print(f"wrote hybrid ciphertext to {args.out}")
-    print(f"t={msg.t}")
+    print(f"t={args.msg.t}")
     print(f"n={args.n}")
     print(f"seed={args.seed.hex()}")
     return 0

@@ -29,7 +29,6 @@ import struct
 
 import numpy as np
 
-from .encoding import MAP1_FOURIER_ID, MAP1_HAAR_ID, MAP2_ID
 from .grid import from_bytes as grid_from_bytes
 from .grid import to_bytes as grid_to_bytes
 from .hybrid import HybridCiphertext
@@ -74,8 +73,6 @@ _KIND_SECRET = 0x02
 _KIND_CIPHERTEXT = 0x03
 
 _PARAM_SETS = {DESK_PARAM_ID: DESK_PARAMS}
-
-_ENCODING_IDS = (MAP1_FOURIER_ID, MAP1_HAAR_ID, MAP2_ID)
 
 
 class _Reader:
@@ -181,12 +178,9 @@ def read_sym_ciphertext(data: bytes) -> SymCiphertext:
     n = r.u32("grid size")
     t = r.u32("message length")
     encoding_id = r.u8("encoding id")
-    if encoding_id not in _ENCODING_IDS:
-        raise ValueError(f"unknown encoding id {encoding_id:#04x}")
     nonce = r.take(16, "nonce")
     body = grid_from_bytes(r.rest())
-    if body.n != n:
-        raise ValueError(f"body grid size {body.n} != header n = {n}")
+    # SymCiphertext checks the encoding id and the body size against n.
     return SymCiphertext(n=n, t=t, encoding_id=encoding_id, nonce=nonce, body=body)
 
 

@@ -65,24 +65,14 @@ def pke_encrypt(
     return HybridCiphertext(c1=c1, c2=c2)
 
 
-def pke_decrypt(
-    sk,
-    ct: HybridCiphertext,
-    scheme: EncodingScheme | None = None,
-    kem=DEFAULT_KEM,
-) -> Message:
+def pke_decrypt(sk, ct: HybridCiphertext, kem=DEFAULT_KEM) -> Message:
     """Decapsulate, rebuild the symmetric key, decrypt.
 
-    C2's header already carries the encoding parameters; an explicit
-    scheme is only cross-checked against it.  A tampered C1 decapsulates
-    to some other shared secret and hence a wrong error term; the result
-    is then an arbitrary wrong message, not an exception, since nothing
-    here authenticates the ciphertext.
+    C2's header fixes the encoding, so the caller passes no scheme.  A
+    tampered C1 decapsulates to some other shared secret and hence a
+    wrong error term; the result is then an arbitrary wrong message, not
+    an exception, since nothing here authenticates the ciphertext.
     """
-    if scheme is not None and scheme != ct.c2.scheme():
-        raise ValueError(
-            f"scheme {scheme} does not match the ciphertext header {ct.c2.scheme()}"
-        )
     shared = kem.decaps(sk, ct.c1)
     key, _ = _dem_material(shared, recommended_error_params(n=ct.c2.n))
     return sym_decrypt(key, ct.c2)

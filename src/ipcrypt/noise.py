@@ -45,6 +45,11 @@ ENTROPY_FLOOR_BITS = 128.0
 # Gaussian tails beyond 6 sigma carry ~1e-8 of the mass; cut them there.
 _GAUSS_TAIL_SIGMAS = 6.0
 
+# Largest |k| a point draw may take.  point_distribution lists the whole
+# support and weights it in float64, where comb(2 eta, eta) overflows from
+# eta = 512 on; parameters read from a key file are bounded here first.
+_MAX_SUPPORT = 256
+
 
 @dataclass(frozen=True)
 class ErrorParams:
@@ -62,11 +67,15 @@ class ErrorParams:
         if not (self.scale > 0 and math.isfinite(self.scale)):
             raise ValueError(f"scale must be positive and finite, got {self.scale}")
         if self.distribution == CENTERED_BINOMIAL:
-            if self.eta < 1:
-                raise ValueError(f"eta must be positive, got {self.eta}")
+            if not 1 <= self.eta <= _MAX_SUPPORT:
+                raise ValueError(f"eta must be in [1, {_MAX_SUPPORT}], got {self.eta}")
         elif self.distribution == DISCRETE_GAUSSIAN:
-            if not (self.sigma > 0 and math.isfinite(self.sigma)):
-                raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
+            # Also rejects nan and inf.
+            if not (0 < self.sigma and _GAUSS_TAIL_SIGMAS * self.sigma < _MAX_SUPPORT + 1):
+                raise ValueError(
+                    f"sigma must be positive with {_GAUSS_TAIL_SIGMAS:g}*sigma < "
+                    f"{_MAX_SUPPORT + 1}, got {self.sigma}"
+                )
         else:
             raise ValueError(f"unknown distribution {self.distribution!r}")
         total = self.n * entropy_bits(self)

@@ -15,13 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import hso
 from .encoding import EncodingScheme, Message, decode, encode
 from .grid import GridFunction, make_grid_function
 from .noise import NONCE_BYTES, CENTERED_BINOMIAL, ErrorKey, ErrorParams, derive_error
-from .noise import keygen as _noise_keygen
+from .noise import keygen as sym_keygen
 
 __all__ = [
     "SymCiphertext",
@@ -64,36 +62,19 @@ class SymCiphertext:
         return EncodingScheme.from_encoding_id(self.encoding_id, self.t, self.n)
 
 
-def sym_keygen(params: ErrorParams, rng: np.random.Generator) -> ErrorKey:
-    return _noise_keygen(params, rng)
-
-
 def sym_encrypt(
-    key: ErrorKey,
-    msg: Message,
-    scheme: EncodingScheme,
-    nonce: bytes,
-    *,
-    error_override: GridFunction | None = None,
+    key: ErrorKey, msg: Message, scheme: EncodingScheme, nonce: bytes
 ) -> SymCiphertext:
     """C = S(encode(msg)) + derive_error(key, nonce).
 
-    error_override substitutes the derived error and exists for
-    experiments that need a chosen or reused error term; normal callers
-    never pass it.
+    The error is always the one the key holder derives again from
+    (key, nonce); equal nonces under one key reuse it exactly.
     """
     if scheme.n != key.params.n:
         raise ValueError(f"scheme grid {scheme.n} != key grid {key.params.n}")
     op = hso.build_hso(scheme.n)
     smoothed = hso.apply_operator(op, encode(msg, scheme))
-    if error_override is None:
-        error = derive_error(key, nonce)
-    else:
-        if error_override.n != scheme.n:
-            raise ValueError(
-                f"override error grid {error_override.n} != scheme grid {scheme.n}"
-            )
-        error = error_override
+    error = derive_error(key, nonce)
     body = make_grid_function(smoothed.values + error.values)
     return SymCiphertext(
         n=scheme.n,

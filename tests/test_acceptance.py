@@ -134,17 +134,14 @@ def test_criterion_5_error_reuse_identity():
     scheme = EncodingScheme.map2(8, 256)
     key = sym_keygen(params, rng)
     op = build_hso(256)
-    from ipcrypt.noise import derive_error
-
     worst_identity = 0.0
     exact = 0
     trials = 100
     for _ in range(trials):
         nonce = rng.bytes(16)
-        shared = derive_error(key, nonce)
         m1, m2 = Message.random(8, rng), Message.random(8, rng)
-        c1 = sym_encrypt(key, m1, scheme, nonce, error_override=shared)
-        c2 = sym_encrypt(key, m2, scheme, nonce, error_override=shared)
+        c1 = sym_encrypt(key, m1, scheme, nonce)
+        c2 = sym_encrypt(key, m2, scheme, nonce)
         diff = make_grid_function(c1.body.values - c2.body.values)
         clean = apply_operator(
             op,

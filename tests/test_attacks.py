@@ -19,7 +19,7 @@ from ipcrypt.attacks import (
 from ipcrypt.encoding import EncodingScheme, Message, encode
 from ipcrypt.grid import make_grid_function, norm, zeros
 from ipcrypt.hso import apply_operator, build_hso, filtered_inverse, hso_svd, naive_inverse_apply
-from ipcrypt.symmetric import recommended_error_params, sym_encrypt, sym_keygen
+from ipcrypt.symmetric import SymCiphertext, recommended_error_params, sym_encrypt, sym_keygen
 
 SCHEME = EncodingScheme.map2(8, 256)
 
@@ -107,7 +107,10 @@ def test_naive_attack_succeeds_without_noise():
     rng = np.random.default_rng(1)
     key = fresh_key(rng)
     msg = Message.from_int(0xB4, 8)
-    ct = sym_encrypt(key, msg, SCHEME, b"\x00" * 16, error_override=zeros(256))
+    body = apply_operator(build_hso(256), encode(msg, SCHEME))
+    ct = SymCiphertext(
+        n=SCHEME.n, t=SCHEME.t, encoding_id=SCHEME.encoding_id, nonce=b"\x00" * 16, body=body
+    )
     rep = attack_naive(ct, hso_svd(256), truth=msg)
     assert rep.method == "naive"
     assert rep.recovered == msg

@@ -265,6 +265,14 @@ def test_keygen_sym_gaussian_distribution(tmp_path, capsys):
     assert key.params.sigma == 1.5
 
 
+def test_keygen_sym_rejects_huge_eta(tmp_path, capsys):
+    key_file = tmp_path / "key.ipk"
+    code, _, stderr = run(capsys, "keygen-sym", "--eta", "600", "--out", str(key_file))
+    assert code == 1
+    assert stderr.startswith("error: eta must be in [1, 256], got 600")
+    assert not key_file.exists()
+
+
 def test_keygen_sym_is_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a.ipk", tmp_path / "b.ipk"
     run(capsys, "keygen-sym", "--out", str(a), "--seed", "1234")
@@ -308,9 +316,10 @@ def test_attack_truncated_inversion_beats_naive_at_small_scale(capsys):
 
 
 def test_attack_rejects_bad_method(capsys):
-    code, _, stderr = run(capsys, "attack", "--method", "qr", "--trials", "2", "--n", "64")
-    assert code == 1
-    assert "method must be" in stderr
+    for method in ("qr", "tsvd:abc", "tikhonov:x"):
+        code, _, stderr = run(capsys, "attack", "--method", method, "--trials", "2", "--n", "64")
+        assert code == 1
+        assert f"method must be naive, tsvd:<k>, or tikhonov:<alpha>, got {method!r}" in stderr
 
 
 # ---------------------------------------------------------------- lwe-demo / analogy

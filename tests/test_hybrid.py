@@ -1,7 +1,6 @@
 """KEM-DEM composition: roundtrips, tampering behavior, pluggable KEM."""
 
 import numpy as np
-import pytest
 
 from ipcrypt.attacks import bit_accuracy
 from ipcrypt.encoding import EncodingScheme, Message
@@ -96,16 +95,6 @@ def test_mismatched_secret_key_decrypts_to_chance():
         got = pke_decrypt(other.secret, ct)
         accs.append(bit_accuracy(got, msg))
     assert 0.4 <= float(np.mean(accs)) <= 0.6
-
-
-def test_scheme_cross_check():
-    rng = np.random.default_rng(8)
-    pair = pke_keygen(rng)
-    msg = Message.random(32, rng)
-    ct = pke_encrypt(pair.public, msg, SCHEME, rng)
-    assert pke_decrypt(pair.secret, ct, scheme=SCHEME) == msg
-    with pytest.raises(ValueError, match="does not match"):
-        pke_decrypt(pair.secret, ct, scheme=EncodingScheme.map2(8, 256))
 
 
 def test_keygen_delegates_to_kem():

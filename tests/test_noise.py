@@ -72,6 +72,16 @@ def test_error_params_validation():
         dg_params(sigma=-1.0)
     with pytest.raises(ValueError, match="distribution"):
         ErrorParams(n=256, scale=0.5, distribution="uniform")
+    # The support is tabulated in full, so it is capped at |k| <= 256
+    # before any entropy is computed.
+    assert point_distribution(cb_params(eta=256))[0][-1] == 256
+    assert point_distribution(dg_params(sigma=42.83))[0][-1] == 256
+    for eta in (257, 600, 2**32 - 1):
+        with pytest.raises(ValueError, match="eta"):
+            cb_params(eta=eta)
+    for sigma in (257 / 6, 1e9, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="sigma"):
+            dg_params(sigma=sigma)
 
 
 # ---------------------------------------------------------------- sampling

@@ -1,0 +1,131 @@
+"""Hostile bytes for every container reader: only ValueError may escape.
+
+Each reader gets a valid blob, then random, truncated, extended and
+bit-flipped versions of it.  Anything other than a ValueError (an
+OverflowError from a float conversion, an IndexError, a runaway
+allocation) is a reader bug.
+"""
+
+import re
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from ipcrypt.encoding import EncodingScheme, Message
+from ipcrypt.formats import (
+    read_error_key,
+    read_hybrid_ciphertext,
+    read_kem_ciphertext,
+    read_kem_public_key,
+    read_kem_secret_key,
+    read_sym_ciphertext,
+    write_error_key,
+    write_hybrid_ciphertext,
+    write_kem_ciphertext,
+    write_kem_public_key,
+    write_kem_secret_key,
+    write_sym_ciphertext,
+)
+from ipcrypt.hybrid import pke_encrypt, pke_keygen
+from ipcrypt.noise import DISCRETE_GAUSSIAN, ErrorKey, ErrorParams
+from ipcrypt.symmetric import recommended_error_params, sym_encrypt
+
+SEED = bytes(range(32))
+
+
+def error_key_blob(dist: bytes) -> bytes:
+    """IPK1 file with the given distribution id + parameter bytes, n = 256."""
+    return b"IPK1\x01" + dist + struct.pack("<dI", 0.5, 256) + SEED
+
+
+ETA_600_KEY = error_key_blob(struct.pack("<BI", 0x02, 600))
+
+
+def _blobs() -> dict:
+    rng = np.random.default_rng(5)
+    scheme = EncodingScheme.map2(8, 64)
+    sym_key = ErrorKey(seed=SEED, params=recommended_error_params(n=64))
+    gauss = ErrorParams(n=256, scale=0.25, distribution=DISCRETE_GAUSSIAN, sigma=1.5)
+    pair = pke_keygen(rng)
+    hybrid = pke_encrypt(pair.public, Message.from_int(0x5A, 8), scheme, rng)
+    return {
+        "binomial key": (read_error_key, write_error_key(sym_key)),
+        "gaussian key": (read_error_key, write_error_key(ErrorKey(seed=SEED, params=gauss))),
+        "sym ciphertext": (
+            read_sym_ciphertext,
+            write_sym_ciphertext(sym_encrypt(sym_key, Message.from_int(3, 8), scheme, SEED[:16])),
+        ),
+        "kem public key": (read_kem_public_key, write_kem_public_key(pair.public)),
+        "kem secret key": (read_kem_secret_key, write_kem_secret_key(pair.secret)),
+        "kem ciphertext": (read_kem_ciphertext, write_kem_ciphertext(hybrid.c1)),
+        "hybrid ciphertext": (read_hybrid_ciphertext, write_hybrid_ciphertext(hybrid)),
+    }
+
+
+BLOBS = _blobs()
+SYM_BLOB = BLOBS["sym ciphertext"][1]
+
+
+def _flip(blob: bytes, bits: list[int]) -> bytes:
+    out = bytearray(blob)
+    for bit in bits:
+        out[bit // 8] ^= 1 << (bit % 8)
+    return bytes(out)
+
+
+def _mangled(blob: bytes):
+    """Random, truncated, extended and bit-flipped variants of one blob."""
+    # Half the flips land in the first 64 bytes, where every header lives.
+    header_bit = st.integers(0, 8 * min(len(blob), 64) - 1)
+    any_bit = st.integers(0, 8 * len(blob) - 1)
+    return st.one_of(
+        st.binary(max_size=256),
+        st.binary(max_size=256).map(lambda tail: blob[:5] + tail),
+        st.integers(0, len(blob) - 1).map(lambda k: blob[:k]),
+        st.binary(min_size=1, max_size=16).map(lambda tail: blob + tail),
+        st.lists(header_bit | any_bit, min_size=1, max_size=8).map(lambda b: _flip(blob, b)),
+    )
+
+
+CASES = st.sampled_from(sorted(BLOBS)).flatmap(
+    lambda name: _mangled(BLOBS[name][1]).map(lambda data: (name, data))
+)
+
+
+@given(case=CASES)
+@example(case=("binomial key", ETA_600_KEY))
+@example(case=("sym ciphertext", SYM_BLOB[:13] + b"\x42" + SYM_BLOB[14:]))
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+def test_readers_raise_only_value_error(case):
+    name, data = case
+    reader = BLOBS[name][0]
+    try:
+        reader(data)
+    except ValueError:
+        pass
+
+
+@pytest.mark.parametrize(
+    "dist, match",
+    [
+        (struct.pack("<BI", 0x02, 600), "eta"),
+        (struct.pack("<BI", 0x02, 2**32 - 1), "eta"),
+        (struct.pack("<Bd", 0x01, 1e9), "sigma"),
+    ],
+    ids=["eta-600", "eta-2^32-1", "sigma-1e9"],
+)
+def test_error_key_rejects_unbounded_distribution(dist, match):
+    with pytest.raises(ValueError, match=match):
+        read_error_key(error_key_blob(dist))
+
+
+def test_sym_ciphertext_header_errors_keep_their_text():
+    with pytest.raises(ValueError, match="^unknown encoding id 0x42$"):
+        read_sym_ciphertext(SYM_BLOB[:13] + b"\x42" + SYM_BLOB[14:])
+    patched = SYM_BLOB[:5] + struct.pack("<I", 32) + SYM_BLOB[9:]
+    text = re.escape("body grid size 64 != header n = 32")
+    with pytest.raises(ValueError, match=f"^{text}$"):
+        read_sym_ciphertext(patched)

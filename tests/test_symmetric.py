@@ -123,17 +123,18 @@ def test_nonce_reuse_cancels_the_error_term():
     assert norm(make_grid_function(diff - (clean1.values - clean2.values))) < 1e-9
 
 
-def test_error_override_substitutes_exactly():
+def test_body_is_smoothed_message_plus_derived_error():
     rng = np.random.default_rng(7)
     key = fresh_key(rng)
     scheme = EncodingScheme.map2(8, 256)
     msg = Message.from_int(3, 8)
-    forced = derive_error(key, b"\x11" * 16)
-    ct = sym_encrypt(key, msg, scheme, b"\x22" * 16, error_override=forced)
+    ct = sym_encrypt(key, msg, scheme, b"\x22" * 16)
     clean = apply_operator(
         build_hso(256), make_grid_function(np.repeat(np.asarray(msg.bits, float), 32))
     )
-    np.testing.assert_allclose(ct.body.values - clean.values, forced.values, atol=1e-12)
+    np.testing.assert_allclose(
+        ct.body.values - clean.values, derive_error(key, ct.nonce).values, rtol=0, atol=1e-12
+    )
 
 
 def test_encrypt_validation():
@@ -142,14 +143,6 @@ def test_encrypt_validation():
     msg = Message.from_int(0, 8)
     with pytest.raises(ValueError, match="grid"):
         sym_encrypt(key, msg, EncodingScheme.map2(8, 128), b"\x00" * 16)
-    with pytest.raises(ValueError, match="override"):
-        sym_encrypt(
-            key,
-            msg,
-            EncodingScheme.map2(8, 256),
-            b"\x00" * 16,
-            error_override=zeros(128),
-        )
     with pytest.raises(ValueError, match="nonce"):
         sym_encrypt(key, msg, EncodingScheme.map2(8, 256), b"\x00" * 8)
 
