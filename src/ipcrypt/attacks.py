@@ -17,6 +17,7 @@ chosen queries say nothing about fresh errors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -50,8 +51,8 @@ class Tikhonov:
     alpha: float
 
     def __post_init__(self) -> None:
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not (self.alpha > 0 and math.isfinite(self.alpha)):
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
 
     @property
     def label(self) -> str:

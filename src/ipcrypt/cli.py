@@ -240,7 +240,8 @@ def _parse_method(text: str):
         except ValueError:
             pass
         else:
-            return cls(number)
+            if np.isfinite(number):
+                return cls(number)
     raise ValueError(
         f"method must be naive, tsvd:<k>, or tikhonov:<alpha>, got {text!r}"
     )

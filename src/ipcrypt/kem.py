@@ -2,12 +2,22 @@
 
 Parameters q = 3329, dimension 256, centered binomial eta = 2.  The
 public matrix A is regenerated from a 32-byte seed through SHAKE-256
-with rejection sampling, so public keys stay small.  The secret is a
+with rejection sampling, so public keys stay small; the first squeeze
+is sized for the expected rejection rate and doubles only when too many
+words are rejected (see `expand_matrix`).  The secret is a
 matrix of 256 small columns, one per shared-secret bit, which keeps the
 ciphertext a single (u, v) vector pair: encapsulation hides each bit in
 v = B^T r + e + bit * round(q/2) and decapsulation thresholds
 v - S^T u at q/4.  With these parameters the accumulated noise is
 bounded well inside q/4, so decapsulation never fails.
+
+All four matrix products (A S in keygen, A^T r and B^T r in encapsulation,
+S^T u in decapsulation) run on float64 BLAS and are exact.  Each sums dim
+terms of absolute value at most (q - 1) * eta, so with
+dim * (q - 1) * eta < 2^53 every partial sum is an integer that float64
+represents exactly, whatever order BLAS adds in; `KemParams` rejects
+parameters outside that bound.  NumPy does not send int64 products to
+BLAS, and at desk scale the float64 route is over 20 times faster.
 
 This is a teaching artifact: parameters are far below any real security
 level and no claim is made beyond one-shot key transport in this toy
@@ -52,6 +62,11 @@ def xof_expand(data: bytes, out_len: int) -> bytes:
     return hashlib.shake_256(data).digest(out_len)
 
 
+def _exact_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Integer product of x and y on float64 BLAS, exact under the KemParams bound."""
+    return (x.astype(np.float64) @ y.astype(np.float64)).astype(np.int64)
+
+
 @dataclass(frozen=True)
 class KemParams:
     q: int = 3329
@@ -64,6 +79,11 @@ class KemParams:
             raise ValueError("KEM parameters must be positive")
         if self.secret_bits % 8 != 0:
             raise ValueError("secret_bits must be a multiple of 8")
+        if self.dim * (self.q - 1) * self.eta >= 2**53:
+            raise ValueError(
+                f"dim * (q - 1) * eta must stay below 2^53 for exact float64 "
+                f"products, got {self.dim} * {self.q - 1} * {self.eta}"
+            )
 
     @property
     def half_q(self) -> int:
@@ -149,18 +169,23 @@ def expand_matrix(seed: bytes, params: KemParams = DESK_PARAMS) -> np.ndarray:
 
     16-bit words are read little endian and rejected above the largest
     multiple of q below 2^16, so accepted words reduce to exactly uniform
-    residues.  The squeeze length doubles until enough words survive,
-    which keeps the matrix a pure function of the seed.  Results are
-    cached (and frozen) since encapsulation re-expands the same seed.
+    residues.  The first squeeze holds need + need/16 words plus 64 bytes,
+    enough whenever at most about 1/17 of the words are rejected (q = 3329
+    rejects 3.5%, dozens of standard deviations short of that).  Otherwise
+    the squeeze length doubles until enough words survive; a shorter
+    squeeze is a prefix of a longer one, so the first need accepted words,
+    and the matrix, depend on the seed alone.  Results are cached (and
+    frozen) since encapsulation re-expands the same seed.
     """
     need = params.dim * params.dim
     limit = (1 << 16) // params.q * params.q
-    out_len = 2 * need * 2 + 64
+    out_len = 2 * (need + need // 16) + 64
     while True:
         words = np.frombuffer(xof_expand(seed, out_len), dtype="<u2")
         accepted = words[words < limit]
         if accepted.size >= need:
-            a = accepted[:need].astype(np.int64) % params.q
+            # Reduce before widening; uint32 because q may be 2^16.
+            a = (accepted[:need] % np.uint32(params.q)).astype(np.int64)
             a = a.reshape(params.dim, params.dim)
             a.flags.writeable = False
             return a
@@ -168,13 +193,21 @@ def expand_matrix(seed: bytes, params: KemParams = DESK_PARAMS) -> np.ndarray:
 
 
 def cbd(rng: np.random.Generator, shape, eta: int) -> np.ndarray:
-    """Centered binomial draws: sum of eta coin differences per entry."""
+    """Centered binomial draws: sum of eta coin differences per entry.
+
+    The coins lie along a last axis of length eta; adding its eta slices
+    is several times faster than a reduction along that short axis.
+    """
     if eta < 1:
         raise ValueError(f"eta must be positive, got {eta}")
     size = tuple(np.atleast_1d(shape)) + (eta,)
     a = rng.integers(0, 2, size=size, dtype=np.int64)
     b = rng.integers(0, 2, size=size, dtype=np.int64)
-    return (a - b).sum(axis=-1)
+    d = a - b
+    out = d[..., 0].copy()
+    for k in range(1, eta):
+        out += d[..., k]
+    return out
 
 
 def kem_keygen(params: KemParams = DESK_PARAMS, rng: np.random.Generator | None = None) -> KemKeyPair:
@@ -184,7 +217,7 @@ def kem_keygen(params: KemParams = DESK_PARAMS, rng: np.random.Generator | None 
     a = expand_matrix(seed_a, params)
     s = cbd(rng, (params.dim, params.secret_bits), params.eta)
     e = cbd(rng, (params.dim, params.secret_bits), params.eta)
-    b = (a @ s + e) % params.q
+    b = (_exact_matmul(a, s) + e) % params.q
     public = KemPublicKey(params=params, seed_a=seed_a, b_pub=b)
     secret = KemSecretKey(params=params, s=s)
     return KemKeyPair(public=public, secret=secret)
@@ -206,8 +239,8 @@ def kem_encaps(
     e_u = cbd(rng, params.dim, params.eta)
     e_v = cbd(rng, params.secret_bits, params.eta)
     a = expand_matrix(pk.seed_a, params)
-    u = (a.T @ r + e_u) % params.q
-    v = (pk.b_pub.T @ r + e_v + bits * params.half_q) % params.q
+    u = (_exact_matmul(r, a) + e_u) % params.q
+    v = (_exact_matmul(r, pk.b_pub) + e_v + bits * params.half_q) % params.q
     return SharedSecret(_pack_bits(bits)), KemCiphertext(u=u, v=v)
 
 
@@ -221,7 +254,7 @@ def kem_decaps(sk: KemSecretKey, ct: KemCiphertext) -> SharedSecret:
         )
     if np.any(ct.u >= params.q) or np.any(ct.v >= params.q):
         raise ValueError("ciphertext entries must lie in [0, q)")
-    c = (ct.v - sk.s.T @ ct.u) % params.q
+    c = (ct.v - _exact_matmul(ct.u, sk.s)) % params.q
     c = np.where(c > params.q // 2, c - params.q, c)
     bits = (np.abs(c) > params.q / 4).astype(np.int64)
     return SharedSecret(_pack_bits(bits))

@@ -41,8 +41,9 @@ def test_bit_accuracy():
 
 
 def test_method_validation():
-    with pytest.raises(ValueError, match="alpha"):
-        Tikhonov(alpha=0.0)
+    for alpha in (0.0, -1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            Tikhonov(alpha=alpha)
     with pytest.raises(ValueError, match="cutoff"):
         Tsvd(k=0)
 

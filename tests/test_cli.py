@@ -316,7 +316,7 @@ def test_attack_truncated_inversion_beats_naive_at_small_scale(capsys):
 
 
 def test_attack_rejects_bad_method(capsys):
-    for method in ("qr", "tsvd:abc", "tikhonov:x"):
+    for method in ("qr", "tsvd:abc", "tikhonov:x", "tikhonov:inf"):
         code, _, stderr = run(capsys, "attack", "--method", method, "--trials", "2", "--n", "64")
         assert code == 1
         assert f"method must be naive, tsvd:<k>, or tikhonov:<alpha>, got {method!r}" in stderr

@@ -1,11 +1,16 @@
 """Desk-scale LWE key encapsulation: XOF, matrix expansion, roundtrips."""
 
+import ast
+import hashlib
+import inspect
+
 import numpy as np
 import pytest
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ipcrypt import kem
 from ipcrypt.kem import (
     DEFAULT_KEM,
     DESK_PARAMS,
@@ -79,6 +84,25 @@ def test_expand_matrix_small_modulus():
     assert a.min() >= 0 and a.max() < 17
 
 
+def test_expand_matrix_doubling_path_matches_one_long_squeeze():
+    """q = 32771 rejects about half the words, so the first squeeze is too short.
+
+    The matrix must still be the first dim^2 accepted words of one long
+    SHAKE-256 stream: the doubling loop relies on shorter squeezes being
+    prefixes of longer ones.
+    """
+    params = KemParams(q=32771, dim=64, secret_bits=8, eta=1)
+    need = params.dim * params.dim
+    limit = (1 << 16) // params.q * params.q
+    assert limit == params.q
+    for seed in (b"\x03" * 32, bytes(range(32))):
+        words = np.frombuffer(hashlib.shake_256(seed).digest(8 * need), dtype="<u2")
+        accepted = words[words < limit].astype(np.int64)
+        assert accepted.size >= need
+        want = (accepted[:need] % params.q).reshape(params.dim, params.dim)
+        np.testing.assert_array_equal(expand_matrix(seed, params), want)
+
+
 # ---------------------------------------------------------------- binomial draws
 
 
@@ -100,6 +124,43 @@ def test_cbd_histogram_matches_binomial_weights():
     freq = np.array([(draws == k).sum() for k in range(-2, 3)]) / draws.size
     np.testing.assert_allclose(freq, np.array([1, 4, 6, 4, 1]) / 16.0, atol=0.01)
     assert abs(draws.mean()) < 0.02
+
+
+# ---------------------------------------------------------------- exact products
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_exact_matmul_matches_int64_at_the_extremes(sign):
+    """Every term at its bound (q - 1) * eta: float64 BLAS equals int64 exactly."""
+    for q, dim, eta in ((3329, 256, 2), (2**45, 256, 1), (2**40 + 1, 4095, 2)):
+        KemParams(q=q, dim=dim, secret_bits=8, eta=eta)
+        a = np.full((3, dim), q - 1, dtype=np.int64)
+        s = np.full((dim, 5), sign * eta, dtype=np.int64)
+        s[0, 0] = -sign * eta
+        want = a @ s
+        assert np.abs(want).max() == dim * (q - 1) * eta
+        got = kem._exact_matmul(a, s)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+        got_vec = kem._exact_matmul(a[0], s)
+        assert got_vec.shape == (5,)
+        np.testing.assert_array_equal(got_vec, want[0])
+
+
+def test_exact_matmul_is_the_only_matrix_product():
+    """No int64 `@` slips back into the KEM: the one MatMult sits in the helper."""
+    tree = ast.parse(inspect.getsource(kem))
+    matmuls = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+    ]
+    helper = next(
+        fn for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name == "_exact_matmul"
+    )
+    assert len(matmuls) == 1
+    assert matmuls[0] in list(ast.walk(helper))
 
 
 # ---------------------------------------------------------------- keygen
@@ -235,6 +296,11 @@ def test_params_validation_and_half_q():
         KemParams(secret_bits=12)
     with pytest.raises(ValueError):
         KemParams(eta=0)
+    # Products stay exact in float64 only while dim * (q - 1) * eta < 2^53.
+    KemParams(q=2**45, dim=256, eta=1)
+    for q, dim, eta in ((2**45 + 1, 256, 1), (2**45 + 2, 256, 1), (3329, 2**42, 2)):
+        with pytest.raises(ValueError, match="2\\^53"):
+            KemParams(q=q, dim=dim, eta=eta)
 
 
 def test_public_key_validation():
