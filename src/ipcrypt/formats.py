@@ -20,7 +20,7 @@ fixed-width little-endian fields.  Layouts:
          block, that block, then the IPC1 block to the end
 
 Readers reject wrong magics, unknown versions and ids, truncation, and
-trailing bytes.
+trailing bytes.  KEM writers refuse parameter sets without a registered id.
 """
 
 from __future__ import annotations
@@ -184,8 +184,26 @@ def read_sym_ciphertext(data: bytes) -> SymCiphertext:
     return SymCiphertext(n=n, t=t, encoding_id=encoding_id, nonce=nonce, body=body)
 
 
-def _kem_header(kind: int) -> bytes:
-    return _KEM_MAGIC + struct.pack("<BBB", _VERSION, DESK_PARAM_ID, kind)
+def _kem_header(kind: int, params: KemParams) -> bytes:
+    """IPQ1 header carrying the id of params; unregistered sets have no layout."""
+    for param_id, registered in _PARAM_SETS.items():
+        if registered == params:
+            return _KEM_MAGIC + struct.pack("<BBB", _VERSION, param_id, kind)
+    raise ValueError(f"KEM parameters {params} have no registered IPQ1 id")
+
+
+def _ciphertext_params(ct: KemCiphertext) -> KemParams:
+    """The registered set whose shapes and modulus fit ct (it carries none)."""
+    for params in _PARAM_SETS.values():
+        if (
+            ct.u.shape == (params.dim,)
+            and ct.v.shape == (params.secret_bits,)
+            and not (np.any(ct.u >= params.q) or np.any(ct.v >= params.q))
+        ):
+            return params
+    raise ValueError(
+        f"KEM ciphertext shapes {ct.u.shape}/{ct.v.shape} fit no registered IPQ1 id"
+    )
 
 
 def _read_kem_header(r: _Reader, expected_kind: int, kind_name: str) -> KemParams:
@@ -202,7 +220,7 @@ def _read_kem_header(r: _Reader, expected_kind: int, kind_name: str) -> KemParam
 
 def write_kem_public_key(pk: KemPublicKey) -> bytes:
     return (
-        _kem_header(_KIND_PUBLIC)
+        _kem_header(_KIND_PUBLIC, pk.params)
         + pk.seed_a
         + pk.b_pub.astype("<u2").tobytes()
     )
@@ -219,7 +237,7 @@ def read_kem_public_key(data: bytes) -> KemPublicKey:
 
 
 def write_kem_secret_key(sk: KemSecretKey) -> bytes:
-    return _kem_header(_KIND_SECRET) + sk.s.astype("<i1").tobytes()
+    return _kem_header(_KIND_SECRET, sk.params) + sk.s.astype("<i1").tobytes()
 
 
 def read_kem_secret_key(data: bytes) -> KemSecretKey:
@@ -233,7 +251,7 @@ def read_kem_secret_key(data: bytes) -> KemSecretKey:
 
 def write_kem_ciphertext(ct: KemCiphertext) -> bytes:
     return (
-        _kem_header(_KIND_CIPHERTEXT)
+        _kem_header(_KIND_CIPHERTEXT, _ciphertext_params(ct))
         + ct.u.astype("<u2").tobytes()
         + ct.v.astype("<u2").tobytes()
     )

@@ -5,7 +5,9 @@ the midpoint rule to A[i, j] = h * exp(-|y_i - y_j|), a scaled
 Kac-Murdock-Szegő matrix.  The kernel separates, exp(-|y_i - y_j|) =
 exp(-y_i) exp(y_j) for j <= i, so A u is two cumulative sums over the
 weights exp(+-y), in O(n) time and memory; the dense n x n matrix is built
-only on demand, for the oracle tests and the eigensolve.  Its singular
+only on demand, for the oracle tests.  The singular system has the
+classical KMS closed form (Kac, Murdock & Szegő 1953): the values cost
+O(n) and the orthonormal basis O(n^2), with no eigensolver.  The singular
 values follow the inverse square law s_k ~ 2 / (k pi)^2 (modes indexed
 from 0, largest first), which is the mild polynomial decay regime;
 inverting the operator amplifies noise at frequency k by 1/s_k, and the
@@ -15,7 +17,7 @@ experiment below measures that blowup directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -42,6 +44,11 @@ SEVERE = "severe"
 # Below this R^2 gap the two decay fits are statistically indistinguishable.
 _FIT_TIE_GAP = 0.01
 
+# Halvings of a bracket of width pi / (n + 1): 2^-64 of it is below rounding.
+_BISECTION_STEPS = 64
+# Elements per column block of the temporaries in _kms_basis.
+_BASIS_BLOCK_ELEMENTS = 1 << 18
+
 
 @dataclass(frozen=True, eq=False)
 class DiscretizedOperator:
@@ -65,19 +72,29 @@ class DiscretizedOperator:
 
 @dataclass(frozen=True, eq=False)
 class SVDFactors:
-    """Singular system of a discretized operator, values sorted descending.
+    """Singular system of the discretized operator, values sorted descending.
 
     The operator is symmetric positive definite, so left and right vectors
-    coincide; both are kept to preserve the generic A = U diag(s) V^T shape.
+    coincide.  The orthonormal basis is O(n^2) memory and is built from the
+    phases only on the first access to left_vectors, so code that needs
+    the values alone never allocates it; right_vectors is an alias of the
+    same array, kept for the generic A = U diag(s) V^T shape.
     """
 
     singular_values: np.ndarray
-    left_vectors: np.ndarray
-    right_vectors: np.ndarray
+    phases: np.ndarray
 
     @property
     def n(self) -> int:
         return self.singular_values.size
+
+    @cached_property
+    def left_vectors(self) -> np.ndarray:
+        return _kms_basis(self.phases)
+
+    @property
+    def right_vectors(self) -> np.ndarray:
+        return self.left_vectors
 
 
 @dataclass(frozen=True)
@@ -161,18 +178,70 @@ def apply_operator(op: DiscretizedOperator, u: GridFunction) -> GridFunction:
     return make_grid_function((lower + upper - v) / op.n)
 
 
+def _kms_basis(phases: np.ndarray) -> np.ndarray:
+    """Orthonormal columns u_jk proportional to sin(j theta_k + phi_k).
+
+    With (n + 1) theta_k = k pi - 2 phi_k the argument is
+    pi (j k mod 2(n + 1)) / (n + 1) - (2j - n - 1) phi_k / (n + 1); the
+    integer part is reduced exactly, so the angle stays in (-pi/2, 5 pi/2)
+    and carries no rounding from large j k.  Columns are built in blocks
+    to bound the temporaries.
+    """
+    n = phases.size
+    j = np.arange(1, n + 1)
+    offset = 2 * j - n - 1.0
+    step = np.pi / (n + 1)
+    block = max(1, _BASIS_BLOCK_ELEMENTS // n)
+    basis = np.empty((n, n))
+    for k0 in range(0, n, block):
+        k = np.arange(k0 + 1, min(k0 + block, n) + 1)
+        turns = np.multiply.outer(j, k) % (2 * (n + 1))
+        shift = np.multiply.outer(offset, phases[k - 1] / (n + 1))
+        np.sin(step * turns - shift, out=basis[:, k0 : k0 + k.size])
+    basis /= np.sqrt(np.einsum("jk,jk->k", basis, basis))
+    basis.flags.writeable = False
+    return basis
+
+
 @lru_cache(maxsize=8)
 def hso_svd(n: int) -> SVDFactors:
-    """Cached singular system of the n-point operator."""
-    # Symmetric PD, so eigh gives the singular system directly and keeps
-    # U == V exactly; eigenvalues come back ascending.
-    w, v = np.linalg.eigh(build_hso(n).matrix)
-    order = np.argsort(w)[::-1]
-    s = np.ascontiguousarray(w[order])
-    vecs = np.ascontiguousarray(v[:, order])
+    """Cached singular system of the n-point operator, in closed form.
+
+    A = h rho^|i - j| with rho = e^-h is a scaled KMS matrix, symmetric
+    positive definite, so its singular system is its eigensystem
+    (Kac, Murdock & Szegő 1953).  Mode k has the angle theta_k in (0, pi)
+    that solves H(theta) = (n + 1) theta + 2 phi(theta) = k pi, with the
+    phase phi = atan2(rho sin theta, 1 - rho cos theta) in [0, pi / 2), and
+    s_k = h (1 - rho^2) / ((1 - rho)^2 + 4 rho sin^2(theta_k / 2)).
+    H' >= n on (0, pi), so theta_k lies in [(k - 1) pi, k pi] / (n + 1), and
+    64 vectorized bisection steps shrink that bracket below rounding.  Both
+    1 - rho terms come from expm1, and 1 - rho cos theta is summed as
+    (1 - rho) + 2 rho sin^2(theta / 2), so nothing cancels when rho and
+    cos theta are near 1.  The values cost O(n); the basis is built from
+    the phases on the first use of left_vectors.
+    """
+    if n < 1:
+        raise ValueError(f"operator needs n >= 1, got {n}")
+    h = 1.0 / n
+    rho, one_minus_rho = np.exp(-h), -np.expm1(-h)
+
+    def phase(theta: np.ndarray) -> np.ndarray:
+        return np.arctan2(rho * np.sin(theta), one_minus_rho + 2.0 * rho * np.sin(0.5 * theta) ** 2)
+
+    k_pi = np.arange(1, n + 1) * np.pi
+    lo = (k_pi - np.pi) / (n + 1)
+    hi = k_pi / (n + 1)
+    for _ in range(_BISECTION_STEPS):
+        mid = 0.5 * (lo + hi)
+        above = (n + 1) * mid + 2.0 * phase(mid) > k_pi
+        hi = np.where(above, mid, hi)
+        lo = np.where(above, lo, mid)
+    theta = 0.5 * (lo + hi)
+    s = h * -np.expm1(-2.0 * h) / (one_minus_rho**2 + 4.0 * rho * np.sin(0.5 * theta) ** 2)
+    phases = phase(theta)
     s.flags.writeable = False
-    vecs.flags.writeable = False
-    return SVDFactors(singular_values=s, left_vectors=vecs, right_vectors=vecs)
+    phases.flags.writeable = False
+    return SVDFactors(singular_values=s, phases=phases)
 
 
 def filtered_inverse(factors: SVDFactors, v: GridFunction, phi: np.ndarray) -> GridFunction:

@@ -174,9 +174,12 @@ def expand_matrix(seed: bytes, params: KemParams = DESK_PARAMS) -> np.ndarray:
     rejects 3.5%, dozens of standard deviations short of that).  Otherwise
     the squeeze length doubles until enough words survive; a shorter
     squeeze is a prefix of a longer one, so the first need accepted words,
-    and the matrix, depend on the seed alone.  Results are cached (and
-    frozen) since encapsulation re-expands the same seed.
+    and the matrix, depend on the seed alone.  A q above 2^16 would reject
+    every word, so it is refused before any squeeze.  Results are cached
+    (and frozen) since encapsulation re-expands the same seed.
     """
+    if params.q > 1 << 16:
+        raise ValueError(f"matrix expansion reads 16-bit words and needs q <= 2^16, got {params.q}")
     need = params.dim * params.dim
     limit = (1 << 16) // params.q * params.q
     out_len = 2 * (need + need // 16) + 64

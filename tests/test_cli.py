@@ -56,6 +56,16 @@ def test_spectrum_writes_csv_matching_library(tmp_path, capsys):
     np.testing.assert_array_equal(values, hso_svd(64).singular_values)
 
 
+def test_spectrum_of_a_fine_grid_builds_no_basis(tmp_path, capsys):
+    """n = 16384 would need a 2 GB basis; the values alone are O(n)."""
+    out = tmp_path / "spec.csv"
+    code, stdout, _ = run(capsys, "spectrum", "--n", "16384", "--out", str(out))
+    assert code == 0
+    assert "wrote 16384 singular values" in stdout
+    assert len(out.read_text().splitlines()) == 2 + 16384
+    assert "left_vectors" not in vars(hso_svd(16384))
+
+
 def test_spectrum_reruns_byte_identical(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     run(capsys, "spectrum", "--n", "48", "--out", str(a))

@@ -21,7 +21,7 @@ from ipcrypt.formats import (
     write_sym_ciphertext,
 )
 from ipcrypt.hybrid import pke_decrypt, pke_encrypt, pke_keygen
-from ipcrypt.kem import DESK_PARAMS, kem_encaps, kem_keygen
+from ipcrypt.kem import DESK_PARAMS, KemCiphertext, KemParams, kem_encaps, kem_keygen
 from ipcrypt.noise import DISCRETE_GAUSSIAN, ErrorKey, ErrorParams
 from ipcrypt.symmetric import recommended_error_params, sym_encrypt, sym_keygen
 
@@ -178,6 +178,24 @@ def test_kem_kind_and_param_id_checks():
         read_kem_public_key(pk_blob[:5] + b"\x7f" + pk_blob[6:])
     with pytest.raises(ValueError, match="trailing"):
         read_kem_ciphertext(write_kem_ciphertext(kem_encaps(pair.public, RNG(6))[1]) + b"\x00")
+
+
+def test_kem_writers_refuse_unregistered_parameters():
+    """A key of a set with no IPQ1 id is refused, not labelled as the desk set."""
+    params = KemParams(q=12289, dim=16, secret_bits=16, eta=1)
+    pair = kem_keygen(params, RNG(8))
+    _, ct = kem_encaps(pair.public, RNG(9))
+    with pytest.raises(ValueError, match="no registered IPQ1 id"):
+        write_kem_public_key(pair.public)
+    with pytest.raises(ValueError, match="no registered IPQ1 id"):
+        write_kem_secret_key(pair.secret)
+    with pytest.raises(ValueError, match="no registered IPQ1 id"):
+        write_kem_ciphertext(ct)
+    desk = kem_keygen(DESK_PARAMS, RNG(10))
+    _, desk_ct = kem_encaps(desk.public, RNG(11))
+    too_big = KemCiphertext(u=np.full(256, DESK_PARAMS.q), v=desk_ct.v)
+    with pytest.raises(ValueError, match="no registered IPQ1 id"):
+        write_kem_ciphertext(too_big)
 
 
 # ---------------------------------------------------------------- hybrid

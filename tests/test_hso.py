@@ -1,15 +1,20 @@
 """Operator assembly, singular system, decay classification, amplification."""
 
+import ast
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ipcrypt
 from ipcrypt.attacks import Tsvd
 from ipcrypt.grid import make_grid_function, midpoints, norm, zeros
 from ipcrypt.hso import (
     MILD,
     SEVERE,
+    DiscretizedOperator,
     apply_operator,
     build_hso,
     classify_decay,
@@ -141,6 +146,80 @@ def test_spectrum_refinement_consistency(svd256, svd512):
     a = svd256.singular_values[:21]
     b = svd512.singular_values[:21]
     assert (np.abs(a - b) / b).max() < 0.01
+
+
+def dense_kms(n: int) -> np.ndarray:
+    """h * exp(-|y_i - y_j|) spelled out from the grid, without the library."""
+    y = (np.arange(n) + 0.5) / n
+    return np.exp(-np.abs(y[:, None] - y[None, :])) / n
+
+
+def dense_eigh(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The oracle: LAPACK eigensystem of the dense matrix, largest first."""
+    w, v = np.linalg.eigh(dense_kms(n))
+    return w[::-1], v[:, ::-1]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 256, 1024])
+def test_closed_form_matches_dense_eigensolver(n):
+    factors = hso_svd.__wrapped__(n)
+    s, u = factors.singular_values, factors.left_vectors
+    a = dense_kms(n)
+    w, _ = dense_eigh(n)
+    assert (np.abs(s - w) <= 1e-10 * w).all()
+    assert np.abs(a @ u - u * s).max() <= 1e-13 * np.abs(a).max()
+    assert not s.flags.writeable and not u.flags.writeable
+
+
+def test_closed_form_basis_at_n2048_is_orthonormal_and_inverts_better_than_eigh():
+    n = 2048
+    factors = hso_svd.__wrapped__(n)
+    s, u = factors.singular_values, factors.left_vectors
+    assert np.abs(u.T @ u - np.eye(n)).max() <= 1e-13
+    w, v = dense_eigh(n)
+    x = np.random.default_rng(7).standard_normal(n)
+    ax = dense_kms(n) @ x
+    closed = np.abs(u @ ((u.T @ ax) / s) - x).max()
+    oracle = np.abs(v @ ((v.T @ ax) / w) - x).max()
+    assert closed <= oracle
+
+
+def test_values_need_no_basis_and_no_dense_matrix(monkeypatch):
+    """hso_svd(16384) values in O(n) memory; the basis waits for its first use."""
+    n = 16384
+    hso_svd.__wrapped__(8)  # warm the code path outside the measurement
+    tracemalloc.start()
+    try:
+        factors = hso_svd.__wrapped__(n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 8 * n
+    assert "left_vectors" not in vars(factors)
+    s = factors.singular_values
+    k = np.arange(10, 51)
+    ratio = s[k] * (k * np.pi) ** 2 / 2.0
+    assert ratio.min() > 0.98 and ratio.max() < 1.02
+
+    def no_dense(self):
+        raise AssertionError("the singular system read the dense matrix")
+
+    monkeypatch.setattr(DiscretizedOperator, "matrix", property(no_dense))
+    small = hso_svd.__wrapped__(64)
+    assert small.left_vectors.shape == (64, 64)
+    assert small.right_vectors is small.left_vectors
+
+
+def test_library_calls_no_eigensolver():
+    """The closed form replaced np.linalg.eig*; none may come back into src."""
+    package = Path(ipcrypt.__file__).parent
+    calls = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
+            if name.startswith("eig"):
+                calls.append(f"{path.name}:{node.lineno} {name}")
+    assert calls == []
 
 
 # ---------------------------------------------------------------- naive inversion

@@ -103,6 +103,22 @@ def test_expand_matrix_doubling_path_matches_one_long_squeeze():
         np.testing.assert_array_equal(expand_matrix(seed, params), want)
 
 
+def test_expand_matrix_rejects_modulus_above_16_bits(monkeypatch):
+    """q > 2^16 would reject every 16-bit word; it fails before any squeeze."""
+    top = expand_matrix(b"\x04" * 32, KemParams(q=1 << 16, dim=4, secret_bits=8, eta=1))
+    assert top.min() >= 0 and top.max() < 1 << 16
+
+    def no_squeeze(data, out_len):
+        raise AssertionError("squeezed for an impossible modulus")
+
+    monkeypatch.setattr(kem, "xof_expand", no_squeeze)
+    wide = KemParams(q=70000, dim=4, secret_bits=8, eta=1)
+    with pytest.raises(ValueError, match="q <= 2\\^16"):
+        kem_keygen(wide, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="q <= 2\\^16"):
+        expand_matrix(b"\x05" * 32, wide)
+
+
 # ---------------------------------------------------------------- binomial draws
 
 
