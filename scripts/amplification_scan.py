@@ -9,7 +9,7 @@ the observed ratio against the previous row.
 
 Usage:
     python3 scripts/amplification_scan.py [--sigma 0.01] [--trials 50]
-        [--seed 0] [--n 64 128 256 512]
+        [--seed 0] [--n 64 128 ... 16384]
 """
 
 import argparse
@@ -25,7 +25,7 @@ def main() -> None:
     ap.add_argument("--sigma", type=float, default=0.01)
     ap.add_argument("--trials", type=int, default=50)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--n", type=int, nargs="+", default=[64, 128, 256, 512, 1024])
+    ap.add_argument("--n", type=int, nargs="+", default=[64 << i for i in range(9)])
     args = ap.parse_args()
 
     print(f"sigma={args.sigma}  trials={args.trials}  seed={args.seed}")

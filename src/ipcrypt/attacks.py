@@ -2,12 +2,15 @@
 
 Every inversion attack is a spectral filter on the exact singular system:
 it keeps sum_k phi(s_k) <C, u_k> u_k and decodes.  The naive attack uses
-phi = 1/s; the keyed error, amplified by 1/s_k across the spectrum, swamps
-the message and decoding degenerates to coin flipping.  The regularized
-methods only change phi: truncated SVD keeps 1/s on the k largest modes,
-Tikhonov uses s / (s^2 + alpha).  They trade amplification for bias and
-do recover low-frequency structure when the noise is small, which is
-exactly the scale/cutoff trade-off the experiments chart.
+phi = 1/s, the exact inverse, which it applies in O(n) through the
+tridiagonal A^-1 without the singular vectors; the keyed error, amplified
+by 1/s_k across the spectrum, swamps the message and decoding
+degenerates to coin flipping.  The regularized methods only change phi:
+truncated SVD keeps 1/s on the k largest modes, Tikhonov uses
+s / (s^2 + alpha), and both go through hso.filtered_inverse.  They trade
+amplification for bias and do recover low-frequency structure when the
+noise is small, which is exactly the scale/cutoff trade-off the
+experiments chart.
 
 Two structural leaks are also implemented: nonce reuse, where the
 difference of two ciphertexts cancels the error exactly, and a
@@ -134,8 +137,8 @@ def _attack(
 ) -> AttackReport:
     """Invert the ciphertext body, decode it, and score against truth.
 
-    invert goes through hso.filtered_inverse, which rejects a body on
-    another grid than the factors before any other work.
+    invert is hso.naive_inverse_apply or hso.filtered_inverse; both
+    reject a body on another grid than the factors before any other work.
     """
     scheme = ct.scheme()
     inverted = invert(ct.body)

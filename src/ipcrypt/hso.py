@@ -5,13 +5,16 @@ the midpoint rule to A[i, j] = h * exp(-|y_i - y_j|), a scaled
 Kac-Murdock-Szegő matrix.  The kernel separates, exp(-|y_i - y_j|) =
 exp(-y_i) exp(y_j) for j <= i, so A u is two cumulative sums over the
 weights exp(+-y), in O(n) time and memory; the dense n x n matrix is built
-only on demand, for the oracle tests.  The singular system has the
-classical KMS closed form (Kac, Murdock & Szegő 1953): the values cost
-O(n) and the orthonormal basis O(n^2), with no eigensolver.  The singular
-values follow the inverse square law s_k ~ 2 / (k pi)^2 (modes indexed
-from 0, largest first), which is the mild polynomial decay regime;
-inverting the operator amplifies noise at frequency k by 1/s_k, and the
-experiment below measures that blowup directly.
+only on demand, for the oracle tests.  The inverse of a KMS matrix is
+tridiagonal, so the exact inverse is also applied in O(n), with no
+singular vectors.  The singular system has the classical KMS closed form
+(Kac, Murdock & Szegő 1953): the values cost O(n) and the orthonormal
+basis O(n^2), with no eigensolver; only the regularized filters (TSVD,
+Tikhonov) build that basis.  The singular values follow the inverse
+square law s_k ~ 2 / (k pi)^2 (modes indexed from 0, largest first),
+which is the mild polynomial decay regime; inverting the operator
+amplifies noise at frequency k by 1/s_k, and the experiment below
+measures that blowup directly.
 """
 
 from __future__ import annotations
@@ -76,9 +79,11 @@ class SVDFactors:
 
     The operator is symmetric positive definite, so left and right vectors
     coincide.  The orthonormal basis is O(n^2) memory and is built from the
-    phases only on the first access to left_vectors, so code that needs
-    the values alone never allocates it; right_vectors is an alias of the
-    same array, kept for the generic A = U diag(s) V^T shape.
+    phases only on the first access to left_vectors, which only the
+    regularized filters in filtered_inverse make; the values alone and the
+    exact inverse (naive_inverse_apply) never allocate it.  right_vectors
+    is an alias of the same array, kept for the generic A = U diag(s) V^T
+    shape.
     """
 
     singular_values: np.ndarray
@@ -247,9 +252,10 @@ def hso_svd(n: int) -> SVDFactors:
 def filtered_inverse(factors: SVDFactors, v: GridFunction, phi: np.ndarray) -> GridFunction:
     """Spectral filter sum_{k < phi.size} phi_k <v, u_k> u_k.
 
-    Naive inversion, TSVD and Tikhonov differ only in the filter factors
-    phi (1/s, 1/s on the leading modes, s / (s^2 + alpha)); only the
-    phi.size leading modes are touched, so a short filter stays cheap.
+    TSVD and Tikhonov differ only in the filter factors phi (1/s on the
+    leading modes, s / (s^2 + alpha)); only the phi.size leading modes are
+    touched, so a short filter stays cheap.  The full filter 1/s is the
+    exact inverse, which naive_inverse_apply applies without the basis.
     """
     if v.n != factors.n:
         raise ValueError(f"grid size mismatch: {v.n} vs {factors.n}")
@@ -258,8 +264,30 @@ def filtered_inverse(factors: SVDFactors, v: GridFunction, phi: np.ndarray) -> G
 
 
 def naive_inverse_apply(factors: SVDFactors, v: GridFunction) -> GridFunction:
-    """Unregularized inverse: every mode divided by its singular value."""
-    return filtered_inverse(factors, v, 1.0 / factors.singular_values)
+    """Exact unregularized inverse A^-1 v in O(n), from the grid size alone.
+
+    The inverse of the KMS matrix A = h rho^|i - j|, rho = e^-h, is exactly
+    tridiagonal (Kac, Murdock & Szegő 1953):
+    A^-1 = tridiag(-rho, 1 + rho^2, -rho) / (h (1 - rho^2)), except that
+    the two corner diagonal entries are 1, not 1 + rho^2; at n = 1,
+    A^-1 = [1].  h (1 - rho^2) is taken as h * -expm1(-2h).  This is the
+    filter 1/s on every mode, but only factors.n is read, so the basis is
+    never built.
+    """
+    n = factors.n
+    if v.n != n:
+        raise ValueError(f"grid size mismatch: {v.n} vs {n}")
+    x = v.values
+    if n == 1:
+        return make_grid_function(x)
+    h = 1.0 / n
+    rho = np.exp(-h)
+    out = (1.0 + rho * rho) * x
+    out[0], out[-1] = x[0], x[-1]
+    out[1:] -= rho * x[:-1]
+    out[:-1] -= rho * x[1:]
+    out /= h * -np.expm1(-2.0 * h)
+    return make_grid_function(out)
 
 
 def default_fit_range(n: int) -> tuple[int, int]:
@@ -351,8 +379,8 @@ def noise_amplification_experiment(
         raise ValueError(f"grid size mismatch: {psi.n} vs {op.n}")
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
-    if noise_scale < 0:
-        raise ValueError(f"noise scale must be nonnegative, got {noise_scale}")
+    if not (noise_scale >= 0 and np.isfinite(noise_scale)):
+        raise ValueError(f"noise scale must be finite and nonnegative, got {noise_scale}")
 
     factors = hso_svd(op.n)
     clean = apply_operator(op, psi).values

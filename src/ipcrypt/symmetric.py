@@ -4,7 +4,9 @@ Encryption pushes the encoded message through the smoothing operator and
 adds a small keyed error; the operator buries the message in the flat
 tail of its spectrum and the error makes naive un-smoothing blow up for
 anyone without the key.  The key holder regenerates E from (key, nonce),
-subtracts it, inverts on the exact singular system, and decodes.
+subtracts it, applies the exact inverse of the operator, and decodes.
+That inverse is tridiagonal, so decryption costs O(n) time and memory
+and builds no singular vectors.
 
 Nonces exist so one key can encrypt many messages: reusing a nonce
 reuses the error, and the difference of two such ciphertexts leaks the
@@ -86,7 +88,11 @@ def sym_encrypt(
 
 
 def sym_decrypt(key: ErrorKey, ct: SymCiphertext) -> Message:
-    """Subtract the regenerated error, invert exactly, decode."""
+    """Subtract the regenerated error, invert exactly, decode.
+
+    The inversion is hso.naive_inverse_apply, the tridiagonal A^-1 in
+    O(n); it reads only the grid size of the cached singular values.
+    """
     if ct.n != key.params.n:
         raise ValueError(f"ciphertext grid {ct.n} != key grid {key.params.n}")
     error = derive_error(key, ct.nonce)

@@ -141,6 +141,13 @@ def test_amplify_stdout_file_and_determinism(tmp_path, capsys):
     assert out.read_bytes() == first
 
 
+def test_amplify_rejects_non_finite_sigma(capsys):
+    for sigma in ("nan", "inf"):
+        code, _, stderr = run(capsys, "amplify", "--n", "64", "--sigma", sigma, "--trials", "2")
+        assert code == 1
+        assert f"noise scale must be finite and nonnegative, got {sigma}" in stderr
+
+
 def test_amplify_seed_changes_results(tmp_path, capsys):
     outs = []
     for seed in ("01", "02"):

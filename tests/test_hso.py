@@ -182,6 +182,8 @@ def test_closed_form_basis_at_n2048_is_orthonormal_and_inverts_better_than_eigh(
     closed = np.abs(u @ ((u.T @ ax) / s) - x).max()
     oracle = np.abs(v @ ((v.T @ ax) / w) - x).max()
     assert closed <= oracle
+    tridiagonal = np.abs(naive_inverse_apply(factors, make_grid_function(ax)).values - x).max()
+    assert tridiagonal <= oracle
 
 
 def test_values_need_no_basis_and_no_dense_matrix(monkeypatch):
@@ -232,6 +234,16 @@ def test_naive_inverse_roundtrip(svd256):
     assert norm(make_grid_function(back.values - psi.values)) / norm(psi) < 1e-6
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 256, 2048])
+def test_naive_inverse_is_the_tridiagonal_inverse_without_a_basis(n):
+    """A^-1 applied to every column of the dense A gives I; no basis is built."""
+    factors = hso_svd.__wrapped__(n)
+    a = dense_kms(n)
+    cols = [naive_inverse_apply(factors, make_grid_function(a[:, j])).values for j in range(n)]
+    assert np.abs(np.column_stack(cols) - np.eye(n)).max() <= 1e-12
+    assert "left_vectors" not in vars(factors)
+
+
 def test_naive_inverse_truncation_is_projection():
     """TSVD-filtered inversion of S(psi) is the projection onto leading modes."""
     n = 64
@@ -253,8 +265,9 @@ def test_naive_inverse_truncation_is_projection():
 
 def test_naive_inverse_rejects_bad_k_max():
     factors = hso_svd(16)
-    with pytest.raises(ValueError, match="mismatch"):
-        naive_inverse_apply(factors, zeros(8))
+    for wrong in (8, 17):
+        with pytest.raises(ValueError, match="mismatch"):
+            naive_inverse_apply(factors, zeros(wrong))
 
 
 def test_worst_direction_amplifies_by_inverse_smallest_mode():
@@ -386,15 +399,19 @@ def test_amplification_exceeds_inverse_smallest_mode_bound():
 
 
 def test_amplification_grows_with_refinement():
-    """Quadratic spectrum decay makes the blowup scale like n^2: ratio ~ 4."""
-    reps = {
-        n: noise_amplification_experiment(
-            build_hso(n), smooth_profile(n), 0.01, trials=30, seed=11
-        )
-        for n in (128, 256)
-    }
-    ratio = reps[256].amplification_factor / reps[128].amplification_factor
-    assert 2.8 < ratio < 5.2
+    """Quadratic spectrum decay makes the blowup scale like n^2: ratio ~ 4.
+
+    The law is checked on a coarse pair and out to n = 16384.
+    """
+    for coarse in (128, 8192):
+        reps = [
+            noise_amplification_experiment(
+                build_hso(n), smooth_profile(n), 0.01, trials=30, seed=11
+            )
+            for n in (coarse, 2 * coarse)
+        ]
+        ratio = reps[1].amplification_factor / reps[0].amplification_factor
+        assert 2.8 < ratio < 5.2, f"n = {coarse} -> {2 * coarse}: {ratio}"
 
 
 def test_amplification_input_validation():
@@ -402,7 +419,8 @@ def test_amplification_input_validation():
     psi = smooth_profile(16)
     with pytest.raises(ValueError, match="trials"):
         noise_amplification_experiment(op, psi, 0.01, trials=0, seed=0)
-    with pytest.raises(ValueError, match="nonneg"):
-        noise_amplification_experiment(op, psi, -0.1, trials=1, seed=0)
+    for scale in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="nonneg"):
+            noise_amplification_experiment(op, psi, scale, trials=1, seed=0)
     with pytest.raises(ValueError, match="mismatch"):
         noise_amplification_experiment(op, smooth_profile(8), 0.01, trials=1, seed=0)
