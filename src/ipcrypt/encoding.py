@@ -51,9 +51,9 @@ class Message:
     def __post_init__(self) -> None:
         if len(self.bits) == 0:
             raise ValueError("message must have at least one bit")
-        if any(b not in (0, 1) for b in self.bits):
+        if not set(self.bits) <= {0, 1}:
             raise ValueError("message bits must be 0 or 1")
-        object.__setattr__(self, "bits", tuple(int(b) for b in self.bits))
+        object.__setattr__(self, "bits", tuple(map(int, self.bits)))
 
     @property
     def t(self) -> int:
@@ -235,7 +235,7 @@ def decode_map2(u: GridFunction, scheme: EncodingScheme) -> Message:
     if u.n != scheme.n:
         raise ValueError(f"grid size mismatch: {u.n} vs {scheme.n}")
     means = u.values.reshape(scheme.t, scheme.n // scheme.t).mean(axis=1)
-    return Message(tuple(int(m >= 0.5) for m in means))
+    return Message(tuple((means >= 0.5).tolist()))
 
 
 def encode(msg: Message, scheme: EncodingScheme) -> GridFunction:

@@ -45,8 +45,8 @@ class GridFunction:
             raise ValueError(f"grid function must be 1-d, got shape {arr.shape}")
         if arr.size == 0:
             raise ValueError("grid function must not be empty")
-        bad = np.flatnonzero(~np.isfinite(arr))
-        if bad.size:
+        if not np.isfinite(arr).all():
+            bad = np.flatnonzero(~np.isfinite(arr))
             raise ValueError(f"non-finite sample at index {int(bad[0])}")
         arr = arr.copy()
         arr.flags.writeable = False

@@ -17,7 +17,9 @@ terms of absolute value at most (q - 1) * eta, so with
 dim * (q - 1) * eta < 2^53 every partial sum is an integer that float64
 represents exactly, whatever order BLAS adds in; `KemParams` rejects
 parameters outside that bound.  NumPy does not send int64 products to
-BLAS, and at desk scale the float64 route is over 20 times faster.
+BLAS, and at desk scale the float64 route is over 20 times faster.  The
+key objects hold read-only float64 copies of A, B and S, made on first
+use, so encapsulation and decapsulation convert only the short vectors.
 
 This is a teaching artifact: parameters are far below any real security
 level and no claim is made beyond one-shot key transport in this toy
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -63,8 +65,19 @@ def xof_expand(data: bytes, out_len: int) -> bytes:
 
 
 def _exact_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Integer product of x and y on float64 BLAS, exact under the KemParams bound."""
-    return (x.astype(np.float64) @ y.astype(np.float64)).astype(np.int64)
+    """Integer product of x and y on float64 BLAS, exact under the KemParams bound.
+
+    Either operand may already be a float64 copy of an integer array; it
+    is then used as it is.
+    """
+    return (np.asarray(x, dtype=np.float64) @ np.asarray(y, dtype=np.float64)).astype(np.int64)
+
+
+def _float_copy(a: np.ndarray) -> np.ndarray:
+    """Read-only float64 copy of an integer matrix, for `_exact_matmul`."""
+    f = a.astype(np.float64)
+    f.flags.writeable = False
+    return f
 
 
 @dataclass(frozen=True)
@@ -113,6 +126,16 @@ class KemPublicKey:
         b.flags.writeable = False
         object.__setattr__(self, "b_pub", b)
 
+    @cached_property
+    def a_f64(self) -> np.ndarray:
+        """A = expand_matrix(seed_a) as read-only float64, expanded once per key."""
+        return _float_copy(expand_matrix(self.seed_a, self.params))
+
+    @cached_property
+    def b_f64(self) -> np.ndarray:
+        """b_pub as read-only float64."""
+        return _float_copy(self.b_pub)
+
 
 @dataclass(frozen=True, eq=False)
 class KemSecretKey:
@@ -129,6 +152,11 @@ class KemSecretKey:
         s = s.copy()
         s.flags.writeable = False
         object.__setattr__(self, "s", s)
+
+    @cached_property
+    def s_f64(self) -> np.ndarray:
+        """s as read-only float64."""
+        return _float_copy(self.s)
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,7 +204,8 @@ def expand_matrix(seed: bytes, params: KemParams = DESK_PARAMS) -> np.ndarray:
     squeeze is a prefix of a longer one, so the first need accepted words,
     and the matrix, depend on the seed alone.  A q above 2^16 would reject
     every word, so it is refused before any squeeze.  Results are cached
-    (and frozen) since encapsulation re-expands the same seed.
+    (and frozen) since a public key rebuilt from its file expands the
+    same seed again.
     """
     if params.q > 1 << 16:
         raise ValueError(f"matrix expansion reads 16-bit words and needs q <= 2^16, got {params.q}")
@@ -241,9 +270,8 @@ def kem_encaps(
     r = cbd(rng, params.dim, params.eta)
     e_u = cbd(rng, params.dim, params.eta)
     e_v = cbd(rng, params.secret_bits, params.eta)
-    a = expand_matrix(pk.seed_a, params)
-    u = (_exact_matmul(r, a) + e_u) % params.q
-    v = (_exact_matmul(r, pk.b_pub) + e_v + bits * params.half_q) % params.q
+    u = (_exact_matmul(r, pk.a_f64) + e_u) % params.q
+    v = (_exact_matmul(r, pk.b_f64) + e_v + bits * params.half_q) % params.q
     return SharedSecret(_pack_bits(bits)), KemCiphertext(u=u, v=v)
 
 
@@ -257,7 +285,7 @@ def kem_decaps(sk: KemSecretKey, ct: KemCiphertext) -> SharedSecret:
         )
     if np.any(ct.u >= params.q) or np.any(ct.v >= params.q):
         raise ValueError("ciphertext entries must lie in [0, q)")
-    c = (ct.v - _exact_matmul(ct.u, sk.s)) % params.q
+    c = (ct.v - _exact_matmul(ct.u, sk.s_f64)) % params.q
     c = np.where(c > params.q // 2, c - params.q, c)
     bits = (np.abs(c) > params.q / 4).astype(np.int64)
     return SharedSecret(_pack_bits(bits))

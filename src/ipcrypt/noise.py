@@ -3,9 +3,18 @@
 Errors take values scale * k with integer k drawn per grid point from a
 centered binomial (parameter eta) or a truncated discrete Gaussian
 (parameter sigma).  A key is a 32-byte seed plus the distribution
-parameters; derive_error expands (seed, nonce) through the XOF into a
-deterministic generator seed, so equal nonces reproduce the same error
-and distinct nonces give independent-looking ones.
+parameters; derive_error expands (seed, nonce) through the XOF into the
+integer seed of a PCG64 bit generator, so equal nonces reproduce the same
+error and distinct nonces give independent-looking ones.
+
+The draws read raw 64-bit PCG64 words and call no `Generator` method, so
+a derived error rests on two NumPy guarantees only: the SeedSequence
+seeding and the PCG64 output stream, which NumPy keeps fixed across
+releases (NEP 19), unlike the streams of `Generator` methods.  The
+binomial coins and the Gaussian inversion reproduce, word for word, what
+`Generator.integers(0, 2)` and `Generator.choice` returned on a fresh
+generator, so keys and ciphertexts from earlier releases decrypt as they
+did.
 
 The distribution must carry enough entropy that enumerating error
 candidates is hopeless: ErrorParams enforces a 128-bit floor on
@@ -16,11 +25,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .grid import GridFunction, make_grid_function
-from .kem import cbd, xof_expand
+from .kem import xof_expand
 
 __all__ = [
     "DISCRETE_GAUSSIAN",
@@ -49,6 +59,9 @@ _GAUSS_TAIL_SIGMAS = 6.0
 # support and weights it in float64, where comb(2 eta, eta) overflows from
 # eta = 512 on; parameters read from a key file are bounded here first.
 _MAX_SUPPORT = 256
+
+# A uniform double from a raw word, as PCG64's next_double makes it.
+_DOUBLE_STEP = 1.0 / (1 << 53)
 
 
 @dataclass(frozen=True)
@@ -98,35 +111,78 @@ class ErrorKey:
             raise ValueError(f"key seed must be 32 bytes, got {len(self.seed)}")
 
 
-def point_distribution(params: ErrorParams) -> tuple[np.ndarray, np.ndarray]:
-    """Integer support and probabilities of the per-point draw."""
-    if params.distribution == CENTERED_BINOMIAL:
-        eta = params.eta
+@lru_cache(maxsize=64)
+def _point_table(
+    distribution: str, eta: int, sigma: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Support, probabilities, cdf and entropy of one point draw, read-only.
+
+    The cdf is built as `Generator.choice` builds it, so inverting it
+    reproduces that method's draws.
+    """
+    if distribution == CENTERED_BINOMIAL:
         support = np.arange(-eta, eta + 1)
         probs = np.array(
             [math.comb(2 * eta, eta + k) for k in support], dtype=np.float64
         )
     else:
-        cut = int(math.floor(_GAUSS_TAIL_SIGMAS * params.sigma))
+        cut = int(math.floor(_GAUSS_TAIL_SIGMAS * sigma))
         support = np.arange(-cut, cut + 1)
-        probs = np.exp(-0.5 * (support / params.sigma) ** 2)
-    return support, probs / probs.sum()
+        probs = np.exp(-0.5 * (support / sigma) ** 2)
+    probs = probs / probs.sum()
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    nonzero = probs[probs > 0]
+    entropy = float(-np.sum(nonzero * np.log2(nonzero)))
+    for arr in (support, probs, cdf):
+        arr.flags.writeable = False
+    return support, probs, cdf, entropy
+
+
+def point_distribution(params: ErrorParams) -> tuple[np.ndarray, np.ndarray]:
+    """Integer support and probabilities of the per-point draw (read-only, cached)."""
+    support, probs, _, _ = _point_table(params.distribution, params.eta, params.sigma)
+    return support, probs
 
 
 def entropy_bits(params: ErrorParams) -> float:
     """Shannon entropy of one point draw, in bits."""
-    _, probs = point_distribution(params)
-    probs = probs[probs > 0]
-    return float(-np.sum(probs * np.log2(probs)))
+    return _point_table(params.distribution, params.eta, params.sigma)[3]
 
 
 def sample_error(params: ErrorParams, rng: np.random.Generator) -> GridFunction:
-    """One grid error: n iid integer draws, scaled."""
+    """One grid error: n iid integer draws, scaled.
+
+    The draws read raw 64-bit words of rng's PCG64 bit generator and call
+    no `Generator` method.  A binomial coin is bit 31 of each 32-bit
+    half-word, low half first, which is the coin `Generator.integers(0, 2)`
+    returns; the first n * eta coins are the positive terms of the n
+    points, eta apiece, and the next n * eta the negative ones, as in
+    `kem.cbd`.  A Gaussian draw inverts the cached cdf at the uniform
+    double (word >> 11) * 2^-53, as `Generator.choice` does.  The coins
+    start at a word boundary: a half-word that an earlier `integers` call
+    left buffered in the generator is not used, where `kem.cbd` would use
+    it first.  Other bit generators are refused: MT19937's raw words, for
+    one, carry only 32 bits.
+    """
+    bits = rng.bit_generator
+    if not isinstance(bits, np.random.PCG64):
+        raise ValueError(
+            f"sample_error reads 64-bit PCG64 words, got a {type(bits).__name__} bit generator"
+        )
+    support, _, cdf, _ = _point_table(params.distribution, params.eta, params.sigma)
     if params.distribution == CENTERED_BINOMIAL:
-        values = cbd(rng, params.n, params.eta)
+        count = params.n * params.eta
+        halves = bits.random_raw(count).astype("<u8", copy=False).view("<u4")
+        halves >>= 31
+        coins = halves.view(np.int32)
+        d = (coins[:count] - coins[count:]).reshape(params.n, params.eta)
+        values = d[:, 0].copy()
+        for k in range(1, params.eta):
+            values += d[:, k]
     else:
-        support, probs = point_distribution(params)
-        values = rng.choice(support, size=params.n, p=probs)
+        uniform = (bits.random_raw(params.n) >> np.uint64(11)) * _DOUBLE_STEP
+        values = support[np.searchsorted(cdf, uniform, side="right")]
     return make_grid_function(params.scale * values.astype(np.float64))
 
 
@@ -137,8 +193,11 @@ def keygen(params: ErrorParams, rng: np.random.Generator) -> ErrorKey:
 def derive_error(key: ErrorKey, nonce: bytes) -> GridFunction:
     """Deterministic error for (key, nonce), distributed per key.params.
 
-    The XOF output over seed || nonce seeds a fresh generator, so the
-    draw goes through the same sample_error path as direct sampling.
+    The first 32 bytes of SHAKE-256 over seed || nonce, read as a little
+    endian integer, seed a fresh PCG64 through SeedSequence, and
+    sample_error draws from its raw words.  The error therefore depends
+    on the key, the nonce and those two NumPy guarantees alone, and on no
+    `Generator` method.
     """
     if len(nonce) != NONCE_BYTES:
         raise ValueError(f"nonce must be {NONCE_BYTES} bytes, got {len(nonce)}")

@@ -57,6 +57,24 @@ def test_message_validation():
         Message.from_int(0, 0)
 
 
+@pytest.mark.parametrize("bit", [0.0, True, np.int64(1), np.float64(1.0), np.bool_(False)])
+def test_message_accepts_bit_valued_scalars_as_ints(bit):
+    msg = Message((1, bit, 0))
+    assert msg.bits == (1, int(bit), 0)
+    assert all(type(b) is int for b in msg.bits)
+
+
+@pytest.mark.parametrize("bit", [2, -1, 0.5, "1", float("nan"), None])
+def test_message_rejects_non_bits(bit):
+    with pytest.raises(ValueError, match="^message bits must be 0 or 1$"):
+        Message((0, bit, 1))
+
+
+def test_message_rejects_the_empty_tuple():
+    with pytest.raises(ValueError, match="^message must have at least one bit$"):
+        Message(())
+
+
 def test_message_random_is_reproducible():
     a = Message.random(16, np.random.default_rng(3))
     b = Message.random(16, np.random.default_rng(3))
@@ -240,6 +258,14 @@ def test_decode_map2_threshold_is_inclusive():
     scheme = EncodingScheme.map2(2, 4)
     u = make_grid_function([1.0, 0.0, 0.0, 0.0])  # means 0.5 and 0.0
     assert decode_map2(u, scheme).bits == (1, 0)
+
+
+def test_decode_map2_returns_python_ints():
+    scheme = EncodingScheme.map2(4, 8)
+    u = make_grid_function([0.5, 0.5, 0.25, 0.5, 0.9, 0.1, -3.0, 2.0])
+    bits = decode_map2(u, scheme).bits
+    assert bits == (1, 0, 1, 0)
+    assert all(type(b) is int for b in bits)
 
 
 @settings(max_examples=200, deadline=None)

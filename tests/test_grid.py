@@ -71,6 +71,18 @@ def test_grid_function_rejects_non_finite_with_index():
         make_grid_function([float("inf"), 1.0])
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("index", [0, 6])
+def test_grid_function_names_the_first_non_finite_index(bad, index):
+    values = np.arange(7, dtype=np.float64)
+    values[index] = bad
+    with pytest.raises(ValueError, match=f"^non-finite sample at index {index}$"):
+        GridFunction(values)
+    values[-1] = bad
+    with pytest.raises(ValueError, match=f"^non-finite sample at index {index}$"):
+        make_grid_function(values)
+
+
 def test_grid_function_rejects_multidimensional():
     with pytest.raises(ValueError):
         make_grid_function(np.zeros((2, 2)))

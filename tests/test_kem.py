@@ -11,6 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ipcrypt import kem
+from ipcrypt.formats import (
+    read_kem_public_key,
+    read_kem_secret_key,
+    write_kem_public_key,
+    write_kem_secret_key,
+)
 from ipcrypt.kem import (
     DEFAULT_KEM,
     DESK_PARAMS,
@@ -228,6 +234,54 @@ def test_encaps_is_reproducible_from_generator():
     assert s1.data == s2.data
     np.testing.assert_array_equal(c1.u, c2.u)
     np.testing.assert_array_equal(c1.v, c2.v)
+
+
+def test_cached_float_operands_are_read_only_copies():
+    pair = kem_keygen(DESK_PARAMS, np.random.default_rng(21))
+    pk, sk = pair.public, pair.secret
+    want = (
+        (pk.a_f64, expand_matrix(pk.seed_a, DESK_PARAMS)),
+        (pk.b_f64, pk.b_pub),
+        (sk.s_f64, sk.s),
+    )
+    for cached, ints in want:
+        assert cached.dtype == np.float64
+        assert not cached.flags.writeable
+        np.testing.assert_array_equal(cached, ints)
+        assert not np.shares_memory(cached, ints)
+        with pytest.raises(ValueError):
+            cached[0, 0] = 1.0
+    # One conversion per key: later reads return the same array.
+    assert pk.a_f64 is pk.a_f64 and pk.b_f64 is pk.b_f64 and sk.s_f64 is sk.s_f64
+
+
+def test_keys_rebuilt_from_files_encapsulate_and_decapsulate_alike():
+    pair = kem_keygen(DESK_PARAMS, np.random.default_rng(22))
+    pk = read_kem_public_key(write_kem_public_key(pair.public))
+    sk = read_kem_secret_key(write_kem_secret_key(pair.secret))
+    for seed in range(5):
+        s1, c1 = kem_encaps(pair.public, np.random.default_rng(seed))
+        s2, c2 = kem_encaps(pk, np.random.default_rng(seed))
+        assert s1.data == s2.data
+        np.testing.assert_array_equal(c1.u, c2.u)
+        np.testing.assert_array_equal(c1.v, c2.v)
+        assert kem_decaps(sk, c1).data == kem_decaps(pair.secret, c1).data == s1.data
+
+
+def test_public_keys_sharing_a_matrix_seed_never_share_b():
+    pair = kem_keygen(DESK_PARAMS, np.random.default_rng(23))
+    pk = pair.public
+    other_b = np.random.default_rng(24).integers(0, DESK_PARAMS.q, size=pk.b_pub.shape)
+    twin = KemPublicKey(params=DESK_PARAMS, seed_a=pk.seed_a, b_pub=other_b)
+    np.testing.assert_array_equal(twin.a_f64, pk.a_f64)
+    np.testing.assert_array_equal(twin.b_f64, other_b)
+    assert not np.array_equal(twin.b_f64, pk.b_f64)
+    assert not np.shares_memory(twin.b_f64, pk.b_f64)
+    # Encapsulating against each key sees its own B.
+    _, ct = kem_encaps(twin, np.random.default_rng(0))
+    _, ref = kem_encaps(pk, np.random.default_rng(0))
+    np.testing.assert_array_equal(ct.u, ref.u)
+    assert not np.array_equal(ct.v, ref.v)
 
 
 def test_decoding_noise_margin_is_wide():

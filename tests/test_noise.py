@@ -1,10 +1,14 @@
 """Discrete error distributions, entropy accounting, keyed derivation."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ipcrypt.encoding import EncodingScheme, Message
+from ipcrypt.kem import cbd, xof_expand
 from ipcrypt.noise import (
     CENTERED_BINOMIAL,
     DISCRETE_GAUSSIAN,
@@ -18,6 +22,7 @@ from ipcrypt.noise import (
     point_distribution,
     sample_error,
 )
+from ipcrypt.symmetric import sym_decrypt, sym_encrypt
 
 
 def cb_params(n=256, scale=0.5, eta=2):
@@ -194,3 +199,109 @@ def test_derive_error_rejects_bad_nonce():
     assert NONCE_BYTES == 16
     with pytest.raises(ValueError, match="16 bytes"):
         derive_error(key, b"\x00" * 8)
+
+
+# ---------------------------------------------------------------- raw-word sampler
+
+
+def _generator_method_draw(key: ErrorKey, nonce: bytes) -> np.ndarray:
+    """The derivation as it was built on Generator methods, written out here.
+
+    The XOF seeds default_rng; the binomial comes from kem.cbd (two
+    Generator.integers calls) and the Gaussian from Generator.choice over
+    the 6-sigma-truncated support with weights exp(-k^2 / 2 sigma^2).
+    """
+    params = key.params
+    rng = np.random.default_rng(int.from_bytes(xof_expand(key.seed + nonce, 32), "little"))
+    if params.distribution == CENTERED_BINOMIAL:
+        values = cbd(rng, params.n, params.eta)
+    else:
+        cut = int(math.floor(6.0 * params.sigma))
+        support = np.arange(-cut, cut + 1)
+        probs = np.exp(-0.5 * (support / params.sigma) ** 2)
+        values = rng.choice(support, size=params.n, p=probs / probs.sum())
+    return params.scale * values.astype(np.float64)
+
+
+SAMPLER_SHAPES = [("eta", 1), ("eta", 2), ("eta", 3), ("eta", 256), ("sigma", 0.8), ("sigma", 3.0)]
+
+
+@pytest.mark.parametrize("kind,value", SAMPLER_SHAPES, ids=[f"{k}{v}" for k, v in SAMPLER_SHAPES])
+@pytest.mark.parametrize("n", [255, 256])
+def test_derive_error_matches_the_generator_method_draw(n, kind, value):
+    """Raw PCG64 words give, bit for bit, what Generator.integers / choice gave.
+
+    Odd and even n; every size here clears the 128-bit entropy floor.
+    """
+    if kind == "eta":
+        params = cb_params(n=n, scale=0.37, eta=value)
+    else:
+        params = dg_params(n=n, scale=0.37, sigma=value)
+    key = ErrorKey(seed=bytes(range(32, 64)), params=params)
+    nonces = np.random.default_rng(n * 1000 + int(value * 10))
+    for _ in range(50):
+        nonce = nonces.bytes(16)
+        got = derive_error(key, nonce).values
+        np.testing.assert_array_equal(got, _generator_method_draw(key, nonce))
+
+
+class _NoMethodGenerator(np.random.Generator):
+    """A Generator whose drawing methods all raise."""
+
+    def integers(self, *args, **kwargs):
+        raise AssertionError("Generator.integers called")
+
+    def choice(self, *args, **kwargs):
+        raise AssertionError("Generator.choice called")
+
+    def random(self, *args, **kwargs):
+        raise AssertionError("Generator.random called")
+
+
+def test_derivation_calls_no_generator_method(monkeypatch):
+    """derive_error and sym_decrypt draw from raw words alone.
+
+    The methods of an extension type cannot be replaced in place, so every
+    generator derive_error builds is a subclass whose methods raise.
+    """
+    scheme = EncodingScheme.map2(32, 256)
+    msg = Message.from_int(0x5EED, 32)
+    nonce = bytes(range(16))
+    keys = [
+        ErrorKey(seed=b"\x11" * 32, params=cb_params()),
+        ErrorKey(seed=b"\x22" * 32, params=dg_params(scale=0.25, sigma=1.5)),
+    ]
+    expected = [derive_error(key, nonce).values for key in keys]
+    cts = [sym_encrypt(key, msg, scheme, nonce) for key in keys]
+    built = []
+
+    def no_method_rng(seed):
+        built.append(seed)
+        return _NoMethodGenerator(np.random.PCG64(seed))
+
+    monkeypatch.setattr(np.random, "default_rng", no_method_rng)
+    with pytest.raises(AssertionError, match="integers"):
+        np.random.default_rng(0).integers(0, 2)
+    for key, want, ct in zip(keys, expected, cts):
+        np.testing.assert_array_equal(derive_error(key, nonce).values, want)
+        assert sym_decrypt(key, ct) == msg
+    assert len(built) == 1 + 2 * len(keys)
+
+
+@pytest.mark.parametrize(
+    "bit_generator", [np.random.MT19937, np.random.PCG64DXSM, np.random.Philox]
+)
+def test_sample_error_rejects_other_bit_generators(bit_generator):
+    rng = np.random.Generator(bit_generator(0))
+    for params in (cb_params(), dg_params()):
+        with pytest.raises(ValueError, match="PCG64"):
+            sample_error(params, rng)
+
+
+def test_point_table_is_cached_and_read_only():
+    support, probs = point_distribution(dg_params(sigma=2.0))
+    again = point_distribution(dg_params(n=999, scale=3.0, sigma=2.0))
+    assert support is again[0] and probs is again[1]
+    for arr in (support, probs):
+        with pytest.raises(ValueError):
+            arr[0] = 0
