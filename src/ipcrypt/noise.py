@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .grid import GridFunction, make_grid_function
-from .kem import xof_expand
+from .kem import _centered_binomial, _word_coins, xof_expand
 
 __all__ = [
     "DISCRETE_GAUSSIAN",
@@ -172,14 +172,8 @@ def sample_error(params: ErrorParams, rng: np.random.Generator) -> GridFunction:
         )
     support, _, cdf, _ = _point_table(params.distribution, params.eta, params.sigma)
     if params.distribution == CENTERED_BINOMIAL:
-        count = params.n * params.eta
-        halves = bits.random_raw(count).astype("<u8", copy=False).view("<u4")
-        halves >>= 31
-        coins = halves.view(np.int32)
-        d = (coins[:count] - coins[count:]).reshape(params.n, params.eta)
-        values = d[:, 0].copy()
-        for k in range(1, params.eta):
-            values += d[:, k]
+        coins = _word_coins(bits.random_raw(params.n * params.eta))
+        values = _centered_binomial(coins, params.eta)
     else:
         uniform = (bits.random_raw(params.n) >> np.uint64(11)) * _DOUBLE_STEP
         values = support[np.searchsorted(cdf, uniform, side="right")]

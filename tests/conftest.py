@@ -1,4 +1,4 @@
-"""Shared fixtures: cached singular systems and an independent spectrum oracle."""
+"""Shared fixtures: cached singular systems and independent spectrum and coin oracles."""
 
 import numpy as np
 import pytest
@@ -29,3 +29,21 @@ def reference_spectrum_2048():
     kernel = np.exp(-np.abs(y[:, None] - y[None, :])) / n
     eigenvalues = np.linalg.eigvalsh(kernel)
     return np.sort(eigenvalues)[::-1]
+
+
+@pytest.fixture(scope="session")
+def integers_cbd():
+    """Centered binomial draws written on Generator.integers, the coin oracle.
+
+    This is how kem.cbd drew before it read raw PCG64 words: two
+    integers(0, 2) calls, positive terms first, summed over a last axis
+    of length eta.
+    """
+
+    def draw(rng, shape, eta):
+        size = tuple(np.atleast_1d(shape)) + (eta,)
+        a = rng.integers(0, 2, size=size, dtype=np.int64)
+        b = rng.integers(0, 2, size=size, dtype=np.int64)
+        return (a - b).sum(axis=-1)
+
+    return draw

@@ -10,7 +10,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ipcrypt import kem
+from ipcrypt import kem, noise
 from ipcrypt.formats import (
     read_kem_public_key,
     read_kem_secret_key,
@@ -148,6 +148,122 @@ def test_cbd_histogram_matches_binomial_weights():
     assert abs(draws.mean()) < 0.02
 
 
+CBD_SHAPES = [0, (1,), (5, 7), 256, (2, 3, 5)]
+OTHER_BIT_GENERATORS = [np.random.MT19937, np.random.PCG64DXSM, np.random.Philox]
+
+
+def primed(seed, prior):
+    """A PCG64 generator after `prior` one-coin integers draws.
+
+    Each such draw takes one 32-bit half-word, so an odd prior leaves the
+    high half of a word buffered in the bit generator.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(prior):
+        rng.integers(0, 2, dtype=np.int64)
+    assert rng.bit_generator.state["has_uint32"] == prior % 2
+    return rng
+
+
+def assert_same_generator(got, want):
+    """Same bit generator state and buffered half-word, and same next draws.
+
+    A consumed half-word stays in `uinteger` with has_uint32 = 0, where
+    no draw reads it; it is compared only while buffered.
+    """
+    g, w = got.bit_generator.state, want.bit_generator.state
+    assert g["state"] == w["state"]
+    assert g["has_uint32"] == w["has_uint32"]
+    if w["has_uint32"]:
+        assert g["uinteger"] == w["uinteger"]
+    assert got.integers(0, 2, size=5).tolist() == want.integers(0, 2, size=5).tolist()
+    assert got.bytes(7) == want.bytes(7)
+    assert got.integers(0, 2**40, size=3).tolist() == want.integers(0, 2**40, size=3).tolist()
+
+
+@pytest.mark.parametrize("prior", [0, 1, 2, 3])
+@pytest.mark.parametrize("shape", CBD_SHAPES, ids=str)
+@pytest.mark.parametrize("eta", [1, 2, 3])
+def test_cbd_matches_the_integers_draw_bit_for_bit(integers_cbd, eta, shape, prior):
+    """Raw-word coins equal two Generator.integers(0, 2) calls, buffered half-word included."""
+    seed = 100 * eta + prior
+    got_rng, want_rng = primed(seed, prior), primed(seed, prior)
+    got = cbd(got_rng, shape, eta)
+    want = integers_cbd(want_rng, shape, eta)
+    assert got.dtype == np.int64
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got, want)
+    assert_same_generator(got_rng, want_rng)
+
+
+def integers_keygen(params, rng, integers_cbd):
+    """kem_keygen written on Generator.integers, with an int64 product."""
+    seed_a = rng.bytes(32)
+    s = integers_cbd(rng, (params.dim, params.secret_bits), params.eta)
+    e = integers_cbd(rng, (params.dim, params.secret_bits), params.eta)
+    return seed_a, s, (expand_matrix(seed_a, params) @ s + e) % params.q
+
+
+def integers_encaps(pk, rng, integers_cbd):
+    """kem_encaps written on Generator.integers, with int64 products."""
+    params = pk.params
+    bits = rng.integers(0, 2, size=params.secret_bits, dtype=np.int64)
+    r = integers_cbd(rng, params.dim, params.eta)
+    e_u = integers_cbd(rng, params.dim, params.eta)
+    e_v = integers_cbd(rng, params.secret_bits, params.eta)
+    u = (r @ expand_matrix(pk.seed_a, params) + e_u) % params.q
+    v = (r @ pk.b_pub + e_v + bits * params.half_q) % params.q
+    return np.packbits(bits.astype(np.uint8), bitorder="little").tobytes(), u, v
+
+
+@pytest.mark.parametrize("prior", [0, 1, 2, 3])
+@pytest.mark.parametrize("params", [SMALL, DESK_PARAMS], ids=["small", "desk"])
+def test_keygen_and_encaps_match_the_integers_draws(integers_cbd, params, prior):
+    """One coin read per matrix in keygen and per encapsulation, bit for bit."""
+    got_rng, want_rng = primed(7 + prior, prior), primed(7 + prior, prior)
+    pair = kem_keygen(params, got_rng)
+    seed_a, s, b = integers_keygen(params, want_rng, integers_cbd)
+    assert pair.public.seed_a == seed_a
+    np.testing.assert_array_equal(pair.secret.s, s)
+    np.testing.assert_array_equal(pair.public.b_pub, b)
+    assert_same_generator(got_rng, want_rng)
+
+    for _ in range(prior):
+        got_rng.integers(0, 2)
+        want_rng.integers(0, 2)
+    shared, ct = kem_encaps(pair.public, got_rng)
+    want_shared, u, v = integers_encaps(pair.public, want_rng, integers_cbd)
+    assert shared.data == want_shared
+    np.testing.assert_array_equal(ct.u, u)
+    np.testing.assert_array_equal(ct.v, v)
+    assert_same_generator(got_rng, want_rng)
+
+
+@pytest.mark.parametrize("bit_generator", OTHER_BIT_GENERATORS)
+def test_kem_draws_refuse_other_bit_generators(bit_generator):
+    public = kem_keygen(SMALL, np.random.default_rng(0)).public
+    rng = np.random.Generator(bit_generator(0))
+    with pytest.raises(ValueError, match="PCG64"):
+        cbd(rng, 4, 2)
+    with pytest.raises(ValueError, match="PCG64"):
+        kem_keygen(SMALL, rng)
+    with pytest.raises(ValueError, match="PCG64"):
+        kem_encaps(public, rng)
+
+
+@pytest.mark.parametrize(
+    "shape,eta,error",
+    [(2.5, 2, TypeError), ((2, 2.0), 2, TypeError), (-1, 2, ValueError),
+     ((3, -1), 2, ValueError), (4, 0, ValueError)],
+)
+def test_cbd_rejects_bad_arguments_before_drawing(shape, eta, error):
+    rng = primed(5, 1)
+    before = rng.bit_generator.state
+    with pytest.raises(error):
+        cbd(rng, shape, eta)
+    assert rng.bit_generator.state == before
+
+
 # ---------------------------------------------------------------- exact products
 
 
@@ -183,6 +299,19 @@ def test_exact_matmul_is_the_only_matrix_product():
     )
     assert len(matmuls) == 1
     assert matmuls[0] in list(ast.walk(helper))
+
+
+def test_kem_and_noise_draw_without_generator_integers():
+    """Coins come from raw PCG64 words: no `.integers(` call in kem or noise."""
+    for module in (kem, noise):
+        calls = [
+            node
+            for node in ast.walk(ast.parse(inspect.getsource(module)))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "integers"
+        ]
+        assert calls == [], module.__name__
 
 
 # ---------------------------------------------------------------- keygen

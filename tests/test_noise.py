@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ipcrypt.encoding import EncodingScheme, Message
-from ipcrypt.kem import cbd, xof_expand
+from ipcrypt.kem import xof_expand
 from ipcrypt.noise import (
     CENTERED_BINOMIAL,
     DISCRETE_GAUSSIAN,
@@ -204,17 +204,18 @@ def test_derive_error_rejects_bad_nonce():
 # ---------------------------------------------------------------- raw-word sampler
 
 
-def _generator_method_draw(key: ErrorKey, nonce: bytes) -> np.ndarray:
+def _generator_method_draw(key: ErrorKey, nonce: bytes, integers_cbd) -> np.ndarray:
     """The derivation as it was built on Generator methods, written out here.
 
-    The XOF seeds default_rng; the binomial comes from kem.cbd (two
-    Generator.integers calls) and the Gaussian from Generator.choice over
-    the 6-sigma-truncated support with weights exp(-k^2 / 2 sigma^2).
+    The XOF seeds default_rng; the binomial comes from two
+    Generator.integers calls (the integers_cbd oracle) and the Gaussian
+    from Generator.choice over the 6-sigma-truncated support with weights
+    exp(-k^2 / 2 sigma^2).
     """
     params = key.params
     rng = np.random.default_rng(int.from_bytes(xof_expand(key.seed + nonce, 32), "little"))
     if params.distribution == CENTERED_BINOMIAL:
-        values = cbd(rng, params.n, params.eta)
+        values = integers_cbd(rng, params.n, params.eta)
     else:
         cut = int(math.floor(6.0 * params.sigma))
         support = np.arange(-cut, cut + 1)
@@ -228,7 +229,7 @@ SAMPLER_SHAPES = [("eta", 1), ("eta", 2), ("eta", 3), ("eta", 256), ("sigma", 0.
 
 @pytest.mark.parametrize("kind,value", SAMPLER_SHAPES, ids=[f"{k}{v}" for k, v in SAMPLER_SHAPES])
 @pytest.mark.parametrize("n", [255, 256])
-def test_derive_error_matches_the_generator_method_draw(n, kind, value):
+def test_derive_error_matches_the_generator_method_draw(n, kind, value, integers_cbd):
     """Raw PCG64 words give, bit for bit, what Generator.integers / choice gave.
 
     Odd and even n; every size here clears the 128-bit entropy floor.
@@ -242,7 +243,7 @@ def test_derive_error_matches_the_generator_method_draw(n, kind, value):
     for _ in range(50):
         nonce = nonces.bytes(16)
         got = derive_error(key, nonce).values
-        np.testing.assert_array_equal(got, _generator_method_draw(key, nonce))
+        np.testing.assert_array_equal(got, _generator_method_draw(key, nonce, integers_cbd))
 
 
 class _NoMethodGenerator(np.random.Generator):
