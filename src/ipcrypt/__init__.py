@@ -36,7 +36,7 @@ from .hso import (
 from .hybrid import HybridCiphertext, pke_decrypt, pke_encrypt, pke_keygen
 from .kem import DEFAULT_KEM, KemParams, LweKem, kem_decaps, kem_encaps, kem_keygen, xof_expand
 from .lwe import AnalogyReport, LweInstance, LweParams, analogy_report, lwe_brute_force, lwe_gen
-from .noise import ErrorKey, ErrorParams, derive_error, sample_error
+from .noise import ErrorKey, ErrorParams, derive_error
 from .symmetric import SymCiphertext, recommended_error_params, sym_decrypt, sym_encrypt, sym_keygen
 
 __version__ = "0.1.0"
@@ -99,7 +99,6 @@ __all__ = [
     "ErrorKey",
     "ErrorParams",
     "derive_error",
-    "sample_error",
     "SymCiphertext",
     "recommended_error_params",
     "sym_decrypt",

@@ -4,7 +4,7 @@ Every container opens with a 4-byte magic and a version byte, then
 fixed-width little-endian fields.  Layouts:
 
   IPK1   symmetric error key
-         magic, version=1, distribution id (0x01 gaussian, 0x02
+         magic, version=2, distribution id (0x01 gaussian, 0x02
          binomial), distribution parameter (f64 sigma or u32 eta),
          f64 scale, u32 grid size, 32-byte seed
   IPC1   symmetric ciphertext
@@ -16,9 +16,12 @@ fixed-width little-endian fields.  Layouts:
          32-byte seed + dim*bits u16; secret = dim*bits i8;
          ciphertext = dim u16 + bits u16
   IPH1   hybrid ciphertext
-         magic, version=1, u32 length of the embedded IPQ1 ciphertext
+         magic, version=2, u32 length of the embedded IPQ1 ciphertext
          block, that block, then the IPC1 block to the end
 
+Version 2 of the error key and hybrid containers marks the noise read
+straight from SHAKE-256 (see `noise.derive_error`); a version 1 file
+was written for the earlier derivation and is refused, not misread.
 Readers reject wrong magics, unknown versions and ids, truncation, and
 trailing bytes.  KEM writers refuse parameter sets without a registered id.
 """
@@ -58,12 +61,10 @@ __all__ = [
     "read_hybrid_ciphertext",
 ]
 
-_VERSION = 1
-
-_KEY_MAGIC = b"IPK1"
-_SYM_MAGIC = b"IPC1"
-_KEM_MAGIC = b"IPQ1"
-_HYB_MAGIC = b"IPH1"
+_KEY_MAGIC, _KEY_VERSION = b"IPK1", 2
+_SYM_MAGIC, _SYM_VERSION = b"IPC1", 1
+_KEM_MAGIC, _KEM_VERSION = b"IPQ1", 1
+_HYB_MAGIC, _HYB_VERSION = b"IPH1", 2
 
 _DIST_GAUSSIAN = 0x01
 _DIST_BINOMIAL = 0x02
@@ -108,9 +109,9 @@ class _Reader:
         if got != magic:
             raise ValueError(f"bad magic for {self.label}: expected {magic!r}, got {got!r}")
 
-    def expect_version(self) -> None:
+    def expect_version(self, expected: int) -> None:
         version = self.u8("version")
-        if version != _VERSION:
+        if version != expected:
             raise ValueError(f"unsupported {self.label} version {version}")
 
     def done(self) -> None:
@@ -133,7 +134,7 @@ def write_error_key(key: ErrorKey) -> bytes:
         dist = struct.pack("<BI", _DIST_BINOMIAL, p.eta)
     return (
         _KEY_MAGIC
-        + struct.pack("<B", _VERSION)
+        + struct.pack("<B", _KEY_VERSION)
         + dist
         + struct.pack("<dI", p.scale, p.n)
         + key.seed
@@ -143,7 +144,7 @@ def write_error_key(key: ErrorKey) -> bytes:
 def read_error_key(data: bytes) -> ErrorKey:
     r = _Reader(data, "error key")
     r.expect_magic(_KEY_MAGIC)
-    r.expect_version()
+    r.expect_version(_KEY_VERSION)
     dist_id = r.u8("distribution id")
     if dist_id == _DIST_GAUSSIAN:
         sigma = r.f64("sigma")
@@ -165,7 +166,7 @@ def read_error_key(data: bytes) -> ErrorKey:
 def write_sym_ciphertext(ct: SymCiphertext) -> bytes:
     return (
         _SYM_MAGIC
-        + struct.pack("<BIIB", _VERSION, ct.n, ct.t, ct.encoding_id)
+        + struct.pack("<BIIB", _SYM_VERSION, ct.n, ct.t, ct.encoding_id)
         + ct.nonce
         + grid_to_bytes(ct.body)
     )
@@ -174,7 +175,7 @@ def write_sym_ciphertext(ct: SymCiphertext) -> bytes:
 def read_sym_ciphertext(data: bytes) -> SymCiphertext:
     r = _Reader(data, "symmetric ciphertext")
     r.expect_magic(_SYM_MAGIC)
-    r.expect_version()
+    r.expect_version(_SYM_VERSION)
     n = r.u32("grid size")
     t = r.u32("message length")
     encoding_id = r.u8("encoding id")
@@ -188,7 +189,7 @@ def _kem_header(kind: int, params: KemParams) -> bytes:
     """IPQ1 header carrying the id of params; unregistered sets have no layout."""
     for param_id, registered in _PARAM_SETS.items():
         if registered == params:
-            return _KEM_MAGIC + struct.pack("<BBB", _VERSION, param_id, kind)
+            return _KEM_MAGIC + struct.pack("<BBB", _KEM_VERSION, param_id, kind)
     raise ValueError(f"KEM parameters {params} have no registered IPQ1 id")
 
 
@@ -208,7 +209,7 @@ def _ciphertext_params(ct: KemCiphertext) -> KemParams:
 
 def _read_kem_header(r: _Reader, expected_kind: int, kind_name: str) -> KemParams:
     r.expect_magic(_KEM_MAGIC)
-    r.expect_version()
+    r.expect_version(_KEM_VERSION)
     param_id = r.u8("parameter id")
     if param_id not in _PARAM_SETS:
         raise ValueError(f"unknown KEM parameter id {param_id:#04x}")
@@ -269,13 +270,13 @@ def read_kem_ciphertext(data: bytes) -> KemCiphertext:
 def write_hybrid_ciphertext(ct: HybridCiphertext) -> bytes:
     c1 = write_kem_ciphertext(ct.c1)
     c2 = write_sym_ciphertext(ct.c2)
-    return _HYB_MAGIC + struct.pack("<BI", _VERSION, len(c1)) + c1 + c2
+    return _HYB_MAGIC + struct.pack("<BI", _HYB_VERSION, len(c1)) + c1 + c2
 
 
 def read_hybrid_ciphertext(data: bytes) -> HybridCiphertext:
     r = _Reader(data, "hybrid ciphertext")
     r.expect_magic(_HYB_MAGIC)
-    r.expect_version()
+    r.expect_version(_HYB_VERSION)
     c1_len = r.u32("first block length")
     c1 = read_kem_ciphertext(r.take(c1_len, "first block"))
     c2 = read_sym_ciphertext(r.rest())

@@ -21,16 +21,15 @@ BLAS, and at desk scale the float64 route is over 20 times faster.  The
 key objects hold read-only float64 copies of A, B and S, made on first
 use, so encapsulation and decapsulation convert only the short vectors.
 
-Every coin (the shared-secret bits and the centered-binomial draws of
-S, E, r, e_u and e_v) is read from raw 64-bit words of the caller's
-PCG64 generator: a coin is bit 31 of a 32-bit half-word, low half first,
-which is what `Generator.integers(0, 2)` returns.  The bit generator
-buffers the high half of a word between 32-bit draws; a buffered
-half-word gives the first coin, and an unused high half goes back into
-the buffer, so the draws, and later draws on the same generator, equal
-the `Generator.integers` ones bit for bit.  Encapsulation reads its coins
-at once, keygen once per matrix.  Other bit generators are refused with
-ValueError.
+Every coin is a bit of one SHAKE-256 squeeze over a 32-byte seed.
+Keygen takes d = rng.bytes(32) and splits SHAKE-256(d) into the matrix
+seed (32 bytes) and one `cbd` draw of 2 dim secret_bits values: S, then
+E, each filled row by row.  Encapsulation takes one more rng.bytes(32)
+and splits its squeeze into the shared secret (secret_bits / 8 bytes,
+whose bits, little endian within each byte, are the encapsulated ones)
+and one `cbd` draw of 2 dim + secret_bits values: r, then e_u, then e_v.
+The rng supplies those seeds and nothing else, so keys and ciphertexts
+are functions of the seeds and SHAKE-256 alone.
 
 This is a teaching artifact: parameters are far below any real security
 level and no claim is made beyond one-shot key transport in this toy
@@ -40,7 +39,6 @@ setting.
 from __future__ import annotations
 
 import hashlib
-import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -237,95 +235,47 @@ def expand_matrix(seed: bytes, params: KemParams = DESK_PARAMS) -> np.ndarray:
         out_len *= 2
 
 
-def _word_coins(words: np.ndarray) -> np.ndarray:
-    """Coins of raw 64-bit words, as int32: bit 31 of each 32-bit half-word, low half first.
+def _cbd_bytes(count: int, eta: int) -> int:
+    """Bytes `cbd` reads for count values: ceil(2 eta count / 8)."""
+    return (2 * eta * count + 7) // 8
 
-    Shifts the words in place.
+
+def cbd(data: bytes, count: int, eta: int) -> np.ndarray:
+    """count centered binomial values from the bits of data, as int16.
+
+    Bits are taken little endian within each byte, as FIPS 203's
+    SamplePolyCBD takes them, generalized to any eta: with b the bit
+    string of data, value i is b[2 i eta] + ... + b[2 i eta + eta - 1]
+    minus the sum of the next eta bits.  The first ceil(2 eta count / 8)
+    bytes are read and the rest ignored.  A non-integer count raises
+    TypeError; a negative count, eta < 1 or too short data ValueError.
     """
-    halves = words.astype("<u8", copy=False).view("<u4")
-    halves >>= 31
-    return halves.view(np.int32)
-
-
-def _centered_binomial(coins: np.ndarray, eta: int) -> np.ndarray:
-    """coins.size // (2 eta) centered binomial values, each a sum of eta coin differences.
-
-    The first half of the coins are the positive terms, eta per value in
-    turn, and the second half the negative ones.  Adding the eta slices is
-    several times faster than a reduction along that short axis.
-    """
-    half = coins.size // 2
-    d = (coins[:half] - coins[half:]).reshape(-1, eta)
-    out = d[:, 0].copy()
-    for k in range(1, eta):
-        out += d[:, k]
-    return out
-
-
-def _draw_coins(rng: np.random.Generator, count: int) -> np.ndarray:
-    """count coins from rng, as int32, equal to rng.integers(0, 2, count, dtype=np.int64).
-
-    That call takes each coin from the next 32-bit half-word of the PCG64
-    stream, and a 64-bit word's high half waits in the bit generator's
-    buffer (has_uint32, uinteger) until the next 32-bit draw.  Here the
-    state is read once: a buffered half-word gives the first coin, the rest
-    come from raw words, and when an odd number of their half-words is used
-    the unused high half goes back into the buffer.  The generator is left
-    where that call leaves it, so later draws on it go on as before.
-    """
-    bits = rng.bit_generator
-    if not isinstance(bits, np.random.PCG64):
-        raise ValueError(
-            f"KEM draws read 64-bit PCG64 words, got a {type(bits).__name__} bit generator"
-        )
-    state = bits.state
-    used = min(state["has_uint32"], count)
-    first = state["uinteger"] >> 31
-    words = bits.random_raw((count - used + 1) // 2)
-    spare = (count - used) % 2
-    if used or spare:
-        state["has_uint32"] = spare
-        if spare:
-            state["uinteger"] = int(words[-1] >> np.uint64(32))
-        # Setting the state rewinds the words; stepping over them again
-        # leaves the buffer alone.
-        bits.state = state
-        bits.random_raw(words.size, output=False)
-    coins = _word_coins(words)
-    if used:
-        coins = np.concatenate((np.array([first], dtype=np.int32), coins))
-    return coins[:count]
-
-
-def cbd(rng: np.random.Generator, shape, eta: int) -> np.ndarray:
-    """Centered binomial draws: sum of eta coin differences per entry.
-
-    The coins are those of two `rng.integers(0, 2, size=shape + (eta,))`
-    calls, the positive terms first: bit 31 of each 32-bit half-word of
-    the PCG64 stream, low half first.  A half-word that an earlier 32-bit
-    draw left buffered in the generator gives the first coin, and an unused
-    high half goes back into the buffer, so later draws on rng go on as
-    they did.  The coins are read from raw PCG64 words, so other bit
-    generators are refused with ValueError.  A non-integer dimension raises
-    TypeError and a negative one ValueError, before anything is drawn.
-    """
+    count = operator.index(count)
     if eta < 1:
         raise ValueError(f"eta must be positive, got {eta}")
-    shape = tuple(operator.index(d) for d in np.atleast_1d(shape))
-    if any(d < 0 for d in shape):
-        raise ValueError("negative dimensions are not allowed")
-    coins = _draw_coins(rng, 2 * math.prod(shape) * eta)
-    return _centered_binomial(coins, eta).astype(np.int64).reshape(shape)
+    if count < 0:
+        raise ValueError(f"count must be nonnegative, got {count}")
+    need = _cbd_bytes(count, eta)
+    if len(data) < need:
+        raise ValueError(f"{count} draws at eta = {eta} read {need} bytes, got {len(data)}")
+    bits = np.unpackbits(
+        np.frombuffer(data, dtype=np.uint8, count=need), count=2 * eta * count, bitorder="little"
+    )
+    # Row k of the planes holds bit k of every value, so each sum adds
+    # whole contiguous rows; int16 holds the sum exactly up to eta = 256.
+    planes = np.ascontiguousarray(bits.reshape(count, 2 * eta).T).view(np.int8)
+    return (planes[:eta] - planes[eta:]).sum(axis=0, dtype=np.int16)
 
 
 def kem_keygen(params: KemParams = DESK_PARAMS, rng: np.random.Generator | None = None) -> KemKeyPair:
+    """Key pair from one 32-byte seed d = rng.bytes(32); see the module docstring."""
     if rng is None:
         rng = np.random.default_rng()
-    seed_a = rng.bytes(32)
-    a = expand_matrix(seed_a, params)
-    s = cbd(rng, (params.dim, params.secret_bits), params.eta)
-    e = cbd(rng, (params.dim, params.secret_bits), params.eta)
-    b = (_exact_matmul(a, s) + e) % params.q
+    count = params.dim * params.secret_bits
+    stream = xof_expand(rng.bytes(32), 32 + _cbd_bytes(2 * count, params.eta))
+    seed_a = stream[:32]
+    s, e = cbd(stream[32:], 2 * count, params.eta).reshape(2, params.dim, params.secret_bits)
+    b = (_exact_matmul(expand_matrix(seed_a, params), s) + e) % params.q
     public = KemPublicKey(params=params, seed_a=seed_a, b_pub=b)
     secret = KemSecretKey(params=params, s=s)
     return KemKeyPair(public=public, secret=secret)
@@ -338,22 +288,19 @@ def _pack_bits(bits: np.ndarray) -> bytes:
 def kem_encaps(
     pk: KemPublicKey, rng: np.random.Generator | None = None
 ) -> tuple[SharedSecret, KemCiphertext]:
-    """Draw fresh secret bits and hide them against pk."""
+    """Hide fresh secret bits against pk, all coins from one seed rng.bytes(32)."""
     if rng is None:
         rng = np.random.default_rng()
     params = pk.params
-    # The coins of the bits and of the cbd draws of r, e_u and e_v, in
-    # that order, read at once.
-    m, eta = params.secret_bits, params.eta
-    k = 2 * eta * params.dim
-    coins = _draw_coins(rng, m + 2 * k + 2 * eta * m)
-    bits = coins[:m]
-    r = _centered_binomial(coins[m : m + k], eta)
-    e_u = _centered_binomial(coins[m + k : m + 2 * k], eta)
-    e_v = _centered_binomial(coins[m + 2 * k :], eta)
+    m, dim = params.secret_bits // 8, params.dim
+    stream = xof_expand(rng.bytes(32), m + _cbd_bytes(2 * dim + params.secret_bits, params.eta))
+    secret = stream[:m]
+    noise = cbd(stream[m:], 2 * dim + params.secret_bits, params.eta)
+    r, e_u, e_v = noise[:dim], noise[dim : 2 * dim], noise[2 * dim :]
+    bits = np.unpackbits(np.frombuffer(secret, dtype=np.uint8), bitorder="little")
     u = (_exact_matmul(r, pk.a_f64) + e_u) % params.q
-    v = (_exact_matmul(r, pk.b_f64) + e_v + bits * params.half_q) % params.q
-    return SharedSecret(_pack_bits(bits)), KemCiphertext(u=u, v=v)
+    v = (_exact_matmul(r, pk.b_f64) + e_v + params.half_q * bits.astype(np.int64)) % params.q
+    return SharedSecret(secret), KemCiphertext(u=u, v=v)
 
 
 def kem_decaps(sk: KemSecretKey, ct: KemCiphertext) -> SharedSecret:

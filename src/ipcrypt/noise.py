@@ -3,22 +3,18 @@
 Errors take values scale * k with integer k drawn per grid point from a
 centered binomial (parameter eta) or a truncated discrete Gaussian
 (parameter sigma).  A key is a 32-byte seed plus the distribution
-parameters; derive_error expands (seed, nonce) through the XOF into the
-integer seed of a PCG64 bit generator, so equal nonces reproduce the same
-error and distinct nonces give independent-looking ones.
-
-The draws read raw 64-bit PCG64 words and call no `Generator` method, so
-a derived error rests on two NumPy guarantees only: the SeedSequence
-seeding and the PCG64 output stream, which NumPy keeps fixed across
-releases (NEP 19), unlike the streams of `Generator` methods.  The
-binomial coins and the Gaussian inversion reproduce, word for word, what
-`Generator.integers(0, 2)` and `Generator.choice` returned on a fresh
-generator, so keys and ciphertexts from earlier releases decrypt as they
-did.
+parameters; derive_error reads its coins straight from SHAKE-256 over
+seed || nonce, so equal nonces reproduce the same error, distinct
+nonces give independent-looking ones, and the error depends on the key,
+the nonce and SHAKE-256 alone.  Binomial coins are read as FIPS 203's
+SamplePolyCBD reads them (`kem.cbd`); a Gaussian point looks a 53-bit
+uniform up in a cumulative distribution table, as FrodoKEM samples its
+noise.
 
 The distribution must carry enough entropy that enumerating error
 candidates is hopeless: ErrorParams enforces a 128-bit floor on
-n * (per-point entropy) at construction time.
+n * (per-point entropy) at construction time, computed from the table
+the sampler reads.
 """
 
 from __future__ import annotations
@@ -30,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .grid import GridFunction, make_grid_function
-from .kem import _centered_binomial, _word_coins, xof_expand
+from .kem import _cbd_bytes, cbd, xof_expand
 
 __all__ = [
     "DISCRETE_GAUSSIAN",
@@ -39,7 +35,6 @@ __all__ = [
     "ErrorKey",
     "point_distribution",
     "entropy_bits",
-    "sample_error",
     "keygen",
     "derive_error",
     "NONCE_BYTES",
@@ -60,7 +55,7 @@ _GAUSS_TAIL_SIGMAS = 6.0
 # eta = 512 on; parameters read from a key file are bounded here first.
 _MAX_SUPPORT = 256
 
-# A uniform double from a raw word, as PCG64's next_double makes it.
+# The uniform double (w >> 11) * 2^-53 of a 64-bit word w.
 _DOUBLE_STEP = 1.0 / (1 << 53)
 
 
@@ -117,8 +112,8 @@ def _point_table(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Support, probabilities, cdf and entropy of one point draw, read-only.
 
-    The cdf is built as `Generator.choice` builds it, so inverting it
-    reproduces that method's draws.
+    The cdf is the table derive_error looks Gaussian draws up in; the
+    probabilities are its steps, and the entropy is theirs.
     """
     if distribution == CENTERED_BINOMIAL:
         support = np.arange(-eta, eta + 1)
@@ -129,9 +124,9 @@ def _point_table(
         cut = int(math.floor(_GAUSS_TAIL_SIGMAS * sigma))
         support = np.arange(-cut, cut + 1)
         probs = np.exp(-0.5 * (support / sigma) ** 2)
-    probs = probs / probs.sum()
     cdf = probs.cumsum()
     cdf /= cdf[-1]
+    probs = np.diff(cdf, prepend=0.0)
     nonzero = probs[probs > 0]
     entropy = float(-np.sum(nonzero * np.log2(nonzero)))
     for arr in (support, probs, cdf):
@@ -150,50 +145,28 @@ def entropy_bits(params: ErrorParams) -> float:
     return _point_table(params.distribution, params.eta, params.sigma)[3]
 
 
-def sample_error(params: ErrorParams, rng: np.random.Generator) -> GridFunction:
-    """One grid error: n iid integer draws, scaled.
-
-    The draws read raw 64-bit words of rng's PCG64 bit generator and call
-    no `Generator` method.  A binomial coin is bit 31 of each 32-bit
-    half-word, low half first, which is the coin `Generator.integers(0, 2)`
-    returns; the first n * eta coins are the positive terms of the n
-    points, eta apiece, and the next n * eta the negative ones, as in
-    `kem.cbd`.  A Gaussian draw inverts the cached cdf at the uniform
-    double (word >> 11) * 2^-53, as `Generator.choice` does.  The coins
-    start at a word boundary: a half-word that an earlier `integers` call
-    left buffered in the generator is not used, where `kem.cbd` would use
-    it first.  Other bit generators are refused: MT19937's raw words, for
-    one, carry only 32 bits.
-    """
-    bits = rng.bit_generator
-    if not isinstance(bits, np.random.PCG64):
-        raise ValueError(
-            f"sample_error reads 64-bit PCG64 words, got a {type(bits).__name__} bit generator"
-        )
-    support, _, cdf, _ = _point_table(params.distribution, params.eta, params.sigma)
-    if params.distribution == CENTERED_BINOMIAL:
-        coins = _word_coins(bits.random_raw(params.n * params.eta))
-        values = _centered_binomial(coins, params.eta)
-    else:
-        uniform = (bits.random_raw(params.n) >> np.uint64(11)) * _DOUBLE_STEP
-        values = support[np.searchsorted(cdf, uniform, side="right")]
-    return make_grid_function(params.scale * values.astype(np.float64))
-
-
-def keygen(params: ErrorParams, rng: np.random.Generator) -> ErrorKey:
+def keygen(params: ErrorParams, rng) -> ErrorKey:
+    """Key with a fresh seed rng.bytes(32); rng is a numpy Generator or anything with bytes(n)."""
     return ErrorKey(seed=rng.bytes(32), params=params)
 
 
 def derive_error(key: ErrorKey, nonce: bytes) -> GridFunction:
     """Deterministic error for (key, nonce), distributed per key.params.
 
-    The first 32 bytes of SHAKE-256 over seed || nonce, read as a little
-    endian integer, seed a fresh PCG64 through SeedSequence, and
-    sample_error draws from its raw words.  The error therefore depends
-    on the key, the nonce and those two NumPy guarantees alone, and on no
-    `Generator` method.
+    The coins are the SHAKE-256 stream over seed || nonce.  A binomial
+    key reads its first ceil(2 eta n / 8) bytes through `kem.cbd`.  A
+    Gaussian key reads n little-endian 64-bit words w and looks each
+    uniform (w >> 11) * 2^-53 up in the cached cdf: the draw is the first
+    support point whose cdf entry exceeds it.
     """
     if len(nonce) != NONCE_BYTES:
         raise ValueError(f"nonce must be {NONCE_BYTES} bytes, got {len(nonce)}")
-    stream_seed = int.from_bytes(xof_expand(key.seed + nonce, 32), "little")
-    return sample_error(key.params, np.random.default_rng(stream_seed))
+    p = key.params
+    if p.distribution == CENTERED_BINOMIAL:
+        values = cbd(xof_expand(key.seed + nonce, _cbd_bytes(p.n, p.eta)), p.n, p.eta)
+    else:
+        support, _, cdf, _ = _point_table(p.distribution, p.eta, p.sigma)
+        words = np.frombuffer(xof_expand(key.seed + nonce, 8 * p.n), dtype="<u8")
+        uniform = (words >> np.uint64(11)) * _DOUBLE_STEP
+        values = support[np.searchsorted(cdf, uniform, side="right")]
+    return make_grid_function(p.scale * values)

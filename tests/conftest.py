@@ -1,4 +1,4 @@
-"""Shared fixtures: cached singular systems and independent spectrum and coin oracles."""
+"""Shared fixtures: cached singular systems, independent spectrum and coin oracles, seed rngs."""
 
 import numpy as np
 import pytest
@@ -32,18 +32,40 @@ def reference_spectrum_2048():
 
 
 @pytest.fixture(scope="session")
-def integers_cbd():
-    """Centered binomial draws written on Generator.integers, the coin oracle.
+def sample_poly_cbd():
+    """FIPS 203 SamplePolyCBD for any eta, bit by bit in pure Python: the coin oracle.
 
-    This is how kem.cbd drew before it read raw PCG64 words: two
-    integers(0, 2) calls, positive terms first, summed over a last axis
-    of length eta.
+    Bit j of the byte string is bit j % 8 of byte j // 8; value i is the
+    sum of bits 2 i eta .. 2 i eta + eta - 1 minus the sum of the next
+    eta bits.  The streams it reads come from hashlib.shake_256 in the
+    tests, never from the library.
     """
 
-    def draw(rng, shape, eta):
-        size = tuple(np.atleast_1d(shape)) + (eta,)
-        a = rng.integers(0, 2, size=size, dtype=np.int64)
-        b = rng.integers(0, 2, size=size, dtype=np.int64)
-        return (a - b).sum(axis=-1)
+    def draw(data: bytes, count: int, eta: int) -> list[int]:
+        def bit(j):
+            return (data[j // 8] >> (j % 8)) & 1
+
+        return [
+            sum(bit(2 * i * eta + k) for k in range(eta))
+            - sum(bit(2 * i * eta + eta + k) for k in range(eta))
+            for i in range(count)
+        ]
 
     return draw
+
+
+class _SeedRng:
+    """An rng stand-in with only `bytes`: each bytes(32) call returns the next seed."""
+
+    def __init__(self, *seeds: bytes) -> None:
+        self._seeds = list(seeds)
+
+    def bytes(self, length: int) -> bytes:
+        assert length == 32, length
+        return self._seeds.pop(0)
+
+
+@pytest.fixture(scope="session")
+def seed_rng():
+    """Factory of rngs that hand out the given 32-byte seeds, in order, and nothing else."""
+    return _SeedRng

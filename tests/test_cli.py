@@ -282,6 +282,30 @@ def test_keygen_sym_gaussian_distribution(tmp_path, capsys):
     assert key.params.sigma == 1.5
 
 
+@pytest.mark.parametrize(
+    "dist_args",
+    [("--eta", "3"), ("--dist", "gaussian", "--sigma", "1.5")],
+    ids=["eta3", "gaussian-sigma1.5"],
+)
+def test_keygen_sym_file_round_trip_beyond_the_default_eta(tmp_path, capsys, dist_args):
+    """keygen -> encrypt -> decrypt through files for distributions other than eta = 2."""
+    key_file = tmp_path / "key.ipk"
+    ct_file = tmp_path / "msg.ipc"
+    code, _, _ = run(capsys, "keygen-sym", *dist_args, "--out", str(key_file), "--seed", "31")
+    assert code == 0
+    params = read_error_key(key_file.read_bytes()).params
+    assert (params.eta, params.sigma) == ((3, 1.0) if dist_args[1] == "3" else (2, 1.5))
+    for msg in ("a5c3", "0f1e", "ffff"):
+        code, _, _ = run(
+            capsys, "encrypt-sym", "--key", str(key_file), "--msg", msg,
+            "--out", str(ct_file), "--seed", msg,
+        )
+        assert code == 0
+        code, stdout, _ = run(capsys, "decrypt-sym", "--key", str(key_file), "--in", str(ct_file))
+        assert code == 0
+        assert kv(stdout)["msg"] == format(int(msg, 16), "016b")
+
+
 def test_keygen_sym_rejects_huge_eta(tmp_path, capsys):
     key_file = tmp_path / "key.ipk"
     code, _, stderr = run(capsys, "keygen-sym", "--eta", "600", "--out", str(key_file))

@@ -40,7 +40,7 @@ def test_error_key_layout_is_frozen():
     blob = write_error_key(key)
     expected = (
         b"IPK1"
-        + b"\x01"  # version
+        + b"\x02"  # version
         + b"\x02"  # binomial distribution id
         + struct.pack("<I", 2)  # eta
         + struct.pack("<d", 0.5)  # scale
@@ -227,4 +227,29 @@ def test_hybrid_rejects_malformed_input():
     with pytest.raises(ValueError, match="truncated"):
         read_hybrid_ciphertext(blob[:40])
     with pytest.raises(ValueError, match="version"):
-        read_hybrid_ciphertext(blob[:4] + b"\x02" + blob[5:])
+        read_hybrid_ciphertext(blob[:4] + b"\x09" + blob[5:])
+
+
+# ---------------------------------------------------------------- versions
+
+
+def test_version_1_error_key_is_refused_by_version():
+    """Version 1 keys belong to the earlier noise derivation and would decrypt wrongly."""
+    blob = write_error_key(binomial_key())
+    assert blob[4] == 2
+    with pytest.raises(ValueError, match="^unsupported error key version 1$"):
+        read_error_key(blob[:4] + b"\x01" + blob[5:])
+
+
+def test_version_1_hybrid_ciphertext_is_refused_by_version():
+    rng = RNG(9)
+    pair = pke_keygen(rng)
+    ct = pke_encrypt(pair.public, Message.random(8, rng), EncodingScheme.map2(8, 256), rng)
+    blob = write_hybrid_ciphertext(ct)
+    # Version 2 outside; the embedded IPQ1 and IPC1 blocks keep version 1.
+    assert blob[4] == 2
+    c1_len = struct.unpack("<I", blob[5:9])[0]
+    assert blob[9:14] == b"IPQ1\x01"
+    assert blob[9 + c1_len : 14 + c1_len] == b"IPC1\x01"
+    with pytest.raises(ValueError, match="^unsupported hybrid ciphertext version 1$"):
+        read_hybrid_ciphertext(blob[:4] + b"\x01" + blob[5:])

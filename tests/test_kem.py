@@ -10,7 +10,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ipcrypt import kem, noise
+from ipcrypt import kem
 from ipcrypt.formats import (
     read_kem_public_key,
     read_kem_secret_key,
@@ -110,158 +110,173 @@ def test_expand_matrix_doubling_path_matches_one_long_squeeze():
 
 
 def test_expand_matrix_rejects_modulus_above_16_bits(monkeypatch):
-    """q > 2^16 would reject every 16-bit word; it fails before any squeeze."""
+    """q > 2^16 would reject every 16-bit word; it fails before any matrix squeeze."""
     top = expand_matrix(b"\x04" * 32, KemParams(q=1 << 16, dim=4, secret_bits=8, eta=1))
     assert top.min() >= 0 and top.max() < 1 << 16
 
-    def no_squeeze(data, out_len):
-        raise AssertionError("squeezed for an impossible modulus")
+    squeezes = []
 
-    monkeypatch.setattr(kem, "xof_expand", no_squeeze)
+    def counted(data, out_len):
+        squeezes.append(out_len)
+        return xof_expand(data, out_len)
+
+    monkeypatch.setattr(kem, "xof_expand", counted)
     wide = KemParams(q=70000, dim=4, secret_bits=8, eta=1)
     with pytest.raises(ValueError, match="q <= 2\\^16"):
         kem_keygen(wide, np.random.default_rng(0))
+    # Only keygen's own squeeze ran: the 32-byte matrix seed and 64 coin pairs.
+    assert squeezes == [32 + 16]
     with pytest.raises(ValueError, match="q <= 2\\^16"):
         expand_matrix(b"\x05" * 32, wide)
+    assert squeezes == [32 + 16]
 
 
 # ---------------------------------------------------------------- binomial draws
 
 
 def test_cbd_bounds_and_shape():
-    rng = np.random.default_rng(0)
-    x = cbd(rng, (5, 7), 2)
-    assert x.shape == (5, 7)
+    data = xof_expand(b"cbd bounds", 64)
+    x = cbd(data, 35, 2)
+    assert x.shape == (35,)
+    assert x.dtype == np.int16
     assert np.abs(x).max() <= 2
-    y = cbd(rng, 10, 3)
+    y = cbd(data, 10, 3)
     assert y.shape == (10,)
     assert np.abs(y).max() <= 3
+    assert cbd(b"", 0, 2).shape == (0,)
     with pytest.raises(ValueError):
-        cbd(rng, 4, 0)
+        cbd(data, 4, 0)
 
 
 def test_cbd_histogram_matches_binomial_weights():
-    rng = np.random.default_rng(1)
-    draws = cbd(rng, 100_000, 2)
+    draws = cbd(xof_expand(b"cbd histogram", 50_000), 100_000, 2)
     freq = np.array([(draws == k).sum() for k in range(-2, 3)]) / draws.size
     np.testing.assert_allclose(freq, np.array([1, 4, 6, 4, 1]) / 16.0, atol=0.01)
     assert abs(draws.mean()) < 0.02
 
 
 CBD_SHAPES = [0, (1,), (5, 7), 256, (2, 3, 5)]
-OTHER_BIT_GENERATORS = [np.random.MT19937, np.random.PCG64DXSM, np.random.Philox]
-
-
-def primed(seed, prior):
-    """A PCG64 generator after `prior` one-coin integers draws.
-
-    Each such draw takes one 32-bit half-word, so an odd prior leaves the
-    high half of a word buffered in the bit generator.
-    """
-    rng = np.random.default_rng(seed)
-    for _ in range(prior):
-        rng.integers(0, 2, dtype=np.int64)
-    assert rng.bit_generator.state["has_uint32"] == prior % 2
-    return rng
-
-
-def assert_same_generator(got, want):
-    """Same bit generator state and buffered half-word, and same next draws.
-
-    A consumed half-word stays in `uinteger` with has_uint32 = 0, where
-    no draw reads it; it is compared only while buffered.
-    """
-    g, w = got.bit_generator.state, want.bit_generator.state
-    assert g["state"] == w["state"]
-    assert g["has_uint32"] == w["has_uint32"]
-    if w["has_uint32"]:
-        assert g["uinteger"] == w["uinteger"]
-    assert got.integers(0, 2, size=5).tolist() == want.integers(0, 2, size=5).tolist()
-    assert got.bytes(7) == want.bytes(7)
-    assert got.integers(0, 2**40, size=3).tolist() == want.integers(0, 2**40, size=3).tolist()
 
 
 @pytest.mark.parametrize("prior", [0, 1, 2, 3])
 @pytest.mark.parametrize("shape", CBD_SHAPES, ids=str)
 @pytest.mark.parametrize("eta", [1, 2, 3])
-def test_cbd_matches_the_integers_draw_bit_for_bit(integers_cbd, eta, shape, prior):
-    """Raw-word coins equal two Generator.integers(0, 2) calls, buffered half-word included."""
-    seed = 100 * eta + prior
-    got_rng, want_rng = primed(seed, prior), primed(seed, prior)
-    got = cbd(got_rng, shape, eta)
-    want = integers_cbd(want_rng, shape, eta)
-    assert got.dtype == np.int64
-    assert got.shape == want.shape
-    np.testing.assert_array_equal(got, want)
-    assert_same_generator(got_rng, want_rng)
+def test_cbd_matches_the_integers_draw_bit_for_bit(sample_poly_cbd, eta, shape, prior):
+    """cbd equals the oracle's bit-by-bit integer draw, starting `prior` bytes into a squeeze.
+
+    The KEM slices its coins out of one squeeze after other bytes (keygen's
+    coins start after seed_a), so the draw must not depend on where in the
+    stream its bytes begin.
+    """
+    count = int(np.prod(shape))
+    need = (2 * eta * count + 7) // 8
+    stream = hashlib.shake_256(f"cbd {eta} {shape}".encode()).digest(prior + need)
+    got = cbd(stream[prior:], count, eta)
+    assert got.dtype == np.int16
+    assert got.shape == (count,)
+    assert got.tolist() == sample_poly_cbd(stream[prior:], count, eta)
 
 
-def integers_keygen(params, rng, integers_cbd):
-    """kem_keygen written on Generator.integers, with an int64 product."""
-    seed_a = rng.bytes(32)
-    s = integers_cbd(rng, (params.dim, params.secret_bits), params.eta)
-    e = integers_cbd(rng, (params.dim, params.secret_bits), params.eta)
-    return seed_a, s, (expand_matrix(seed_a, params) @ s + e) % params.q
+# (count, eta): eta 256 is the ErrorParams cap, and 87 one-bit coin pairs
+# fill 174 bits, which is not a whole number of bytes.
+ORACLE_CASES = [(40, 256), (87, 1), (87, 3)]
 
 
-def integers_encaps(pk, rng, integers_cbd):
-    """kem_encaps written on Generator.integers, with int64 products."""
-    params = pk.params
-    bits = rng.integers(0, 2, size=params.secret_bits, dtype=np.int64)
-    r = integers_cbd(rng, params.dim, params.eta)
-    e_u = integers_cbd(rng, params.dim, params.eta)
-    e_v = integers_cbd(rng, params.secret_bits, params.eta)
-    u = (r @ expand_matrix(pk.seed_a, params) + e_u) % params.q
-    v = (r @ pk.b_pub + e_v + bits * params.half_q) % params.q
-    return np.packbits(bits.astype(np.uint8), bitorder="little").tobytes(), u, v
-
-
-@pytest.mark.parametrize("prior", [0, 1, 2, 3])
-@pytest.mark.parametrize("params", [SMALL, DESK_PARAMS], ids=["small", "desk"])
-def test_keygen_and_encaps_match_the_integers_draws(integers_cbd, params, prior):
-    """One coin read per matrix in keygen and per encapsulation, bit for bit."""
-    got_rng, want_rng = primed(7 + prior, prior), primed(7 + prior, prior)
-    pair = kem_keygen(params, got_rng)
-    seed_a, s, b = integers_keygen(params, want_rng, integers_cbd)
-    assert pair.public.seed_a == seed_a
-    np.testing.assert_array_equal(pair.secret.s, s)
-    np.testing.assert_array_equal(pair.public.b_pub, b)
-    assert_same_generator(got_rng, want_rng)
-
-    for _ in range(prior):
-        got_rng.integers(0, 2)
-        want_rng.integers(0, 2)
-    shared, ct = kem_encaps(pair.public, got_rng)
-    want_shared, u, v = integers_encaps(pair.public, want_rng, integers_cbd)
-    assert shared.data == want_shared
-    np.testing.assert_array_equal(ct.u, u)
-    np.testing.assert_array_equal(ct.v, v)
-    assert_same_generator(got_rng, want_rng)
-
-
-@pytest.mark.parametrize("bit_generator", OTHER_BIT_GENERATORS)
-def test_kem_draws_refuse_other_bit_generators(bit_generator):
-    public = kem_keygen(SMALL, np.random.default_rng(0)).public
-    rng = np.random.Generator(bit_generator(0))
-    with pytest.raises(ValueError, match="PCG64"):
-        cbd(rng, 4, 2)
-    with pytest.raises(ValueError, match="PCG64"):
-        kem_keygen(SMALL, rng)
-    with pytest.raises(ValueError, match="PCG64"):
-        kem_encaps(public, rng)
+@pytest.mark.parametrize("count,eta", ORACLE_CASES, ids=[f"n{c}-eta{e}" for c, e in ORACLE_CASES])
+def test_cbd_matches_the_sample_poly_cbd_oracle(sample_poly_cbd, count, eta):
+    """Bit for bit against pure-Python SamplePolyCBD; bytes past the draw are ignored."""
+    need = (2 * eta * count + 7) // 8
+    data = hashlib.shake_256(f"cbd {count} {eta}".encode()).digest(need + 5)
+    got = cbd(data, count, eta)
+    assert got.tolist() == sample_poly_cbd(data, count, eta)
+    np.testing.assert_array_equal(cbd(data[:need], count, eta), got)
+    if eta == 256:
+        # All ones then all zeros reach the extremes, exactly.
+        assert cbd(b"\xff" * 32 + bytes(32), 1, 256).tolist() == [256]
+        assert cbd(bytes(32) + b"\xff" * 32, 1, 256).tolist() == [-256]
 
 
 @pytest.mark.parametrize(
-    "shape,eta,error",
-    [(2.5, 2, TypeError), ((2, 2.0), 2, TypeError), (-1, 2, ValueError),
-     ((3, -1), 2, ValueError), (4, 0, ValueError)],
+    "count,eta,error",
+    [(2.5, 2, TypeError), (np.float64(2.0), 2, TypeError), (-1, 2, ValueError),
+     (4, 0, ValueError)],
 )
-def test_cbd_rejects_bad_arguments_before_drawing(shape, eta, error):
-    rng = primed(5, 1)
-    before = rng.bit_generator.state
+def test_cbd_rejects_bad_arguments_before_drawing(count, eta, error):
+    """Non-integer counts, negative counts and eta < 1 are refused."""
     with pytest.raises(error):
-        cbd(rng, shape, eta)
-    assert rng.bit_generator.state == before
+        cbd(bytes(64), count, eta)
+
+
+def test_cbd_refuses_short_data():
+    with pytest.raises(ValueError, match="read 2 bytes, got 1"):
+        cbd(bytes(1), 4, 2)
+    # 87 one-bit coin pairs fill 174 bits: 22 bytes, the last one partly.
+    cbd(bytes(22), 87, 1)
+    with pytest.raises(ValueError, match="read 22 bytes, got 21"):
+        cbd(bytes(21), 87, 1)
+
+
+def oracle_keygen(params, d, sample_poly_cbd):
+    """kem_keygen spelled out: SHAKE-256(d) = seed_a || coins of S then E."""
+    count = params.dim * params.secret_bits
+    stream = hashlib.shake_256(d).digest(32 + (4 * params.eta * count + 7) // 8)
+    values = np.array(sample_poly_cbd(stream[32:], 2 * count, params.eta), dtype=np.int64)
+    s, e = values.reshape(2, params.dim, params.secret_bits)
+    seed_a = stream[:32]
+    return seed_a, s, (expand_matrix(seed_a, params) @ s + e) % params.q
+
+
+def oracle_encaps(pk, seed, sample_poly_cbd):
+    """kem_encaps spelled out: SHAKE-256(seed) = secret || coins of r, e_u, e_v."""
+    params = pk.params
+    m, dim = params.secret_bits // 8, params.dim
+    total = 2 * dim + params.secret_bits
+    stream = hashlib.shake_256(seed).digest(m + (2 * params.eta * total + 7) // 8)
+    secret = stream[:m]
+    bits = np.array([(secret[j // 8] >> (j % 8)) & 1 for j in range(params.secret_bits)])
+    noise = np.array(sample_poly_cbd(stream[m:], total, params.eta), dtype=np.int64)
+    r, e_u, e_v = noise[:dim], noise[dim : 2 * dim], noise[2 * dim :]
+    u = (r @ expand_matrix(pk.seed_a, params) + e_u) % params.q
+    v = (r @ pk.b_pub + e_v + bits * params.half_q) % params.q
+    return secret, u, v
+
+
+# ODD fills 2 * (2 * 5 + 8) = 36 encapsulation coin bits, not a whole
+# number of bytes.
+ODD = KemParams(q=12289, dim=5, secret_bits=8, eta=1)
+ORACLE_PARAMS = {"small": SMALL, "odd": ODD, "eta3": KemParams(dim=16, secret_bits=16, eta=3),
+                 "desk": DESK_PARAMS}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_PARAMS))
+def test_keygen_and_encaps_match_the_shake_oracle(sample_poly_cbd, seed_rng, name):
+    """S, E, r, e_u, e_v and the secret bits are SamplePolyCBD over SHAKE-256 of the seeds."""
+    params = ORACLE_PARAMS[name]
+    d, coins = hashlib.sha256(name.encode()).digest(), hashlib.sha256(name.encode() * 2).digest()
+    pair = kem_keygen(params, seed_rng(d))
+    seed_a, s, b = oracle_keygen(params, d, sample_poly_cbd)
+    assert pair.public.seed_a == seed_a
+    np.testing.assert_array_equal(pair.secret.s, s)
+    np.testing.assert_array_equal(pair.public.b_pub, b)
+
+    shared, ct = kem_encaps(pair.public, seed_rng(coins))
+    secret, u, v = oracle_encaps(pair.public, coins, sample_poly_cbd)
+    assert shared.data == secret
+    np.testing.assert_array_equal(ct.u, u)
+    np.testing.assert_array_equal(ct.v, v)
+
+
+def test_keygen_and_encaps_need_only_rng_bytes(seed_rng):
+    """An rng with nothing but bytes(32) serves keygen and encapsulation, one call each."""
+    rng = seed_rng(*(hashlib.sha256(bytes([i])).digest() for i in range(7)))
+    kem_keygen(SMALL, rng)
+    pair = kem_keygen(DESK_PARAMS, rng)
+    for _ in range(5):
+        secret, ct = kem_encaps(pair.public, rng)
+        assert kem_decaps(pair.secret, ct).data == secret.data
+    # All seven seeds were taken.
+    with pytest.raises(IndexError):
+        rng.bytes(32)
 
 
 # ---------------------------------------------------------------- exact products
@@ -299,19 +314,6 @@ def test_exact_matmul_is_the_only_matrix_product():
     )
     assert len(matmuls) == 1
     assert matmuls[0] in list(ast.walk(helper))
-
-
-def test_kem_and_noise_draw_without_generator_integers():
-    """Coins come from raw PCG64 words: no `.integers(` call in kem or noise."""
-    for module in (kem, noise):
-        calls = [
-            node
-            for node in ast.walk(ast.parse(inspect.getsource(module)))
-            if isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "integers"
-        ]
-        assert calls == [], module.__name__
 
 
 # ---------------------------------------------------------------- keygen

@@ -3,15 +3,16 @@
 `tests/kat/kem.json` was computed once by `kem_vectors()` below from the
 commit recorded in its `generated_at` field.  Every value is pinned
 exactly: integers as lists, large arrays and files as SHA-256 digests of
-their bytes.  A mismatch means the KEM's output changed for the same seed;
-find out why, and never regenerate the file to make a failure go away.
+their bytes.  Keys and ciphertexts are functions of 32-byte seeds, fed to
+keygen and encapsulation through an rng whose bytes(32) returns them.  A
+mismatch means the KEM's output changed for the same seed; find out why,
+and never regenerate the file to make a failure go away.
 """
 
 import hashlib
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from ipcrypt.formats import (
@@ -37,21 +38,27 @@ MATRIX_SETS = {
     "half_rejected": KemParams(q=32771, dim=64, secret_bits=8, eta=1),
 }
 MATRIX_SEED = bytes(range(32))
-CBD_CASES = [(0, 1, (16,)), (1, 2, (16,)), (2, 3, (16,)), (3, 2, (3, 4))]
-KEM_RNG_SEEDS = [0, 1, 2]
+# (eta, count): 87 one-bit coin pairs end inside a byte.
+CBD_CASES = [(1, 16), (2, 16), (3, 16), (2, 12), (1, 87)]
+# (keygen seed d, encapsulation seed) per case.
+KEM_SEEDS = [(bytes([k]) * 32, bytes([0x80 | k]) * 32) for k in range(3)]
 
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _kem_case(seed: int) -> dict:
-    """Keygen then encaps from one default_rng(seed) stream, then decaps."""
-    rng = np.random.default_rng(seed)
-    pair = kem_keygen(DESK_PARAMS, rng)
-    secret, ct = kem_encaps(pair.public, rng)
+def _cbd_data(eta: int, count: int) -> bytes:
+    return hashlib.shake_256(f"cbd kat {eta} {count}".encode()).digest((2 * eta * count + 7) // 8)
+
+
+def _kem_case(d: bytes, coins: bytes, seed_rng) -> dict:
+    """Keygen from seed d, encaps from seed coins, then decaps."""
+    pair = kem_keygen(DESK_PARAMS, seed_rng(d))
+    secret, ct = kem_encaps(pair.public, seed_rng(coins))
     return {
-        "rng_seed": seed,
+        "keygen_seed": d.hex(),
+        "encaps_seed": coins.hex(),
         "seed_a": pair.public.seed_a.hex(),
         "b_pub_sha256_u16le": _sha256(pair.public.b_pub.astype("<u2").tobytes()),
         "s_sha256_i8": _sha256(pair.secret.s.astype("<i1").tobytes()),
@@ -65,7 +72,7 @@ def _kem_case(seed: int) -> dict:
     }
 
 
-def kem_vectors() -> dict:
+def kem_vectors(seed_rng) -> dict:
     """Every pinned value, computed from the library under test."""
     return {
         "expand_matrix": {
@@ -80,14 +87,14 @@ def kem_vectors() -> dict:
         },
         "cbd": [
             {
-                "rng_seed": seed,
                 "eta": eta,
-                "shape": list(shape),
-                "values": cbd(np.random.default_rng(seed), shape, eta).tolist(),
+                "count": count,
+                "data": _cbd_data(eta, count).hex(),
+                "values": cbd(_cbd_data(eta, count), count, eta).tolist(),
             }
-            for seed, eta, shape in CBD_CASES
+            for eta, count in CBD_CASES
         ],
-        "kem": [_kem_case(seed) for seed in KEM_RNG_SEEDS],
+        "kem": [_kem_case(d, coins, seed_rng) for d, coins in KEM_SEEDS],
     }
 
 
@@ -97,8 +104,8 @@ def stored():
 
 
 @pytest.fixture(scope="module")
-def computed():
-    return kem_vectors()
+def computed(seed_rng):
+    return kem_vectors(seed_rng)
 
 
 def test_kat_file_records_its_source_commit(stored):
@@ -115,7 +122,7 @@ def test_cbd_kat(stored, computed):
     assert computed["cbd"] == stored["cbd"]
 
 
-@pytest.mark.parametrize("index", range(len(KEM_RNG_SEEDS)))
+@pytest.mark.parametrize("index", range(len(KEM_SEEDS)))
 def test_kem_keys_ciphertexts_and_files_kat(stored, computed, index):
     want, got = stored["kem"][index], computed["kem"][index]
     assert got["shared_secret"] == got["decaps"]

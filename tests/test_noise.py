@@ -1,14 +1,15 @@
 """Discrete error distributions, entropy accounting, keyed derivation."""
 
-import math
+import ast
+import hashlib
+import inspect
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ipcrypt.encoding import EncodingScheme, Message
-from ipcrypt.kem import xof_expand
+from ipcrypt import noise
 from ipcrypt.noise import (
     CENTERED_BINOMIAL,
     DISCRETE_GAUSSIAN,
@@ -20,9 +21,7 @@ from ipcrypt.noise import (
     entropy_bits,
     keygen,
     point_distribution,
-    sample_error,
 )
-from ipcrypt.symmetric import sym_decrypt, sym_encrypt
 
 
 def cb_params(n=256, scale=0.5, eta=2):
@@ -92,45 +91,46 @@ def test_error_params_validation():
 # ---------------------------------------------------------------- sampling
 
 
+def _draws(params, count, label=b"draws"):
+    """derive_error over count nonces, one key: count * n point draws, scaled."""
+    key = ErrorKey(seed=hashlib.sha256(label).digest(), params=params)
+    return np.concatenate([derive_error(key, i.to_bytes(16, "little")).values for i in range(count)])
+
+
 def test_sample_error_values_live_on_scaled_support():
-    params = cb_params(scale=0.25)
-    e = sample_error(params, np.random.default_rng(0))
-    assert e.n == 256
-    lattice = e.values / 0.25
+    e = _draws(cb_params(scale=0.25), 1)
+    assert e.size == 256
+    lattice = e / 0.25
     np.testing.assert_array_equal(lattice, np.round(lattice))
     assert np.abs(lattice).max() <= 2
 
 
 def test_sample_error_gaussian_respects_truncation():
-    params = dg_params(scale=1.0, sigma=1.0)
-    e = sample_error(params, np.random.default_rng(1))
-    np.testing.assert_array_equal(e.values, np.round(e.values))
-    assert np.abs(e.values).max() <= 6
+    e = _draws(dg_params(scale=1.0, sigma=1.0), 4)
+    np.testing.assert_array_equal(e, np.round(e))
+    assert np.abs(e).max() <= 6
 
 
 def test_sample_error_moments():
     """1e5 draws: mean near 0, variance near eta/2 * scale^2 (within 5%)."""
-    params = cb_params(n=1000, scale=1.0)
-    rng = np.random.default_rng(42)
-    draws = np.concatenate([sample_error(params, rng).values for _ in range(100)])
+    draws = _draws(cb_params(n=1000, scale=1.0), 100)
     assert abs(draws.mean()) < 0.02
     assert draws.var() == pytest.approx(1.0, rel=0.05)
 
 
 def test_sample_error_gaussian_moments():
-    params = dg_params(n=1000, scale=1.0, sigma=1.5)
-    rng = np.random.default_rng(43)
-    draws = np.concatenate([sample_error(params, rng).values for _ in range(100)])
+    draws = _draws(dg_params(n=1000, scale=1.0, sigma=1.5), 100)
     assert abs(draws.mean()) < 0.03
     assert draws.var() == pytest.approx(1.5**2, rel=0.05)
 
 
-@given(st.sampled_from([0.125, 0.5, 1.0, 3.0]), st.integers(0, 2**32 - 1))
+@given(st.sampled_from([0.125, 0.5, 1.0, 3.0]), st.binary(min_size=32, max_size=32))
 @settings(max_examples=25, deadline=None)
 def test_scale_factors_out_of_sampling(scale, seed):
-    """Same generator stream: scaled params give exactly scaled values."""
-    base = sample_error(cb_params(scale=1.0), np.random.default_rng(seed))
-    scaled = sample_error(cb_params(scale=scale), np.random.default_rng(seed))
+    """Same seed and nonce: scaled params give exactly scaled values."""
+    nonce = bytes(16)
+    base = derive_error(ErrorKey(seed=seed, params=cb_params(scale=1.0)), nonce)
+    scaled = derive_error(ErrorKey(seed=seed, params=cb_params(scale=scale)), nonce)
     np.testing.assert_array_equal(scaled.values, scale * base.values)
 
 
@@ -201,27 +201,29 @@ def test_derive_error_rejects_bad_nonce():
         derive_error(key, b"\x00" * 8)
 
 
-# ---------------------------------------------------------------- raw-word sampler
+# ---------------------------------------------------------------- SHAKE-256 sampler
 
 
-def _generator_method_draw(key: ErrorKey, nonce: bytes, integers_cbd) -> np.ndarray:
-    """The derivation as it was built on Generator methods, written out here.
+def _oracle_draw(key: ErrorKey, nonce: bytes, sample_poly_cbd) -> np.ndarray:
+    """derive_error spelled out over hashlib.shake_256(seed || nonce).
 
-    The XOF seeds default_rng; the binomial comes from two
-    Generator.integers calls (the integers_cbd oracle) and the Gaussian
-    from Generator.choice over the 6-sigma-truncated support with weights
-    exp(-k^2 / 2 sigma^2).
+    Binomial: SamplePolyCBD over the first ceil(2 eta n / 8) bytes.
+    Gaussian: per little-endian 64-bit word w, the first support point
+    whose cdf entry exceeds (w >> 11) / 2^53, found by a linear scan.
     """
     params = key.params
-    rng = np.random.default_rng(int.from_bytes(xof_expand(key.seed + nonce, 32), "little"))
+    xof = hashlib.shake_256(key.seed + nonce)
     if params.distribution == CENTERED_BINOMIAL:
-        values = integers_cbd(rng, params.n, params.eta)
+        need = (2 * params.eta * params.n + 7) // 8
+        values = sample_poly_cbd(xof.digest(need), params.n, params.eta)
     else:
-        cut = int(math.floor(6.0 * params.sigma))
-        support = np.arange(-cut, cut + 1)
-        probs = np.exp(-0.5 * (support / params.sigma) ** 2)
-        values = rng.choice(support, size=params.n, p=probs / probs.sum())
-    return params.scale * values.astype(np.float64)
+        support, _, cdf, _ = noise._point_table(params.distribution, params.eta, params.sigma)
+        stream = xof.digest(8 * params.n)
+        values = []
+        for i in range(params.n):
+            u = (int.from_bytes(stream[8 * i : 8 * i + 8], "little") >> 11) / 2.0**53
+            values.append(int(support[next(j for j, c in enumerate(cdf) if c > u)]))
+    return params.scale * np.array(values, dtype=np.float64)
 
 
 SAMPLER_SHAPES = [("eta", 1), ("eta", 2), ("eta", 3), ("eta", 256), ("sigma", 0.8), ("sigma", 3.0)]
@@ -229,74 +231,43 @@ SAMPLER_SHAPES = [("eta", 1), ("eta", 2), ("eta", 3), ("eta", 256), ("sigma", 0.
 
 @pytest.mark.parametrize("kind,value", SAMPLER_SHAPES, ids=[f"{k}{v}" for k, v in SAMPLER_SHAPES])
 @pytest.mark.parametrize("n", [255, 256])
-def test_derive_error_matches_the_generator_method_draw(n, kind, value, integers_cbd):
-    """Raw PCG64 words give, bit for bit, what Generator.integers / choice gave.
-
-    Odd and even n; every size here clears the 128-bit entropy floor.
-    """
+def test_derive_error_matches_the_shake_oracle(n, kind, value, sample_poly_cbd):
+    """Odd and even n; every size here clears the 128-bit entropy floor."""
     if kind == "eta":
         params = cb_params(n=n, scale=0.37, eta=value)
     else:
         params = dg_params(n=n, scale=0.37, sigma=value)
     key = ErrorKey(seed=bytes(range(32, 64)), params=params)
-    nonces = np.random.default_rng(n * 1000 + int(value * 10))
-    for _ in range(50):
-        nonce = nonces.bytes(16)
+    for i in range(5):
+        nonce = hashlib.sha256(bytes([n % 256, i])).digest()[:16]
         got = derive_error(key, nonce).values
-        np.testing.assert_array_equal(got, _generator_method_draw(key, nonce, integers_cbd))
+        np.testing.assert_array_equal(got, _oracle_draw(key, nonce, sample_poly_cbd))
 
 
-class _NoMethodGenerator(np.random.Generator):
-    """A Generator whose drawing methods all raise."""
-
-    def integers(self, *args, **kwargs):
-        raise AssertionError("Generator.integers called")
-
-    def choice(self, *args, **kwargs):
-        raise AssertionError("Generator.choice called")
-
-    def random(self, *args, **kwargs):
-        raise AssertionError("Generator.random called")
-
-
-def test_derivation_calls_no_generator_method(monkeypatch):
-    """derive_error and sym_decrypt draw from raw words alone.
-
-    The methods of an extension type cannot be replaced in place, so every
-    generator derive_error builds is a subclass whose methods raise.
-    """
-    scheme = EncodingScheme.map2(32, 256)
-    msg = Message.from_int(0x5EED, 32)
-    nonce = bytes(range(16))
-    keys = [
-        ErrorKey(seed=b"\x11" * 32, params=cb_params()),
-        ErrorKey(seed=b"\x22" * 32, params=dg_params(scale=0.25, sigma=1.5)),
+def test_noise_module_does_not_use_numpy_random():
+    """The error is a function of SHAKE-256 alone: no np.random in noise.py."""
+    tree = ast.parse(inspect.getsource(noise))
+    uses = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "random"
     ]
-    expected = [derive_error(key, nonce).values for key in keys]
-    cts = [sym_encrypt(key, msg, scheme, nonce) for key in keys]
-    built = []
-
-    def no_method_rng(seed):
-        built.append(seed)
-        return _NoMethodGenerator(np.random.PCG64(seed))
-
-    monkeypatch.setattr(np.random, "default_rng", no_method_rng)
-    with pytest.raises(AssertionError, match="integers"):
-        np.random.default_rng(0).integers(0, 2)
-    for key, want, ct in zip(keys, expected, cts):
-        np.testing.assert_array_equal(derive_error(key, nonce).values, want)
-        assert sym_decrypt(key, ct) == msg
-    assert len(built) == 1 + 2 * len(keys)
+    imports = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+        if "random" in alias.name or "random" in (getattr(node, "module", None) or "")
+    ]
+    assert uses == [] and imports == []
 
 
-@pytest.mark.parametrize(
-    "bit_generator", [np.random.MT19937, np.random.PCG64DXSM, np.random.Philox]
-)
-def test_sample_error_rejects_other_bit_generators(bit_generator):
-    rng = np.random.Generator(bit_generator(0))
-    for params in (cb_params(), dg_params()):
-        with pytest.raises(ValueError, match="PCG64"):
-            sample_error(params, rng)
+def test_entropy_is_read_from_the_sampled_table():
+    """The probabilities are the steps of the cdf derive_error looks up, and the entropy theirs."""
+    for params in (cb_params(eta=3), dg_params(sigma=1.7)):
+        _, probs, cdf, entropy = noise._point_table(params.distribution, params.eta, params.sigma)
+        np.testing.assert_array_equal(probs, np.diff(cdf, prepend=0.0))
+        assert entropy == entropy_bits(params) == float(-np.sum(probs * np.log2(probs)))
 
 
 def test_point_table_is_cached_and_read_only():

@@ -37,8 +37,8 @@ SEED = bytes(range(32))
 
 
 def error_key_blob(dist: bytes) -> bytes:
-    """IPK1 file with the given distribution id + parameter bytes, n = 256."""
-    return b"IPK1\x01" + dist + struct.pack("<dI", 0.5, 256) + SEED
+    """Version 2 IPK1 file with the given distribution id + parameter bytes, n = 256."""
+    return b"IPK1\x02" + dist + struct.pack("<dI", 0.5, 256) + SEED
 
 
 ETA_600_KEY = error_key_blob(struct.pack("<BI", 0x02, 600))
