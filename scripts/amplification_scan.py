@@ -16,7 +16,7 @@ import argparse
 
 import numpy as np
 
-from ipcrypt.grid import make_grid_function, midpoints
+from ipcrypt.grid import midpoints
 from ipcrypt.hso import build_hso, hso_svd, noise_amplification_experiment
 
 
@@ -33,7 +33,7 @@ def main() -> None:
           f"{'mean amp':>12} {'max amp':>12} {'x prev':>8}")
     prev = None
     for n in args.n:
-        profile = make_grid_function(np.sin(2.0 * np.pi * midpoints(n)))
+        profile = np.sin(2.0 * np.pi * midpoints(n))
         result = noise_amplification_experiment(
             build_hso(n), profile, args.sigma, args.trials, args.seed
         )

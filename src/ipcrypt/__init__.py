@@ -21,7 +21,7 @@ from .attacks import (
     known_plaintext_experiment,
 )
 from .encoding import EncodingScheme, Message, decode, encode
-from .grid import GridFunction, inner_product, make_grid_function, midpoints, norm
+from .grid import GridFunction, midpoints, norm
 from .hso import (
     AmplificationReport,
     DecayClassification,
@@ -66,8 +66,6 @@ __all__ = [
     "decode",
     "encode",
     "GridFunction",
-    "inner_product",
-    "make_grid_function",
     "midpoints",
     "norm",
     "AmplificationReport",

@@ -1,6 +1,7 @@
 """Attacks on the noise-masked cipher, honest and otherwise.
 
-Every inversion attack is a spectral filter on the exact singular system:
+Every inversion attack is a spectral filter on the exact singular system,
+applied to the float64 samples of the ciphertext body:
 it keeps sum_k phi(s_k) <C, u_k> u_k and decodes.  The naive attack uses
 phi = 1/s, the exact inverse, which it applies in O(n) through the
 tridiagonal A^-1 without the singular vectors; the keyed error, amplified
@@ -15,7 +16,9 @@ experiments chart.
 Two structural leaks are also implemented: nonce reuse, where the
 difference of two ciphertexts cancels the error exactly, and a
 known-plaintext experiment checking that recovered error terms from
-chosen queries say nothing about fresh errors.
+chosen queries say nothing about fresh errors.  Inversions, encodings
+and differences are plain arrays; only a ciphertext carries its body as
+a GridFunction.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 
 from . import hso
 from .encoding import EncodingScheme, Message, decode, encode
-from .grid import GridFunction, make_grid_function, norm
+from .grid import norm
 from .noise import ErrorKey
 from .symmetric import SymCiphertext, sym_encrypt
 
@@ -124,27 +127,28 @@ def bit_accuracy(a: Message, b: Message) -> float:
     return agree / a.t
 
 
-def tikhonov_apply(factors: hso.SVDFactors, v: GridFunction, alpha: float) -> GridFunction:
-    """Filtered inversion sum_k s_k/(s_k^2 + alpha) <v, u_k> u_k."""
+def tikhonov_apply(factors: hso.SVDFactors, v: np.ndarray, alpha: float) -> np.ndarray:
+    """Filtered inversion sum_k s_k/(s_k^2 + alpha) <v, u_k> u_k of the samples v."""
     return hso.filtered_inverse(factors, v, Tikhonov(alpha).filter(factors.singular_values))
 
 
 def _attack(
     ct: SymCiphertext,
     label: str,
-    invert: Callable[[GridFunction], GridFunction],
+    invert: Callable[[np.ndarray], np.ndarray],
     truth: Message | None,
 ) -> AttackReport:
     """Invert the ciphertext body, decode it, and score against truth.
 
     invert is hso.naive_inverse_apply or hso.filtered_inverse; both
-    reject a body on another grid than the factors before any other work.
+    reject a body on another grid than the operator or the factors before
+    any other work.
     """
     scheme = ct.scheme()
-    inverted = invert(ct.body)
+    inverted = invert(ct.body.values)
     recovered = decode(inverted, scheme)
     reference = truth if truth is not None else recovered
-    residual = norm(make_grid_function(inverted.values - encode(reference, scheme).values))
+    residual = norm(inverted - encode(reference, scheme))
     accuracy = bit_accuracy(recovered, truth) if truth is not None else None
     return AttackReport(
         method=label,
@@ -157,8 +161,13 @@ def _attack(
 def attack_naive(
     ct: SymCiphertext, factors: hso.SVDFactors, truth: Message | None = None
 ) -> AttackReport:
-    """Invert the raw ciphertext as if there were no error term."""
-    return _attack(ct, "naive", lambda v: hso.naive_inverse_apply(factors, v), truth)
+    """Invert the raw ciphertext as if there were no error term.
+
+    The exact inverse reads only the grid size factors.n, through the
+    cached operator; a body on another grid is rejected.
+    """
+    op = hso.build_hso(factors.n)
+    return _attack(ct, "naive", lambda v: hso.naive_inverse_apply(op, v), truth)
 
 
 def attack_regularized(
@@ -174,7 +183,7 @@ def attack_regularized(
     return _attack(ct, method.label, lambda v: hso.filtered_inverse(factors, v, phi), truth)
 
 
-def error_reuse_diff(ct1: SymCiphertext, ct2: SymCiphertext) -> GridFunction:
+def error_reuse_diff(ct1: SymCiphertext, ct2: SymCiphertext) -> np.ndarray:
     """Difference of two same-nonce ciphertexts: the error cancels exactly.
 
     What remains is S(encode(mu1) - encode(mu2)), a noise-free linear
@@ -184,10 +193,10 @@ def error_reuse_diff(ct1: SymCiphertext, ct2: SymCiphertext) -> GridFunction:
         raise ValueError("ciphertexts use different nonces; the error does not cancel")
     if ct1.n != ct2.n:
         raise ValueError(f"grid size mismatch: {ct1.n} vs {ct2.n}")
-    return make_grid_function(ct1.body.values - ct2.body.values)
+    return ct1.body.values - ct2.body.values
 
 
-def decode_difference(diff: GridFunction, scheme: EncodingScheme) -> tuple[int, ...]:
+def decode_difference(diff: np.ndarray, scheme: EncodingScheme) -> tuple[int, ...]:
     """Per-bit message difference in {-1, 0, +1} from a ciphertext difference.
 
     Inverts the noise-free difference exactly and reads each subinterval
@@ -197,11 +206,8 @@ def decode_difference(diff: GridFunction, scheme: EncodingScheme) -> tuple[int, 
     """
     if scheme.kind != "map2":
         raise ValueError("per-bit difference decoding needs the subinterval scheme")
-    if diff.n != scheme.n:
-        raise ValueError(f"grid size mismatch: {diff.n} vs {scheme.n}")
-    factors = hso.hso_svd(scheme.n)
-    inverted = hso.naive_inverse_apply(factors, diff)
-    means = inverted.values.reshape(scheme.t, scheme.n // scheme.t).mean(axis=1)
+    inverted = hso.naive_inverse_apply(hso.build_hso(scheme.n), diff)
+    means = inverted.reshape(scheme.t, scheme.n // scheme.t).mean(axis=1)
     return tuple(0 if abs(m) < 0.5 else (1 if m > 0 else -1) for m in means)
 
 
@@ -229,20 +235,17 @@ def known_plaintext_experiment(
     for msg in queries:
         nonce = rng.bytes(16)
         ct = sym_encrypt(key, msg, scheme, nonce)
-        smoothed = hso.apply_operator(op, encode(msg, scheme))
-        recovered_errors.append(ct.body.values - smoothed.values)
+        recovered_errors.append(ct.body.values - hso.apply_operator(op, encode(msg, scheme)))
 
     seen = {e.tobytes() for e in recovered_errors}
     all_distinct = len(seen) == len(recovered_errors)
 
-    factors = hso.hso_svd(scheme.n)
     predictor = recovered_errors[0]
     accuracies = []
     for _ in range(holdout_trials):
         msg = Message.random(scheme.t, rng)
         ct = sym_encrypt(key, msg, scheme, rng.bytes(16))
-        stripped = make_grid_function(ct.body.values - predictor)
-        guess = decode(hso.naive_inverse_apply(factors, stripped), scheme)
+        guess = decode(hso.naive_inverse_apply(op, ct.body.values - predictor), scheme)
         accuracies.append(bit_accuracy(guess, msg))
 
     return KnownPlaintextReport(

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import attacks, formats, hso, hybrid, lwe, symmetric
 from .encoding import EncodingScheme, Message, encode
-from .grid import make_grid_function, midpoints, norm
+from .grid import midpoints, norm
 from .kem import DEFAULT_KEM, xof_expand
 from .noise import CENTERED_BINOMIAL, DISCRETE_GAUSSIAN, ErrorParams
 
@@ -91,7 +91,7 @@ def _amplification_run(
     n: int, sigma: float, trials: int, seed: bytes, label: str
 ) -> hso.AmplificationReport:
     """Naive-inversion noise amplification on a smooth sine source term."""
-    profile = make_grid_function(np.sin(2.0 * np.pi * midpoints(n)))
+    profile = np.sin(2.0 * np.pi * midpoints(n))
     return hso.noise_amplification_experiment(
         hso.build_hso(n), profile, sigma, trials, _derive_entropy(seed, label)
     )
@@ -174,7 +174,7 @@ def _cmd_encode(args) -> int:
             f"# encoded message, encoding={args.encoding} t={args.msg.t} n={scheme.n}",
             "i,y,value",
         ]
-        lines += [f"{i},{float(y[i])!r},{float(v)!r}" for i, v in enumerate(u.values)]
+        lines += [f"{i},{float(y[i])!r},{float(v)!r}" for i, v in enumerate(u)]
         _write_lines(args.out, lines)
     print(f"encoding={args.encoding}")
     print(f"t={args.msg.t}")

@@ -5,8 +5,10 @@ the integer k - 1, to the k-th member of an orthonormal basis: either
 the trigonometric system {1, sqrt(2) cos(2 pi j y), sqrt(2) sin(2 pi j y)}
 or the dyadic step system (Haar).  Map2 sends bit j to the indicator of
 the j-th of t equal subintervals, so the message is a piecewise constant
-0/1 profile.  Both are exactly invertible from clean samples; decoding
-tolerances against perturbation differ and are probed in the tests.
+0/1 profile.  An encoded message is the float64 array of its n
+midpoint samples, and decoding reads such an array.  Both maps are
+exactly invertible from clean samples; decoding tolerances against
+perturbation differ and are probed in the tests.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import GridFunction, make_grid_function, midpoints
+from .grid import midpoints
 
 __all__ = [
     "Message",
@@ -197,10 +199,10 @@ def basis_vector(k: int, scheme: EncodingScheme) -> np.ndarray:
     return _haar_vector(k, scheme.n)
 
 
-def encode_map1(msg: Message, scheme: EncodingScheme) -> GridFunction:
+def encode_map1(msg: Message, scheme: EncodingScheme) -> np.ndarray:
     if msg.t != scheme.t:
         raise ValueError(f"message length {msg.t} != scheme t = {scheme.t}")
-    return make_grid_function(basis_vector(msg.to_int() + 1, scheme))
+    return basis_vector(msg.to_int() + 1, scheme)
 
 
 @lru_cache(maxsize=16)
@@ -211,40 +213,40 @@ def _decode_table(scheme: EncodingScheme) -> np.ndarray:
     return table
 
 
-def decode_map1(u: GridFunction, scheme: EncodingScheme) -> Message:
+def decode_map1(u: np.ndarray, scheme: EncodingScheme) -> Message:
     """Nearest-basis-element decoding by maximal correlation.
 
     Ties break toward the smaller index, so decoding is a deterministic
     function of the samples.
     """
-    if u.n != scheme.n:
-        raise ValueError(f"grid size mismatch: {u.n} vs {scheme.n}")
-    corr = np.abs(_decode_table(scheme).T @ u.values)
+    if u.shape != (scheme.n,):
+        raise ValueError(f"grid size mismatch: {u.shape} vs {(scheme.n,)}")
+    corr = np.abs(_decode_table(scheme).T @ u)
     return Message.from_int(int(np.argmax(corr)), scheme.t)
 
 
-def encode_map2(msg: Message, scheme: EncodingScheme) -> GridFunction:
+def encode_map2(msg: Message, scheme: EncodingScheme) -> np.ndarray:
     if msg.t != scheme.t:
         raise ValueError(f"message length {msg.t} != scheme t = {scheme.t}")
     cells = scheme.n // scheme.t
-    return make_grid_function(np.repeat(np.asarray(msg.bits, dtype=np.float64), cells))
+    return np.repeat(np.asarray(msg.bits, dtype=np.float64), cells)
 
 
-def decode_map2(u: GridFunction, scheme: EncodingScheme) -> Message:
+def decode_map2(u: np.ndarray, scheme: EncodingScheme) -> Message:
     """Per-subinterval mean thresholded at 1/2."""
-    if u.n != scheme.n:
-        raise ValueError(f"grid size mismatch: {u.n} vs {scheme.n}")
-    means = u.values.reshape(scheme.t, scheme.n // scheme.t).mean(axis=1)
+    if u.shape != (scheme.n,):
+        raise ValueError(f"grid size mismatch: {u.shape} vs {(scheme.n,)}")
+    means = u.reshape(scheme.t, scheme.n // scheme.t).mean(axis=1)
     return Message(tuple((means >= 0.5).tolist()))
 
 
-def encode(msg: Message, scheme: EncodingScheme) -> GridFunction:
+def encode(msg: Message, scheme: EncodingScheme) -> np.ndarray:
     if scheme.kind == "map1":
         return encode_map1(msg, scheme)
     return encode_map2(msg, scheme)
 
 
-def decode(u: GridFunction, scheme: EncodingScheme) -> Message:
+def decode(u: np.ndarray, scheme: EncodingScheme) -> Message:
     if scheme.kind == "map1":
         return decode_map1(u, scheme)
     return decode_map2(u, scheme)

@@ -3,8 +3,13 @@
 A function u is represented by its samples at the n midpoints
 y_i = (i + 0.5) / n, and integrals by the midpoint rule with weight
 h = 1/n.  All downstream linear algebra (operator application, SVD,
-inversion) lives in this geometry, so norms and inner products here
-approximate their continuum counterparts to O(h^2).
+inversion) lives in this geometry, so norms here approximate their
+continuum counterparts to O(h^2).
+
+The library computes on plain float64 arrays of samples.  GridFunction
+is the validated form of such an array: 1-d, nonempty, finite and
+frozen.  It is the type of a ciphertext body and of what from_bytes
+returns, where samples arrive from outside the program.
 """
 
 from __future__ import annotations
@@ -17,11 +22,7 @@ import numpy as np
 __all__ = [
     "GridFunction",
     "midpoints",
-    "make_grid_function",
-    "zeros",
-    "inner_product",
     "norm",
-    "axpy",
     "to_bytes",
     "from_bytes",
 ]
@@ -33,8 +34,8 @@ _HEADER = struct.Struct("<I")
 class GridFunction:
     """Real-valued function sampled at the n midpoints of [0,1].
 
-    values is a read-only float64 array; h = 1/n is the quadrature
-    weight shared by every integral below.
+    values is a read-only float64 copy of the samples, checked 1-d,
+    nonempty and finite; h = 1/n is the quadrature weight.
     """
 
     values: np.ndarray
@@ -71,35 +72,11 @@ def midpoints(n: int) -> np.ndarray:
     return (np.arange(n) + 0.5) / n
 
 
-def make_grid_function(values) -> GridFunction:
-    return GridFunction(np.asarray(values, dtype=np.float64))
-
-
-def zeros(n: int) -> GridFunction:
-    if n < 1:
-        raise ValueError(f"grid size must be positive, got {n}")
-    return GridFunction(np.zeros(n))
-
-
-def _check_same_grid(u: GridFunction, v: GridFunction) -> None:
-    if u.n != v.n:
-        raise ValueError(f"grid size mismatch: {u.n} vs {v.n}")
-
-
-def inner_product(u: GridFunction, v: GridFunction) -> float:
-    """Midpoint-rule approximation of the L2 inner product."""
-    _check_same_grid(u, v)
-    return float(u.h * np.dot(u.values, v.values))
-
-
-def norm(u: GridFunction) -> float:
-    return float(np.sqrt(u.h) * np.linalg.norm(u.values))
-
-
-def axpy(a: float, u: GridFunction, v: GridFunction) -> GridFunction:
-    """a*u + v on a shared grid."""
-    _check_same_grid(u, v)
-    return GridFunction(a * u.values + v.values)
+def norm(u: np.ndarray) -> float:
+    """Midpoint-rule L2 norm sqrt(h) ||u|| of the samples u."""
+    if u.ndim != 1 or u.size == 0:
+        raise ValueError(f"samples must be 1-d and nonempty, got shape {u.shape}")
+    return float(np.sqrt(1.0 / u.size) * np.linalg.norm(u))
 
 
 def to_bytes(u: GridFunction) -> bytes:
@@ -119,5 +96,4 @@ def from_bytes(data: bytes) -> GridFunction:
         raise ValueError(
             f"grid function payload length {len(data)} != expected {expected}"
         )
-    values = np.frombuffer(data, dtype="<f8", count=n, offset=_HEADER.size)
-    return GridFunction(values.astype(np.float64))
+    return GridFunction(np.frombuffer(data, dtype="<f8", count=n, offset=_HEADER.size))

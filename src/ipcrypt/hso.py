@@ -2,15 +2,17 @@
 
 The operator is (S u)(y) = int_0^1 exp(-|y - s|) u(s) ds, discretized by
 the midpoint rule to A[i, j] = h * exp(-|y_i - y_j|), a scaled
-Kac-Murdock-Szegő matrix.  The kernel separates, exp(-|y_i - y_j|) =
-exp(-y_i) exp(y_j) for j <= i, so A u is two cumulative sums over the
-weights exp(+-y), in O(n) time and memory; the dense n x n matrix is built
-only on demand, for the oracle tests.  The inverse of a KMS matrix is
-tridiagonal, so the exact inverse is also applied in O(n), with no
-singular vectors.  The singular system has the classical KMS closed form
-(Kac, Murdock & Szegő 1953): the values cost O(n) and the orthonormal
-basis O(n^2), with no eigensolver; only the regularized filters (TSVD,
-Tikhonov) build that basis.  The singular values follow the inverse
+Kac-Murdock-Szegő matrix.  A function is the float64 array of its n
+midpoint samples, and every operator below takes and returns plain
+arrays.  The kernel separates, exp(-|y_i - y_j|) = exp(-y_i) exp(y_j)
+for j <= i, so A u is two cumulative sums over the weights exp(+-y), in
+O(n) time and memory; the dense n x n matrix is built only on demand,
+for the oracle tests.  The inverse of a KMS matrix is tridiagonal, so the
+exact inverse is also applied in O(n), with no singular vectors.  The
+singular system has the classical KMS closed form (Kac, Murdock & Szegő
+1953): the values cost O(n) and the orthonormal basis O(n^2), with no
+eigensolver; only the regularized filters (TSVD, Tikhonov) build that
+basis.  The singular values follow the inverse
 square law s_k ~ 2 / (k pi)^2 (modes indexed from 0, largest first),
 which is the mild polynomial decay regime; inverting the operator
 amplifies noise at frequency k by 1/s_k, and the experiment below
@@ -24,7 +26,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .grid import GridFunction, make_grid_function, midpoints
+from .grid import midpoints
 
 __all__ = [
     "DiscretizedOperator",
@@ -80,10 +82,10 @@ class SVDFactors:
     The operator is symmetric positive definite, so left and right vectors
     coincide.  The orthonormal basis is O(n^2) memory and is built from the
     phases only on the first access to left_vectors, which only the
-    regularized filters in filtered_inverse make; the values alone and the
-    exact inverse (naive_inverse_apply) never allocate it.  right_vectors
-    is an alias of the same array, kept for the generic A = U diag(s) V^T
-    shape.
+    regularized filters in filtered_inverse make; the values alone never
+    allocate it, and the exact inverse (naive_inverse_apply) reads no
+    factors at all.  right_vectors is an alias of the same array, kept for
+    the generic A = U diag(s) V^T shape.
     """
 
     singular_values: np.ndarray
@@ -168,19 +170,18 @@ def build_hso(n: int) -> DiscretizedOperator:
     return DiscretizedOperator(n=n, grow=grow, decay=decay)
 
 
-def apply_operator(op: DiscretizedOperator, u: GridFunction) -> GridFunction:
-    """A u in O(n): the lower and upper triangles as two cumulative sums.
+def apply_operator(op: DiscretizedOperator, u: np.ndarray) -> np.ndarray:
+    """A u in O(n) for the n samples u: the two triangles as cumulative sums.
 
     Both sums count the diagonal, hence the one u subtracted.  The weights
     lie in [1/e, e], so the split form's rounding stays within a factor
     e^2 of the dense product's.
     """
-    if u.n != op.n:
-        raise ValueError(f"grid size mismatch: {u.n} vs {op.n}")
-    v = u.values
-    lower = op.decay * np.cumsum(op.grow * v)
-    upper = op.grow * np.cumsum((op.decay * v)[::-1])[::-1]
-    return make_grid_function((lower + upper - v) / op.n)
+    if u.shape != (op.n,):
+        raise ValueError(f"grid size mismatch: {u.shape} vs {(op.n,)}")
+    lower = op.decay * np.cumsum(op.grow * u)
+    upper = op.grow * np.cumsum((op.decay * u)[::-1])[::-1]
+    return (lower + upper - u) / op.n
 
 
 def _kms_basis(phases: np.ndarray) -> np.ndarray:
@@ -249,45 +250,44 @@ def hso_svd(n: int) -> SVDFactors:
     return SVDFactors(singular_values=s, phases=phases)
 
 
-def filtered_inverse(factors: SVDFactors, v: GridFunction, phi: np.ndarray) -> GridFunction:
-    """Spectral filter sum_{k < phi.size} phi_k <v, u_k> u_k.
+def filtered_inverse(factors: SVDFactors, v: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Spectral filter sum_{k < phi.size} phi_k <v, u_k> u_k of the n samples v.
 
     TSVD and Tikhonov differ only in the filter factors phi (1/s on the
     leading modes, s / (s^2 + alpha)); only the phi.size leading modes are
     touched, so a short filter stays cheap.  The full filter 1/s is the
     exact inverse, which naive_inverse_apply applies without the basis.
     """
-    if v.n != factors.n:
-        raise ValueError(f"grid size mismatch: {v.n} vs {factors.n}")
+    if v.shape != (factors.n,):
+        raise ValueError(f"grid size mismatch: {v.shape} vs {(factors.n,)}")
     u = factors.left_vectors[:, : phi.size]
-    return make_grid_function(u @ (phi * (u.T @ v.values)))
+    return u @ (phi * (u.T @ v))
 
 
-def naive_inverse_apply(factors: SVDFactors, v: GridFunction) -> GridFunction:
-    """Exact unregularized inverse A^-1 v in O(n), from the grid size alone.
+def naive_inverse_apply(op: DiscretizedOperator, v: np.ndarray) -> np.ndarray:
+    """Exact unregularized inverse A^-1 v of the n samples v, in O(n).
 
     The inverse of the KMS matrix A = h rho^|i - j|, rho = e^-h, is exactly
     tridiagonal (Kac, Murdock & Szegő 1953):
     A^-1 = tridiag(-rho, 1 + rho^2, -rho) / (h (1 - rho^2)), except that
     the two corner diagonal entries are 1, not 1 + rho^2; at n = 1,
     A^-1 = [1].  h (1 - rho^2) is taken as h * -expm1(-2h).  This is the
-    filter 1/s on every mode, but only factors.n is read, so the basis is
-    never built.
+    filter 1/s on every mode, but only op.n is read: no singular value or
+    vector is computed.
     """
-    n = factors.n
-    if v.n != n:
-        raise ValueError(f"grid size mismatch: {v.n} vs {n}")
-    x = v.values
+    n = op.n
+    if v.shape != (n,):
+        raise ValueError(f"grid size mismatch: {v.shape} vs {(n,)}")
     if n == 1:
-        return make_grid_function(x)
+        return v.copy()
     h = 1.0 / n
     rho = np.exp(-h)
-    out = (1.0 + rho * rho) * x
-    out[0], out[-1] = x[0], x[-1]
-    out[1:] -= rho * x[:-1]
-    out[:-1] -= rho * x[1:]
+    out = (1.0 + rho * rho) * v
+    out[0], out[-1] = v[0], v[-1]
+    out[1:] -= rho * v[:-1]
+    out[:-1] -= rho * v[1:]
     out /= h * -np.expm1(-2.0 * h)
-    return make_grid_function(out)
+    return out
 
 
 def default_fit_range(n: int) -> tuple[int, int]:
@@ -363,28 +363,27 @@ def classify_decay(
 
 def noise_amplification_experiment(
     op: DiscretizedOperator,
-    psi: GridFunction,
+    psi: np.ndarray,
     noise_scale: float,
     trials: int,
     seed: int,
 ) -> AmplificationReport:
     """Measure how naive inversion blows up additive Gaussian noise.
 
-    Each trial forms v = S psi + scale * g with iid standard normal g,
-    inverts naively, and records ||psi_hat - psi|| / ||noise|| in the grid
-    norm.  Trials draw from independent substreams of seed, so reports are
+    Each trial forms v = S psi + scale * g from the n samples psi and iid
+    standard normal g, inverts naively, and records
+    ||psi_hat - psi|| / ||noise|| in the grid norm.  Trials draw from independent substreams of seed, so reports are
     reproducible and trial order is immaterial.
     """
-    if psi.n != op.n:
-        raise ValueError(f"grid size mismatch: {psi.n} vs {op.n}")
+    if psi.shape != (op.n,):
+        raise ValueError(f"grid size mismatch: {psi.shape} vs {(op.n,)}")
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     if not (noise_scale >= 0 and np.isfinite(noise_scale)):
         raise ValueError(f"noise scale must be finite and nonnegative, got {noise_scale}")
 
-    factors = hso_svd(op.n)
-    clean = apply_operator(op, psi).values
-    sqrt_h = np.sqrt(psi.h)
+    clean = apply_operator(op, psi)
+    sqrt_h = np.sqrt(1.0 / op.n)
 
     noise_norms = np.empty(trials)
     error_norms = np.empty(trials)
@@ -392,10 +391,9 @@ def noise_amplification_experiment(
     for t in range(trials):
         rng = np.random.default_rng((seed, t))
         g = rng.standard_normal(op.n)
-        noisy = make_grid_function(clean + noise_scale * g)
-        recovered = naive_inverse_apply(factors, noisy)
+        recovered = naive_inverse_apply(op, clean + noise_scale * g)
         noise_norms[t] = noise_scale * sqrt_h * np.linalg.norm(g)
-        error_norms[t] = sqrt_h * np.linalg.norm(recovered.values - psi.values)
+        error_norms[t] = sqrt_h * np.linalg.norm(recovered - psi)
         if noise_norms[t] > 0:
             ratios.append(error_norms[t] / noise_norms[t])
 

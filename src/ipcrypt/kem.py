@@ -29,7 +29,8 @@ and splits its squeeze into the shared secret (secret_bits / 8 bytes,
 whose bits, little endian within each byte, are the encapsulated ones)
 and one `cbd` draw of 2 dim + secret_bits values: r, then e_u, then e_v.
 The rng supplies those seeds and nothing else, so keys and ciphertexts
-are functions of the seeds and SHAKE-256 alone.
+are functions of the seeds and SHAKE-256 alone; with no rng, each seed
+is os.urandom(32).
 
 This is a teaching artifact: parameters are far below any real security
 level and no claim is made beyond one-shot key transport in this toy
@@ -40,6 +41,7 @@ from __future__ import annotations
 
 import hashlib
 import operator
+import os
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -183,12 +185,11 @@ class KemCiphertext:
 
     def __post_init__(self) -> None:
         for name in ("u", "v"):
-            arr = np.asarray(getattr(self, name), dtype=np.int64)
+            arr = np.array(getattr(self, name), dtype=np.int64)
             if arr.ndim != 1:
                 raise ValueError(f"ciphertext component {name} must be 1-d")
-            if np.any(arr < 0):
+            if arr.size and arr.min() < 0:
                 raise ValueError(f"ciphertext component {name} must be nonnegative")
-            arr = arr.copy()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -269,10 +270,9 @@ def cbd(data: bytes, count: int, eta: int) -> np.ndarray:
 
 def kem_keygen(params: KemParams = DESK_PARAMS, rng: np.random.Generator | None = None) -> KemKeyPair:
     """Key pair from one 32-byte seed d = rng.bytes(32); see the module docstring."""
-    if rng is None:
-        rng = np.random.default_rng()
+    seed = os.urandom(32) if rng is None else rng.bytes(32)
     count = params.dim * params.secret_bits
-    stream = xof_expand(rng.bytes(32), 32 + _cbd_bytes(2 * count, params.eta))
+    stream = xof_expand(seed, 32 + _cbd_bytes(2 * count, params.eta))
     seed_a = stream[:32]
     s, e = cbd(stream[32:], 2 * count, params.eta).reshape(2, params.dim, params.secret_bits)
     b = (_exact_matmul(expand_matrix(seed_a, params), s) + e) % params.q
@@ -289,11 +289,10 @@ def kem_encaps(
     pk: KemPublicKey, rng: np.random.Generator | None = None
 ) -> tuple[SharedSecret, KemCiphertext]:
     """Hide fresh secret bits against pk, all coins from one seed rng.bytes(32)."""
-    if rng is None:
-        rng = np.random.default_rng()
+    seed = os.urandom(32) if rng is None else rng.bytes(32)
     params = pk.params
     m, dim = params.secret_bits // 8, params.dim
-    stream = xof_expand(rng.bytes(32), m + _cbd_bytes(2 * dim + params.secret_bits, params.eta))
+    stream = xof_expand(seed, m + _cbd_bytes(2 * dim + params.secret_bits, params.eta))
     secret = stream[:m]
     noise = cbd(stream[m:], 2 * dim + params.secret_bits, params.eta)
     r, e_u, e_v = noise[:dim], noise[dim : 2 * dim], noise[2 * dim :]
@@ -311,7 +310,7 @@ def kem_decaps(sk: KemSecretKey, ct: KemCiphertext) -> SharedSecret:
             f"ciphertext shapes {ct.u.shape}/{ct.v.shape} do not match "
             f"({params.dim},)/({params.secret_bits},)"
         )
-    if np.any(ct.u >= params.q) or np.any(ct.v >= params.q):
+    if ct.u.max() >= params.q or ct.v.max() >= params.q:
         raise ValueError("ciphertext entries must lie in [0, q)")
     c = (ct.v - _exact_matmul(ct.u, sk.s_f64)) % params.q
     c = np.where(c > params.q // 2, c - params.q, c)

@@ -25,7 +25,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import GridFunction, make_grid_function
 from .kem import _cbd_bytes, cbd, xof_expand
 
 __all__ = [
@@ -150,14 +149,15 @@ def keygen(params: ErrorParams, rng) -> ErrorKey:
     return ErrorKey(seed=rng.bytes(32), params=params)
 
 
-def derive_error(key: ErrorKey, nonce: bytes) -> GridFunction:
-    """Deterministic error for (key, nonce), distributed per key.params.
+def derive_error(key: ErrorKey, nonce: bytes) -> np.ndarray:
+    """Deterministic error for (key, nonce): n float64 samples scale * k.
 
-    The coins are the SHAKE-256 stream over seed || nonce.  A binomial
-    key reads its first ceil(2 eta n / 8) bytes through `kem.cbd`.  A
-    Gaussian key reads n little-endian 64-bit words w and looks each
-    uniform (w >> 11) * 2^-53 up in the cached cdf: the draw is the first
-    support point whose cdf entry exceeds it.
+    The integers k are distributed per key.params, and their coins are
+    the SHAKE-256 stream over seed || nonce.  A binomial key reads its
+    first ceil(2 eta n / 8) bytes through `kem.cbd`.  A Gaussian key reads
+    n little-endian 64-bit words w and looks each uniform
+    (w >> 11) * 2^-53 up in the cached cdf: the draw is the first support
+    point whose cdf entry exceeds it.
     """
     if len(nonce) != NONCE_BYTES:
         raise ValueError(f"nonce must be {NONCE_BYTES} bytes, got {len(nonce)}")
@@ -169,4 +169,4 @@ def derive_error(key: ErrorKey, nonce: bytes) -> GridFunction:
         words = np.frombuffer(xof_expand(key.seed + nonce, 8 * p.n), dtype="<u8")
         uniform = (words >> np.uint64(11)) * _DOUBLE_STEP
         values = support[np.searchsorted(cdf, uniform, side="right")]
-    return make_grid_function(p.scale * values)
+    return p.scale * values

@@ -12,7 +12,7 @@ import numpy as np
 from ipcrypt.attacks import Tsvd, attack_naive, attack_regularized, decode_difference
 from ipcrypt.cli import main as cli_main
 from ipcrypt.encoding import EncodingScheme, Message, encode
-from ipcrypt.grid import make_grid_function, midpoints, norm
+from ipcrypt.grid import midpoints, norm
 from ipcrypt.hso import (
     apply_operator,
     build_hso,
@@ -42,7 +42,7 @@ def _report(num: int, label: str, ok: bool, detail: str) -> None:
 
 
 def _profile(n: int):
-    return make_grid_function(np.sin(2.0 * np.pi * midpoints(n)))
+    return np.sin(2.0 * np.pi * midpoints(n))
 
 
 def test_criterion_1_spectrum_law(reference_spectrum_2048):
@@ -146,14 +146,9 @@ def test_criterion_5_error_reuse_identity():
         m1, m2 = Message.random(8, rng), Message.random(8, rng)
         c1 = sym_encrypt(key, m1, scheme, nonce)
         c2 = sym_encrypt(key, m2, scheme, nonce)
-        diff = make_grid_function(c1.body.values - c2.body.values)
-        clean = apply_operator(
-            op,
-            make_grid_function(encode(m1, scheme).values - encode(m2, scheme).values),
-        )
-        worst_identity = max(
-            worst_identity, norm(make_grid_function(diff.values - clean.values))
-        )
+        diff = c1.body.values - c2.body.values
+        clean = apply_operator(op, encode(m1, scheme) - encode(m2, scheme))
+        worst_identity = max(worst_identity, norm(diff - clean))
         pattern = decode_difference(diff, scheme)
         exact += pattern == tuple(a - b for a, b in zip(m1.bits, m2.bits))
     ok = worst_identity < 1e-9 and exact == trials

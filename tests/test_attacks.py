@@ -17,7 +17,7 @@ from ipcrypt.attacks import (
     tikhonov_apply,
 )
 from ipcrypt.encoding import EncodingScheme, Message, encode
-from ipcrypt.grid import make_grid_function, norm, zeros
+from ipcrypt.grid import GridFunction, norm
 from ipcrypt.hso import apply_operator, build_hso, filtered_inverse, hso_svd, naive_inverse_apply
 from ipcrypt.symmetric import SymCiphertext, recommended_error_params, sym_encrypt, sym_keygen
 
@@ -61,44 +61,43 @@ def test_tikhonov_matches_filter_formula(method):
     n = 16
     factors = hso_svd(n)
     rng = np.random.default_rng(0)
-    v = make_grid_function(rng.standard_normal(n))
+    v = rng.standard_normal(n)
     s, u = factors.singular_values, factors.left_vectors
     if method is None:
-        got, phi = naive_inverse_apply(factors, v), 1.0 / s
+        got, phi = naive_inverse_apply(build_hso(n), v), 1.0 / s
     elif isinstance(method, Tsvd):
         got, phi = filtered_inverse(factors, v, method.filter(s)), 1.0 / s[: method.k]
     else:
         got, phi = tikhonov_apply(factors, v, method.alpha), s / (s * s + method.alpha)
     k = phi.size
-    expected = u[:, :k] @ (phi * (u[:, :k].T @ v.values))
-    np.testing.assert_allclose(got.values, expected, atol=1e-12)
+    expected = u[:, :k] @ (phi * (u[:, :k].T @ v))
+    np.testing.assert_allclose(got, expected, atol=1e-12)
 
 
 def test_tikhonov_tiny_alpha_approaches_exact_inverse():
     n = 64
     factors = hso_svd(n)
     y = (np.arange(n) + 0.5) / n
-    psi = make_grid_function(np.sin(2 * np.pi * y))
-    v = apply_operator(build_hso(n), psi)
+    op = build_hso(n)
+    v = apply_operator(op, np.sin(2 * np.pi * y))
     smooth = tikhonov_apply(factors, v, 1e-14)
-    exact = naive_inverse_apply(factors, v)
-    assert norm(make_grid_function(smooth.values - exact.values)) < 1e-4
+    exact = naive_inverse_apply(op, v)
+    assert norm(smooth - exact) < 1e-4
 
 
 def test_tikhonov_huge_alpha_flattens_everything():
     n = 64
     factors = hso_svd(n)
-    v = make_grid_function(np.ones(n))
-    out = tikhonov_apply(factors, v, 1e9)
-    assert np.abs(out.values).max() < 1e-6
+    out = tikhonov_apply(factors, np.ones(n), 1e9)
+    assert np.abs(out).max() < 1e-6
 
 
 def test_tikhonov_validation():
     factors = hso_svd(16)
     with pytest.raises(ValueError, match="alpha"):
-        tikhonov_apply(factors, zeros(16), -1.0)
+        tikhonov_apply(factors, np.zeros(16), -1.0)
     with pytest.raises(ValueError, match="mismatch"):
-        tikhonov_apply(factors, zeros(8), 0.1)
+        tikhonov_apply(factors, np.zeros(8), 0.1)
 
 
 # ---------------------------------------------------------------- naive attack
@@ -108,7 +107,7 @@ def test_naive_attack_succeeds_without_noise():
     rng = np.random.default_rng(1)
     key = fresh_key(rng)
     msg = Message.from_int(0xB4, 8)
-    body = apply_operator(build_hso(256), encode(msg, SCHEME))
+    body = GridFunction(apply_operator(build_hso(256), encode(msg, SCHEME)))
     ct = SymCiphertext(
         n=SCHEME.n, t=SCHEME.t, encoding_id=SCHEME.encoding_id, nonce=b"\x00" * 16, body=body
     )
@@ -211,10 +210,8 @@ def test_error_reuse_difference_is_noise_free():
     c2 = sym_encrypt(key, m2, SCHEME, nonce)
     diff = error_reuse_diff(c1, c2)
     op = build_hso(256)
-    clean = apply_operator(op, encode(m1, SCHEME)).values - apply_operator(
-        op, encode(m2, SCHEME)
-    ).values
-    assert norm(make_grid_function(diff.values - clean)) < 1e-9
+    clean = apply_operator(op, encode(m1, SCHEME)) - apply_operator(op, encode(m2, SCHEME))
+    assert norm(diff - clean) < 1e-9
 
 
 def test_error_reuse_requires_matching_nonces():
@@ -242,9 +239,9 @@ def test_decode_difference_recovers_bit_pattern():
 
 def test_decode_difference_rejects_basis_scheme():
     with pytest.raises(ValueError, match="subinterval"):
-        decode_difference(zeros(256), EncodingScheme.map1(8, 256, basis="haar"))
+        decode_difference(np.zeros(256), EncodingScheme.map1(8, 256, basis="haar"))
     with pytest.raises(ValueError, match="mismatch"):
-        decode_difference(zeros(128), SCHEME)
+        decode_difference(np.zeros(128), SCHEME)
 
 
 # ---------------------------------------------------------------- known plaintext

@@ -22,7 +22,7 @@ from ipcrypt.encoding import (
     encode_map2,
     map1_capacity,
 )
-from ipcrypt.grid import inner_product, make_grid_function, zeros
+from ipcrypt.grid import norm
 
 # ---------------------------------------------------------------- messages
 
@@ -174,8 +174,7 @@ def test_basis_vectors_have_unit_norm():
     scheme_h = EncodingScheme.map1(2, 128, basis="haar")
     for k in (1, 2, 3, 17, 64):
         for scheme in (scheme_f, scheme_h):
-            u = make_grid_function(basis_vector(k, scheme))
-            assert inner_product(u, u) == pytest.approx(1.0, abs=1e-12)
+            assert norm(basis_vector(k, scheme)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_haar_vector_hand_values():
@@ -200,13 +199,13 @@ def test_encode_map1_uses_message_plus_one_indexing():
     scheme = EncodingScheme.map1(2, 16)
     msg = Message.from_int(1, 2)  # bits 01 -> basis element k = 2
     np.testing.assert_array_equal(
-        encode_map1(msg, scheme).values, basis_vector(2, scheme)
+        encode_map1(msg, scheme), basis_vector(2, scheme)
     )
 
 
 def test_decode_map1_zero_input_gives_smallest_index():
     scheme = EncodingScheme.map1(4, 64)
-    assert decode_map1(zeros(64), scheme).to_int() == 0
+    assert decode_map1(np.zeros(64), scheme).to_int() == 0
 
 
 def test_map1_roundtrip_full_space_fourier():
@@ -232,8 +231,7 @@ def test_map1_roundtrip_survives_small_perturbation():
         u = encode_map1(msg, scheme)
         g = rng.standard_normal(256)
         g *= 0.1 / (math.sqrt(1.0 / 256) * np.linalg.norm(g))
-        noisy = make_grid_function(u.values + g)
-        assert decode_map1(noisy, scheme) == msg
+        assert decode_map1(u + g, scheme) == msg
 
 
 def test_map1_length_mismatch():
@@ -241,7 +239,7 @@ def test_map1_length_mismatch():
     with pytest.raises(ValueError, match="length"):
         encode_map1(Message.from_int(0, 3), scheme)
     with pytest.raises(ValueError, match="mismatch"):
-        decode_map1(zeros(32), scheme)
+        decode_map1(np.zeros(32), scheme)
 
 
 # ---------------------------------------------------------------- map2 codec
@@ -250,19 +248,19 @@ def test_map1_length_mismatch():
 def test_encode_map2_hand_value():
     scheme = EncodingScheme.map2(4, 8)
     out = encode_map2(Message((1, 0, 1, 0)), scheme)
-    np.testing.assert_array_equal(out.values, [1, 1, 0, 0, 1, 1, 0, 0])
+    np.testing.assert_array_equal(out, [1, 1, 0, 0, 1, 1, 0, 0])
 
 
 def test_decode_map2_threshold_is_inclusive():
     """A subinterval mean of exactly 1/2 decodes as bit 1."""
     scheme = EncodingScheme.map2(2, 4)
-    u = make_grid_function([1.0, 0.0, 0.0, 0.0])  # means 0.5 and 0.0
+    u = np.array([1.0, 0.0, 0.0, 0.0])  # means 0.5 and 0.0
     assert decode_map2(u, scheme).bits == (1, 0)
 
 
 def test_decode_map2_returns_python_ints():
     scheme = EncodingScheme.map2(4, 8)
-    u = make_grid_function([0.5, 0.5, 0.25, 0.5, 0.9, 0.1, -3.0, 2.0])
+    u = np.array([0.5, 0.5, 0.25, 0.5, 0.9, 0.1, -3.0, 2.0])
     bits = decode_map2(u, scheme).bits
     assert bits == (1, 0, 1, 0)
     assert all(type(b) is int for b in bits)
@@ -284,7 +282,7 @@ def test_map2_length_mismatch():
     with pytest.raises(ValueError, match="length"):
         encode_map2(Message.from_int(0, 2), scheme)
     with pytest.raises(ValueError, match="mismatch"):
-        decode_map2(zeros(4), scheme)
+        decode_map2(np.zeros(4), scheme)
 
 
 # ---------------------------------------------------------------- dispatchers

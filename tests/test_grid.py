@@ -1,4 +1,4 @@
-"""Grid functions: quadrature arithmetic, invariants, and serialization."""
+"""Grid functions: the quadrature norm, the validated body type, and serialization."""
 
 import dataclasses
 import struct
@@ -8,17 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ipcrypt.grid import (
-    GridFunction,
-    axpy,
-    from_bytes,
-    inner_product,
-    make_grid_function,
-    midpoints,
-    norm,
-    to_bytes,
-    zeros,
-)
+from ipcrypt.grid import GridFunction, from_bytes, midpoints, norm, to_bytes
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, width=64)
 value_lists = st.lists(finite, min_size=1, max_size=64)
@@ -38,7 +28,7 @@ def test_midpoints_rejects_nonpositive():
 
 
 def test_grid_function_basic_properties():
-    u = make_grid_function([1.0, 2.0, 3.0])
+    u = GridFunction([1.0, 2.0, 3.0])
     assert u.n == 3
     assert len(u) == 3
     assert u.h == pytest.approx(1.0 / 3.0)
@@ -48,27 +38,27 @@ def test_grid_function_basic_properties():
 
 def test_grid_function_copies_input():
     raw = np.array([1.0, 2.0])
-    u = make_grid_function(raw)
+    u = GridFunction(raw)
     raw[0] = 99.0
     assert u.values[0] == 1.0
 
 
 def test_grid_function_is_frozen():
-    u = make_grid_function([1.0])
+    u = GridFunction([1.0])
     with pytest.raises(dataclasses.FrozenInstanceError):
         u.values = np.array([2.0])
 
 
 def test_grid_function_rejects_empty():
     with pytest.raises(ValueError, match="empty"):
-        make_grid_function([])
+        GridFunction([])
 
 
 def test_grid_function_rejects_non_finite_with_index():
     with pytest.raises(ValueError, match="index 2"):
-        make_grid_function([0.0, 1.0, float("nan")])
+        GridFunction([0.0, 1.0, float("nan")])
     with pytest.raises(ValueError, match="index 0"):
-        make_grid_function([float("inf"), 1.0])
+        GridFunction([float("inf"), 1.0])
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
@@ -80,109 +70,70 @@ def test_grid_function_names_the_first_non_finite_index(bad, index):
         GridFunction(values)
     values[-1] = bad
     with pytest.raises(ValueError, match=f"^non-finite sample at index {index}$"):
-        make_grid_function(values)
+        GridFunction(values)
 
 
 def test_grid_function_rejects_multidimensional():
     with pytest.raises(ValueError):
-        make_grid_function(np.zeros((2, 2)))
-
-
-def test_inner_product_hand_value():
-    # h * (1*3 + 2*4) = 0.5 * 11 = 5.5 on the two-point grid.
-    u = make_grid_function([1.0, 2.0])
-    v = make_grid_function([3.0, 4.0])
-    assert inner_product(u, v) == 5.5
-
-
-def test_inner_product_constant_one_is_exact_quadrature():
-    for n in (1, 2, 3, 7, 17, 49, 64, 200, 256):
-        ones = make_grid_function(np.ones(n))
-        assert abs(inner_product(ones, ones) - 1.0) < 1e-15
-
-
-def test_inner_product_rejects_mismatched_grids():
-    with pytest.raises(ValueError, match="mismatch"):
-        inner_product(make_grid_function([1.0]), make_grid_function([1.0, 2.0]))
+        GridFunction(np.zeros((2, 2)))
 
 
 def test_norm_hand_value():
     # sqrt(h * 4) = sqrt(0.25 * 4) = 1 exactly.
-    assert norm(make_grid_function([2.0, 0.0, 0.0, 0.0])) == 1.0
+    assert norm(np.array([2.0, 0.0, 0.0, 0.0])) == 1.0
 
 
 def test_norm_of_constant_one():
     for n in (1, 5, 128):
-        assert norm(make_grid_function(np.ones(n))) == pytest.approx(1.0, abs=1e-15)
+        assert norm(np.ones(n)) == pytest.approx(1.0, abs=1e-15)
 
 
-def test_axpy_hand_value():
-    u = make_grid_function([1.0, 1.0])
-    v = make_grid_function([0.5, -0.5])
-    np.testing.assert_array_equal(axpy(2.0, u, v).values, [2.5, 1.5])
-
-
-def test_axpy_rejects_mismatched_grids():
-    with pytest.raises(ValueError, match="mismatch"):
-        axpy(1.0, make_grid_function([1.0]), make_grid_function([1.0, 2.0]))
-
-
-def test_zeros():
-    z = zeros(5)
-    assert z.n == 5
-    assert not z.values.any()
-    with pytest.raises(ValueError):
-        zeros(0)
+def test_norm_rejects_non_vector_samples():
+    with pytest.raises(ValueError, match="1-d"):
+        norm(np.ones((2, 4)))
+    with pytest.raises(ValueError, match="nonempty"):
+        norm(np.array([]))
 
 
 @given(paired_lists)
 def test_cauchy_schwarz(pairs):
-    u = make_grid_function([a for a, _ in pairs])
-    v = make_grid_function([b for _, b in pairs])
+    """The grid norm bounds the midpoint-rule inner product h <u, v>."""
+    u = np.array([a for a, _ in pairs])
+    v = np.array([b for _, b in pairs])
     bound = norm(u) * norm(v)
-    assert abs(inner_product(u, v)) <= bound * (1.0 + 1e-9) + 1e-12
-
-
-@given(paired_lists)
-def test_inner_product_symmetry(pairs):
-    u = make_grid_function([a for a, _ in pairs])
-    v = make_grid_function([b for _, b in pairs])
-    lhs = inner_product(u, v)
-    rhs = inner_product(v, u)
-    assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+    assert abs(np.dot(u, v) / u.size) <= bound * (1.0 + 1e-9) + 1e-12
 
 
 @given(paired_lists)
 def test_add_then_subtract_recovers_exactly(pairs):
-    """Masking with a grid function and unmasking must be lossless in practice."""
-    x = make_grid_function([a for a, _ in pairs])
-    e = make_grid_function([b for _, b in pairs])
-    masked = axpy(1.0, e, x)
-    recovered = axpy(-1.0, e, masked)
-    np.testing.assert_allclose(recovered.values, x.values, atol=1e-12)
+    """Masking samples into a body and unmasking them must be lossless in practice."""
+    x = np.array([a for a, _ in pairs])
+    e = np.array([b for _, b in pairs])
+    masked = GridFunction(x + e)
+    np.testing.assert_allclose(masked.values - e, x, atol=1e-12)
 
 
 def test_serialized_layout_is_frozen():
-    blob = to_bytes(make_grid_function([1.0]))
+    blob = to_bytes(GridFunction([1.0]))
     assert blob == struct.pack("<I", 1) + struct.pack("<d", 1.0)
     assert len(blob) == 12
 
 
 def test_serialization_length():
-    u = make_grid_function(np.arange(7, dtype=np.float64))
+    u = GridFunction(np.arange(7, dtype=np.float64))
     assert len(to_bytes(u)) == 4 + 7 * 8
 
 
 @given(value_lists)
 def test_serialization_roundtrip(values):
-    u = make_grid_function(values)
+    u = GridFunction(values)
     v = from_bytes(to_bytes(u))
     assert v.n == u.n
     np.testing.assert_array_equal(v.values, u.values)
 
 
 def test_from_bytes_rejects_truncation_and_trailing():
-    blob = to_bytes(make_grid_function([1.0, 2.0]))
+    blob = to_bytes(GridFunction([1.0, 2.0]))
     with pytest.raises(ValueError):
         from_bytes(blob[:-1])
     with pytest.raises(ValueError):

@@ -10,7 +10,7 @@ import pytest
 
 import ipcrypt
 from ipcrypt.attacks import Tsvd
-from ipcrypt.grid import make_grid_function, midpoints, norm, zeros
+from ipcrypt.grid import midpoints, norm
 from ipcrypt.hso import (
     MILD,
     SEVERE,
@@ -28,7 +28,7 @@ from ipcrypt.hso import (
 
 def smooth_profile(n: int):
     y = midpoints(n)
-    return make_grid_function(np.sin(3 * np.pi * y) + 0.5 * np.cos(np.pi * y))
+    return np.sin(3 * np.pi * y) + 0.5 * np.cos(np.pi * y)
 
 
 # ---------------------------------------------------------------- assembly
@@ -67,21 +67,21 @@ def test_apply_constant_matches_closed_form():
     """Integrating the kernel against 1 gives 2 - e^(-y) - e^(-(1-y))."""
     n = 512
     y = midpoints(n)
-    out = apply_operator(build_hso(n), make_grid_function(np.ones(n)))
+    out = apply_operator(build_hso(n), np.ones(n))
     expected = 2.0 - np.exp(-y) - np.exp(-(1.0 - y))
-    assert np.abs(out.values - expected).max() < 1e-3
+    assert np.abs(out - expected).max() < 1e-3
     mid = np.argmin(np.abs(y - 0.5))
-    assert out.values[mid] == pytest.approx(2.0 - 2.0 * math.exp(-0.5), abs=1e-3)
+    assert out[mid] == pytest.approx(2.0 - 2.0 * math.exp(-0.5), abs=1e-3)
 
 
 def test_apply_zero_is_zero():
-    out = apply_operator(build_hso(16), zeros(16))
-    assert not out.values.any()
+    out = apply_operator(build_hso(16), np.zeros(16))
+    assert not out.any()
 
 
 def test_apply_rejects_mismatched_grid():
     with pytest.raises(ValueError, match="mismatch"):
-        apply_operator(build_hso(16), zeros(8))
+        apply_operator(build_hso(16), np.zeros(8))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 256, 2048])
@@ -91,7 +91,7 @@ def test_apply_matches_dense_matrix_in_linear_memory(n):
     assert held and all(a.size <= n and not a.flags.writeable for a in held)
     u = np.random.default_rng(n).standard_normal(n)
     dense = op.matrix @ u
-    out = apply_operator(op, make_grid_function(u)).values
+    out = apply_operator(op, u)
     assert np.abs(out - dense).max() <= 1e-13 * np.abs(dense).max()
 
 
@@ -182,7 +182,7 @@ def test_closed_form_basis_at_n2048_is_orthonormal_and_inverts_better_than_eigh(
     closed = np.abs(u @ ((u.T @ ax) / s) - x).max()
     oracle = np.abs(v @ ((v.T @ ax) / w) - x).max()
     assert closed <= oracle
-    tridiagonal = np.abs(naive_inverse_apply(factors, make_grid_function(ax)).values - x).max()
+    tridiagonal = np.abs(naive_inverse_apply(build_hso(n), ax) - x).max()
     assert tridiagonal <= oracle
 
 
@@ -227,21 +227,20 @@ def test_library_calls_no_eigensolver():
 # ---------------------------------------------------------------- naive inversion
 
 
-def test_naive_inverse_roundtrip(svd256):
+def test_naive_inverse_roundtrip():
+    op = build_hso(256)
     psi = smooth_profile(256)
-    v = apply_operator(build_hso(256), psi)
-    back = naive_inverse_apply(svd256, v)
-    assert norm(make_grid_function(back.values - psi.values)) / norm(psi) < 1e-6
+    back = naive_inverse_apply(op, apply_operator(op, psi))
+    assert norm(back - psi) / norm(psi) < 1e-6
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 256, 2048])
 def test_naive_inverse_is_the_tridiagonal_inverse_without_a_basis(n):
-    """A^-1 applied to every column of the dense A gives I; no basis is built."""
-    factors = hso_svd.__wrapped__(n)
+    """A^-1 applied to every column of the dense A gives I, from the operator's n alone."""
+    op = build_hso(n)
     a = dense_kms(n)
-    cols = [naive_inverse_apply(factors, make_grid_function(a[:, j])).values for j in range(n)]
+    cols = [naive_inverse_apply(op, a[:, j]) for j in range(n)]
     assert np.abs(np.column_stack(cols) - np.eye(n)).max() <= 1e-12
-    assert "left_vectors" not in vars(factors)
 
 
 def test_naive_inverse_truncation_is_projection():
@@ -253,21 +252,21 @@ def test_naive_inverse_truncation_is_projection():
     k = 1
     got = filtered_inverse(factors, v, Tsvd(k).filter(factors.singular_values))
     beta1 = factors.left_vectors[:, :k]
-    projected = beta1 @ (beta1.T @ psi.values)
-    assert np.abs(got.values - projected).max() < 1e-8
+    projected = beta1 @ (beta1.T @ psi)
+    assert np.abs(got - projected).max() < 1e-8
     # The residual is exactly the energy in the discarded modes (Parseval).
-    coeffs = factors.left_vectors.T @ psi.values
+    coeffs = factors.left_vectors.T @ psi
     tail = math.sqrt(float((coeffs[k:] ** 2).sum()) / n)
-    assert norm(make_grid_function(psi.values - got.values)) == pytest.approx(
+    assert norm(psi - got) == pytest.approx(
         tail, abs=1e-8
     )
 
 
 def test_naive_inverse_rejects_bad_k_max():
-    factors = hso_svd(16)
+    op = build_hso(16)
     for wrong in (8, 17):
         with pytest.raises(ValueError, match="mismatch"):
-            naive_inverse_apply(factors, zeros(wrong))
+            naive_inverse_apply(op, np.zeros(wrong))
 
 
 def test_worst_direction_amplifies_by_inverse_smallest_mode():
@@ -277,11 +276,9 @@ def test_worst_direction_amplifies_by_inverse_smallest_mode():
     psi = smooth_profile(n)
     s_min = factors.singular_values[-1]
     bump = s_min * factors.left_vectors[:, -1]
-    noisy = make_grid_function(build_hso(n).matrix @ psi.values + bump)
-    recovered = naive_inverse_apply(factors, noisy)
-    blowup = norm(make_grid_function(recovered.values - psi.values)) / norm(
-        make_grid_function(bump)
-    )
+    op = build_hso(n)
+    recovered = naive_inverse_apply(op, op.matrix @ psi + bump)
+    blowup = norm(recovered - psi) / norm(bump)
     assert blowup == pytest.approx(1.0 / s_min, rel=1e-6)
 
 

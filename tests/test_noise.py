@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ipcrypt import noise
+from ipcrypt import kem, noise
 from ipcrypt.noise import (
     CENTERED_BINOMIAL,
     DISCRETE_GAUSSIAN,
@@ -94,7 +94,7 @@ def test_error_params_validation():
 def _draws(params, count, label=b"draws"):
     """derive_error over count nonces, one key: count * n point draws, scaled."""
     key = ErrorKey(seed=hashlib.sha256(label).digest(), params=params)
-    return np.concatenate([derive_error(key, i.to_bytes(16, "little")).values for i in range(count)])
+    return np.concatenate([derive_error(key, i.to_bytes(16, "little")) for i in range(count)])
 
 
 def test_sample_error_values_live_on_scaled_support():
@@ -131,7 +131,7 @@ def test_scale_factors_out_of_sampling(scale, seed):
     nonce = bytes(16)
     base = derive_error(ErrorKey(seed=seed, params=cb_params(scale=1.0)), nonce)
     scaled = derive_error(ErrorKey(seed=seed, params=cb_params(scale=scale)), nonce)
-    np.testing.assert_array_equal(scaled.values, scale * base.values)
+    np.testing.assert_array_equal(scaled, scale * base)
 
 
 # ---------------------------------------------------------------- keys
@@ -164,7 +164,7 @@ def test_derive_error_is_deterministic_per_nonce():
     nonce = bytes(range(16))
     e1 = derive_error(key, nonce)
     e2 = derive_error(key, nonce)
-    np.testing.assert_array_equal(e1.values, e2.values)
+    np.testing.assert_array_equal(e1, e2)
 
 
 def test_derive_error_distinct_nonces_differ():
@@ -175,7 +175,7 @@ def test_derive_error_distinct_nonces_differ():
         n1, n2 = rng.bytes(16), rng.bytes(16)
         assert n1 != n2
         e1, e2 = derive_error(key, n1), derive_error(key, n2)
-        assert (e1.values != e2.values).any()
+        assert (e1 != e2).any()
 
 
 def test_derive_error_depends_on_key_seed():
@@ -183,13 +183,13 @@ def test_derive_error_depends_on_key_seed():
     nonce = b"\x00" * 16
     e1 = derive_error(ErrorKey(seed=b"\x01" * 32, params=params), nonce)
     e2 = derive_error(ErrorKey(seed=b"\x02" * 32, params=params), nonce)
-    assert (e1.values != e2.values).any()
+    assert (e1 != e2).any()
 
 
 def test_derive_error_matches_declared_distribution():
     key = ErrorKey(seed=b"\x05" * 32, params=cb_params(scale=0.5))
     e = derive_error(key, b"\xaa" * 16)
-    lattice = e.values / 0.5
+    lattice = e / 0.5
     np.testing.assert_array_equal(lattice, np.round(lattice))
     assert np.abs(lattice).max() <= 2
 
@@ -240,26 +240,39 @@ def test_derive_error_matches_the_shake_oracle(n, kind, value, sample_poly_cbd):
     key = ErrorKey(seed=bytes(range(32, 64)), params=params)
     for i in range(5):
         nonce = hashlib.sha256(bytes([n % 256, i])).digest()[:16]
-        got = derive_error(key, nonce).values
+        got = derive_error(key, nonce)
         np.testing.assert_array_equal(got, _oracle_draw(key, nonce, sample_poly_cbd))
 
 
 def test_noise_module_does_not_use_numpy_random():
-    """The error is a function of SHAKE-256 alone: no np.random in noise.py."""
-    tree = ast.parse(inspect.getsource(noise))
-    uses = [
-        node
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and node.attr == "random"
-    ]
-    imports = [
-        alias.name
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.Import, ast.ImportFrom))
-        for alias in node.names
-        if "random" in alias.name or "random" in (getattr(node, "module", None) or "")
-    ]
-    assert uses == [] and imports == []
+    """Errors and KEM coins are functions of SHAKE-256 and their seeds alone.
+
+    Neither noise.py nor kem.py reaches np.random outside a type annotation
+    or imports a random module.
+    """
+    for module in (noise, kem):
+        tree = ast.parse(inspect.getsource(module))
+        in_annotation = {
+            id(sub)
+            for node in ast.walk(tree)
+            for ann in (getattr(node, "annotation", None), getattr(node, "returns", None))
+            if ann is not None
+            for sub in ast.walk(ann)
+        }
+        uses = [
+            ast.unparse(node)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "random"
+            and id(node) not in in_annotation
+        ]
+        imports = [
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+            if "random" in alias.name or "random" in (getattr(node, "module", None) or "")
+        ]
+        assert uses == [] and imports == [], (module.__name__, uses, imports)
 
 
 def test_entropy_is_read_from_the_sampled_table():

@@ -26,6 +26,7 @@ import pytest
 from ipcrypt import hso
 from ipcrypt.encoding import EncodingScheme, Message, decode, encode
 from ipcrypt.formats import read_sym_ciphertext, write_sym_ciphertext
+from ipcrypt.grid import GridFunction
 from ipcrypt.noise import (
     CENTERED_BINOMIAL,
     DISCRETE_GAUSSIAN,
@@ -66,7 +67,7 @@ def _key(kind: str, n: int) -> ErrorKey:
 
 
 def _error_ints(key: ErrorKey, nonce: bytes) -> np.ndarray:
-    scaled = derive_error(key, nonce).values / key.params.scale
+    scaled = derive_error(key, nonce) / key.params.scale
     ints = np.rint(scaled).astype(np.int64)
     assert np.array_equal(ints, scaled)
     return ints
@@ -86,7 +87,7 @@ def _encrypt(name: str) -> SymCiphertext:
     scheme, msg, nonce, key = _case_inputs(name)
     if key is not None:
         return sym_encrypt(key, msg, scheme, nonce)
-    body = hso.apply_operator(hso.build_hso(scheme.n), encode(msg, scheme))
+    body = GridFunction(hso.apply_operator(hso.build_hso(scheme.n), encode(msg, scheme)))
     return SymCiphertext(
         n=scheme.n, t=scheme.t, encoding_id=scheme.encoding_id, nonce=nonce, body=body
     )
@@ -96,7 +97,7 @@ def _decrypt(name: str, ct: SymCiphertext) -> Message:
     _, _, _, key = _case_inputs(name)
     if key is not None:
         return sym_decrypt(key, ct)
-    recovered = hso.naive_inverse_apply(hso.hso_svd(ct.n), ct.body)
+    recovered = hso.naive_inverse_apply(hso.build_hso(ct.n), ct.body.values)
     return decode(recovered, ct.scheme())
 
 

@@ -6,9 +6,18 @@ import numpy as np
 import pytest
 
 from ipcrypt import hso
+from ipcrypt.attacks import (
+    Tikhonov,
+    Tsvd,
+    attack_naive,
+    attack_regularized,
+    decode_difference,
+    error_reuse_diff,
+    known_plaintext_experiment,
+)
 from ipcrypt.encoding import EncodingScheme, Message
 from ipcrypt.formats import read_sym_ciphertext, write_sym_ciphertext
-from ipcrypt.grid import make_grid_function, norm, zeros
+from ipcrypt.grid import GridFunction, midpoints, norm
 from ipcrypt.hso import apply_operator, build_hso
 from ipcrypt.noise import derive_error
 from ipcrypt.symmetric import (
@@ -71,10 +80,8 @@ def test_ciphertext_hides_the_plaintext_profile():
     scheme = EncodingScheme.map2(8, 256)
     msg = Message.from_int(0xF0, 8)
     ct = sym_encrypt(key, msg, scheme, rng.bytes(16))
-    smoothed = apply_operator(build_hso(256), make_grid_function(
-        np.repeat(np.asarray(msg.bits, dtype=np.float64), 32)
-    ))
-    gap = norm(make_grid_function(ct.body.values - smoothed.values))
+    smoothed = apply_operator(build_hso(256), np.repeat(np.asarray(msg.bits, dtype=np.float64), 32))
+    gap = norm(ct.body.values - smoothed)
     assert gap > 0.3  # eta=2, scale=0.5 noise has grid norm near 0.5
 
 
@@ -118,13 +125,9 @@ def test_nonce_reuse_cancels_the_error_term():
     c2 = sym_encrypt(key, m2, scheme, nonce)
     op = build_hso(256)
     diff = c1.body.values - c2.body.values
-    clean1 = apply_operator(
-        op, make_grid_function(np.repeat(np.asarray(m1.bits, float), 32))
-    )
-    clean2 = apply_operator(
-        op, make_grid_function(np.repeat(np.asarray(m2.bits, float), 32))
-    )
-    assert norm(make_grid_function(diff - (clean1.values - clean2.values))) < 1e-9
+    clean1 = apply_operator(op, np.repeat(np.asarray(m1.bits, float), 32))
+    clean2 = apply_operator(op, np.repeat(np.asarray(m2.bits, float), 32))
+    assert norm(diff - (clean1 - clean2)) < 1e-9
 
 
 def test_body_is_smoothed_message_plus_derived_error():
@@ -133,19 +136,17 @@ def test_body_is_smoothed_message_plus_derived_error():
     scheme = EncodingScheme.map2(8, 256)
     msg = Message.from_int(3, 8)
     ct = sym_encrypt(key, msg, scheme, b"\x22" * 16)
-    clean = apply_operator(
-        build_hso(256), make_grid_function(np.repeat(np.asarray(msg.bits, float), 32))
-    )
+    clean = apply_operator(build_hso(256), np.repeat(np.asarray(msg.bits, float), 32))
     np.testing.assert_allclose(
-        ct.body.values - clean.values, derive_error(key, ct.nonce).values, rtol=0, atol=1e-12
+        ct.body.values - clean, derive_error(key, ct.nonce), rtol=0, atol=1e-12
     )
 
 
 def test_large_grid_round_trip_is_linear_in_memory(monkeypatch):
     """A map2 file round trip at n = 2^16 with no basis and no dense matrix.
 
-    The tracemalloc peak of encrypt, write, read and decrypt measured 15.1
-    times the 8n-byte body with the cached singular values cold and 9.0
+    The tracemalloc peak of encrypt, write, read and decrypt measured 13.1
+    times the 8n-byte body with the cached singular values cold and 5.0
     times warm; one n x n array alone would be n = 65536 times.
     """
     n = 1 << 16
@@ -167,6 +168,56 @@ def test_large_grid_round_trip_is_linear_in_memory(monkeypatch):
         tracemalloc.stop()
     assert recovered == msg
     assert peak <= 20 * 8 * n
+
+
+def test_round_trip_builds_one_body_per_crossing(monkeypatch):
+    """GridFunction is built only where samples cross the trust boundary.
+
+    A file round trip builds the encrypted body and the body read back;
+    the attacks invert an existing body on plain arrays and build none.
+    """
+    rng = np.random.default_rng(17)
+    key = fresh_key(rng)
+    scheme = EncodingScheme.map2(32, 256)
+    msg = Message.random(32, rng)
+    factors = hso.hso_svd(256)
+    built = []
+    original = GridFunction.__post_init__
+
+    def counted(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(GridFunction, "__post_init__", counted)
+    ct = sym_encrypt(key, msg, scheme, rng.bytes(16))
+    assert sym_decrypt(key, read_sym_ciphertext(write_sym_ciphertext(ct))) == msg
+    assert len(built) == 2
+    built.clear()
+    attack_naive(ct, factors, truth=msg)
+    attack_regularized(ct, factors, Tsvd(8), truth=msg)
+    attack_regularized(ct, factors, Tikhonov(1e-4), truth=msg)
+    assert built == []
+
+
+def test_exact_inverse_paths_never_compute_the_singular_system():
+    """Attack and experiment paths that need only n never call hso_svd.
+
+    The exact inverse reads only n, so these calls on a grid size missing
+    from the cache leave it untouched.
+    """
+    n = 200
+    rng = np.random.default_rng(18)
+    key = fresh_key(rng, n=n)
+    scheme = EncodingScheme.map2(8, n)
+    m1, m2 = Message.random(8, rng), Message.random(8, rng)
+    nonce = rng.bytes(16)
+    before = hso.hso_svd.cache_info()
+    diff = error_reuse_diff(sym_encrypt(key, m1, scheme, nonce), sym_encrypt(key, m2, scheme, nonce))
+    assert decode_difference(diff, scheme) == tuple(a - b for a, b in zip(m1.bits, m2.bits))
+    known_plaintext_experiment(key, [m1], scheme, rng, holdout_trials=2)
+    profile = np.sin(2.0 * np.pi * midpoints(n))
+    hso.noise_amplification_experiment(build_hso(n), profile, 0.01, trials=2, seed=0)
+    assert hso.hso_svd.cache_info() == before
 
 
 def test_encrypt_validation():
@@ -191,7 +242,7 @@ def test_decrypt_validates_grid_match():
 
 
 def test_ciphertext_header_validation():
-    body = zeros(64)
+    body = GridFunction(np.zeros(64))
     with pytest.raises(ValueError, match="header"):
         SymCiphertext(n=32, t=8, encoding_id=0x03, nonce=b"\x00" * 16, body=body)
     with pytest.raises(ValueError, match="nonce"):
