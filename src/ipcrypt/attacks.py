@@ -144,7 +144,7 @@ def _attack(
     reject a body on another grid than the operator or the factors before
     any other work.
     """
-    scheme = ct.scheme()
+    scheme = ct.scheme
     inverted = invert(ct.body.values)
     recovered = decode(inverted, scheme)
     reference = truth if truth is not None else recovered
@@ -191,8 +191,8 @@ def error_reuse_diff(ct1: SymCiphertext, ct2: SymCiphertext) -> np.ndarray:
     """
     if ct1.nonce != ct2.nonce:
         raise ValueError("ciphertexts use different nonces; the error does not cancel")
-    if ct1.n != ct2.n:
-        raise ValueError(f"grid size mismatch: {ct1.n} vs {ct2.n}")
+    if ct1.scheme.n != ct2.scheme.n:
+        raise ValueError(f"grid size mismatch: {ct1.scheme.n} vs {ct2.scheme.n}")
     return ct1.body.values - ct2.body.values
 
 

@@ -214,8 +214,8 @@ def _cmd_encrypt_sym(args) -> int:
     ct = symmetric.sym_encrypt(key, args.msg, scheme, nonce)
     Path(args.out).write_bytes(formats.write_sym_ciphertext(ct))
     print(f"wrote ciphertext to {args.out}")
-    print(f"t={ct.t}")
-    print(f"n={ct.n}")
+    print(f"t={ct.scheme.t}")
+    print(f"n={ct.scheme.n}")
     print(f"nonce={nonce.hex()}")
     return 0
 

@@ -9,7 +9,7 @@ fixed-width little-endian fields.  Layouts:
          f64 scale, u32 grid size, 32-byte seed
   IPC1   symmetric ciphertext
          magic, version=1, u32 n, u32 t, encoding id byte, 16-byte
-         nonce, grid body (u32 count + f64 samples)
+         nonce, body (u32 count = n, then n f64 samples)
   IPQ1   KEM material
          magic, version=1, parameter id byte, kind byte (0x01 public,
          0x02 secret, 0x03 ciphertext), then coefficients: public =
@@ -23,7 +23,12 @@ Version 2 of the error key and hybrid containers marks the noise read
 straight from SHAKE-256 (see `noise.derive_error`); a version 1 file
 was written for the earlier derivation and is refused, not misread.
 Readers reject wrong magics, unknown versions and ids, truncation, and
-trailing bytes.  KEM writers refuse parameter sets without a registered id.
+trailing bytes.  This module alone packs and unpacks these layouts.  The
+IPC1 reader builds the ciphertext's EncodingScheme from the header, so a
+bad id, t or body count is refused before the body is read.  KEM keys
+and ciphertexts carry their parameter set: the writers label it with its
+registered id (and refuse a set that has none), and the readers pass the
+set the id names to the object, which checks its arrays against it.
 """
 
 from __future__ import annotations
@@ -32,8 +37,8 @@ import struct
 
 import numpy as np
 
-from .grid import from_bytes as grid_from_bytes
-from .grid import to_bytes as grid_to_bytes
+from .encoding import EncodingScheme
+from .grid import GridFunction
 from .hybrid import HybridCiphertext
 from .kem import (
     DESK_PARAM_ID,
@@ -102,7 +107,7 @@ class _Reader:
 
     def array(self, dtype: str, count: int, what: str) -> np.ndarray:
         raw = self.take(count * np.dtype(dtype).itemsize, what)
-        return np.frombuffer(raw, dtype=dtype).astype(np.int64)
+        return np.frombuffer(raw, dtype=dtype)
 
     def expect_magic(self, magic: bytes) -> None:
         got = self.take(len(magic), "magic")
@@ -164,11 +169,13 @@ def read_error_key(data: bytes) -> ErrorKey:
 
 
 def write_sym_ciphertext(ct: SymCiphertext) -> bytes:
+    scheme = ct.scheme
     return (
         _SYM_MAGIC
-        + struct.pack("<BIIB", _SYM_VERSION, ct.n, ct.t, ct.encoding_id)
+        + struct.pack("<BIIB", _SYM_VERSION, scheme.n, scheme.t, scheme.encoding_id)
         + ct.nonce
-        + grid_to_bytes(ct.body)
+        + struct.pack("<I", ct.body.n)
+        + ct.body.values.astype("<f8").tobytes()
     )
 
 
@@ -180,9 +187,14 @@ def read_sym_ciphertext(data: bytes) -> SymCiphertext:
     t = r.u32("message length")
     encoding_id = r.u8("encoding id")
     nonce = r.take(16, "nonce")
-    body = grid_from_bytes(r.rest())
-    # SymCiphertext checks the encoding id and the body size against n.
-    return SymCiphertext(n=n, t=t, encoding_id=encoding_id, nonce=nonce, body=body)
+    # The header is checked whole before any of the 8n body bytes is read.
+    scheme = EncodingScheme.from_encoding_id(encoding_id, t, n)
+    count = r.u32("body sample count")
+    if count != n:
+        raise ValueError(f"body grid size {count} != header n = {n}")
+    body = GridFunction(r.array("<f8", n, "body samples"))
+    r.done()
+    return SymCiphertext(scheme=scheme, nonce=nonce, body=body)
 
 
 def _kem_header(kind: int, params: KemParams) -> bytes:
@@ -191,20 +203,6 @@ def _kem_header(kind: int, params: KemParams) -> bytes:
         if registered == params:
             return _KEM_MAGIC + struct.pack("<BBB", _KEM_VERSION, param_id, kind)
     raise ValueError(f"KEM parameters {params} have no registered IPQ1 id")
-
-
-def _ciphertext_params(ct: KemCiphertext) -> KemParams:
-    """The registered set whose shapes and modulus fit ct (it carries none)."""
-    for params in _PARAM_SETS.values():
-        if (
-            ct.u.shape == (params.dim,)
-            and ct.v.shape == (params.secret_bits,)
-            and not (np.any(ct.u >= params.q) or np.any(ct.v >= params.q))
-        ):
-            return params
-    raise ValueError(
-        f"KEM ciphertext shapes {ct.u.shape}/{ct.v.shape} fit no registered IPQ1 id"
-    )
 
 
 def _read_kem_header(r: _Reader, expected_kind: int, kind_name: str) -> KemParams:
@@ -252,7 +250,7 @@ def read_kem_secret_key(data: bytes) -> KemSecretKey:
 
 def write_kem_ciphertext(ct: KemCiphertext) -> bytes:
     return (
-        _kem_header(_KIND_CIPHERTEXT, _ciphertext_params(ct))
+        _kem_header(_KIND_CIPHERTEXT, ct.params)
         + ct.u.astype("<u2").tobytes()
         + ct.v.astype("<u2").tobytes()
     )
@@ -264,7 +262,7 @@ def read_kem_ciphertext(data: bytes) -> KemCiphertext:
     u = r.array("<u2", params.dim, "u component")
     v = r.array("<u2", params.secret_bits, "v component")
     r.done()
-    return KemCiphertext(u=u, v=v)
+    return KemCiphertext(params=params, u=u, v=v)
 
 
 def write_hybrid_ciphertext(ct: HybridCiphertext) -> bytes:

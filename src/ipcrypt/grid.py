@@ -8,13 +8,13 @@ continuum counterparts to O(h^2).
 
 The library computes on plain float64 arrays of samples.  GridFunction
 is the validated form of such an array: 1-d, nonempty, finite and
-frozen.  It is the type of a ciphertext body and of what from_bytes
-returns, where samples arrive from outside the program.
+frozen.  It is the type of a ciphertext body, where samples may arrive
+from outside the program; this module has no byte layout of its own
+(the ciphertext file reader in `formats` builds the body).
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,11 +23,7 @@ __all__ = [
     "GridFunction",
     "midpoints",
     "norm",
-    "to_bytes",
-    "from_bytes",
 ]
-
-_HEADER = struct.Struct("<I")
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,22 +74,3 @@ def norm(u: np.ndarray) -> float:
         raise ValueError(f"samples must be 1-d and nonempty, got shape {u.shape}")
     return float(np.sqrt(1.0 / u.size) * np.linalg.norm(u))
 
-
-def to_bytes(u: GridFunction) -> bytes:
-    """u32 LE sample count, then n float64 LE samples."""
-    return _HEADER.pack(u.n) + u.values.astype("<f8").tobytes()
-
-
-def from_bytes(data: bytes) -> GridFunction:
-    """Inverse of to_bytes; rejects truncated or oversized payloads."""
-    if len(data) < _HEADER.size:
-        raise ValueError("grid function payload too short for header")
-    (n,) = _HEADER.unpack_from(data)
-    if n < 1:
-        raise ValueError(f"grid size must be positive, got {n}")
-    expected = _HEADER.size + 8 * n
-    if len(data) != expected:
-        raise ValueError(
-            f"grid function payload length {len(data)} != expected {expected}"
-        )
-    return GridFunction(np.frombuffer(data, dtype="<f8", count=n, offset=_HEADER.size))

@@ -74,5 +74,5 @@ def pke_decrypt(sk, ct: HybridCiphertext, kem=DEFAULT_KEM) -> Message:
     an exception, since nothing here authenticates the ciphertext.
     """
     shared = kem.decaps(sk, ct.c1)
-    key, _ = _dem_material(shared, recommended_error_params(n=ct.c2.n))
+    key, _ = _dem_material(shared, recommended_error_params(n=ct.c2.scheme.n))
     return sym_decrypt(key, ct.c2)

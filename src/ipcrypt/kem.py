@@ -180,16 +180,28 @@ class KemKeyPair:
 
 @dataclass(frozen=True, eq=False)
 class KemCiphertext:
+    """The (u, v) pair of one parameter set, checked once on construction.
+
+    u has shape (dim,) and v (secret_bits,), both with entries in [0, q)
+    of params; the arrays are read-only int64 copies.
+    """
+
+    params: KemParams
     u: np.ndarray
     v: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("u", "v"):
+        p = self.params
+        for name, size in (("u", p.dim), ("v", p.secret_bits)):
             arr = np.array(getattr(self, name), dtype=np.int64)
             if arr.ndim != 1:
                 raise ValueError(f"ciphertext component {name} must be 1-d")
-            if arr.size and arr.min() < 0:
+            if arr.shape != (size,):
+                raise ValueError(f"ciphertext component {name} shape {arr.shape} != ({size},)")
+            if arr.min() < 0:
                 raise ValueError(f"ciphertext component {name} must be nonnegative")
+            if arr.max() >= p.q:
+                raise ValueError(f"ciphertext component {name} entries must lie in [0, q)")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -299,19 +311,19 @@ def kem_encaps(
     bits = np.unpackbits(np.frombuffer(secret, dtype=np.uint8), bitorder="little")
     u = (_exact_matmul(r, pk.a_f64) + e_u) % params.q
     v = (_exact_matmul(r, pk.b_f64) + e_v + params.half_q * bits.astype(np.int64)) % params.q
-    return SharedSecret(secret), KemCiphertext(u=u, v=v)
+    return SharedSecret(secret), KemCiphertext(params=params, u=u, v=v)
 
 
 def kem_decaps(sk: KemSecretKey, ct: KemCiphertext) -> SharedSecret:
-    """Threshold v - S^T u at q/4 to recover the encapsulated bits."""
+    """Threshold v - S^T u at q/4 to recover the encapsulated bits.
+
+    The ciphertext checked its shapes and range against its own
+    parameter set when it was built; only a set other than the key's is
+    refused here.
+    """
     params = sk.params
-    if ct.u.shape != (params.dim,) or ct.v.shape != (params.secret_bits,):
-        raise ValueError(
-            f"ciphertext shapes {ct.u.shape}/{ct.v.shape} do not match "
-            f"({params.dim},)/({params.secret_bits},)"
-        )
-    if ct.u.max() >= params.q or ct.v.max() >= params.q:
-        raise ValueError("ciphertext entries must lie in [0, q)")
+    if ct.params != params:
+        raise ValueError(f"ciphertext parameters {ct.params} != key parameters {params}")
     c = (ct.v - _exact_matmul(ct.u, sk.s_f64)) % params.q
     c = np.where(c > params.q // 2, c - params.q, c)
     bits = (np.abs(c) > params.q / 4).astype(np.int64)

@@ -11,7 +11,8 @@ solution recovery, and the role of noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -161,41 +162,31 @@ class AnalogyReport:
 
     Every field is optional; absent halves render as explicit "missing"
     markers so a report never silently invents numbers.  All fields are
-    primitives, and to_keyvalues / from_keyvalues round-trip losslessly.
+    primitives, and to_keyvalues / from_keyvalues round-trip losslessly;
+    both read each field's type from its annotation, and to_keyvalues
+    writes the fields in declaration order (ints, floats, then strs).
     """
 
     q: int | None = None
     secret_dim: int | None = None
     num_samples: int | None = None
     error_bound: int | None = None
-    brute_force_status: str | None = None
     grid_n: int | None = None
-    decay_kind: str | None = None
+    amplification_trials: int | None = None
     decay_exponent: float | None = None
     decay_rate: float | None = None
     decay_fit_quality: float | None = None
     amplification_mean: float | None = None
     amplification_max: float | None = None
     noise_scale: float | None = None
-    amplification_trials: int | None = None
+    brute_force_status: str | None = None
+    decay_kind: str | None = None
 
-    _INT_FIELDS = (
-        "q",
-        "secret_dim",
-        "num_samples",
-        "error_bound",
-        "grid_n",
-        "amplification_trials",
-    )
-    _FLOAT_FIELDS = (
-        "decay_exponent",
-        "decay_rate",
-        "decay_fit_quality",
-        "amplification_mean",
-        "amplification_max",
-        "noise_scale",
-    )
-    _STR_FIELDS = ("brute_force_status", "decay_kind")
+    @classmethod
+    def _field_types(cls) -> dict[str, type]:
+        """Field name to its type without None, in declaration order."""
+        hints = get_type_hints(cls)
+        return {f.name: get_args(hints[f.name])[0] for f in fields(cls)}
 
     def rows(self) -> list[tuple[str, str, str]]:
         """(label, finite-dimensional cell, operator cell) for the table."""
@@ -265,11 +256,11 @@ class AnalogyReport:
     def to_keyvalues(self) -> str:
         """One key=value line per field; None renders as "missing"."""
         lines = []
-        for name in self._INT_FIELDS + self._FLOAT_FIELDS + self._STR_FIELDS:
+        for name, kind in self._field_types().items():
             value = getattr(self, name)
             if value is None:
                 text = _MISSING
-            elif name in self._FLOAT_FIELDS:
+            elif kind is float:
                 text = repr(float(value))
             else:
                 text = str(value)
@@ -278,22 +269,17 @@ class AnalogyReport:
 
     @classmethod
     def from_keyvalues(cls, text: str) -> "AnalogyReport":
+        types = cls._field_types()
         kwargs = {}
         for line in text.splitlines():
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             name, _, value = line.partition("=")
-            if name in cls._INT_FIELDS:
-                kwargs[name] = None if value == _MISSING else int(value)
-            elif name in cls._FLOAT_FIELDS:
-                kwargs[name] = None if value == _MISSING else float(value)
-            elif name in cls._STR_FIELDS:
-                kwargs[name] = None if value == _MISSING else value
-            else:
+            if name not in types:
                 raise ValueError(f"unknown analogy field {name!r}")
+            kwargs[name] = None if value == _MISSING else types[name](value)
         return cls(**kwargs)
-
 
 def analogy_report(
     lwe: LweParams | None = None,

@@ -8,7 +8,9 @@ subtracts it, applies the exact inverse of the operator, and decodes.
 That inverse is tridiagonal, so decryption costs O(n) time and memory
 and builds no singular vectors.  Every step computes on plain float64
 arrays; the ciphertext body alone is a validated GridFunction, built
-once by sym_encrypt (or by the file reader).
+once by sym_encrypt (or by the file reader).  A ciphertext carries the
+EncodingScheme it was made with, so decryption and the attacks decode
+with that object and never rebuild it.
 
 Nonces exist so one key can encrypt many messages: reusing a nonce
 reuses the error, and the difference of two such ciphertexts leaks the
@@ -46,24 +48,22 @@ def recommended_error_params(n: int = RECOMMENDED_N, scale: float = RECOMMENDED_
 
 @dataclass(frozen=True, eq=False)
 class SymCiphertext:
-    """Self-describing ciphertext: grid body plus decode header."""
+    """Self-describing ciphertext: the encoding scheme that decodes it,
+    the nonce its error was derived from, and the grid body.
 
-    n: int
-    t: int
-    encoding_id: int
+    The scheme holds the grid size n, the message length t and the
+    encoding id; the constructor checks that the body has n samples.
+    """
+
+    scheme: EncodingScheme
     nonce: bytes
     body: GridFunction
 
     def __post_init__(self) -> None:
-        if self.body.n != self.n:
-            raise ValueError(f"body grid size {self.body.n} != header n = {self.n}")
+        if self.body.n != self.scheme.n:
+            raise ValueError(f"body grid size {self.body.n} != header n = {self.scheme.n}")
         if len(self.nonce) != NONCE_BYTES:
             raise ValueError(f"nonce must be {NONCE_BYTES} bytes, got {len(self.nonce)}")
-        # Validates the id and its compatibility with (t, n).
-        self.scheme()
-
-    def scheme(self) -> EncodingScheme:
-        return EncodingScheme.from_encoding_id(self.encoding_id, self.t, self.n)
 
 
 def sym_encrypt(
@@ -78,11 +78,7 @@ def sym_encrypt(
         raise ValueError(f"scheme grid {scheme.n} != key grid {key.params.n}")
     smoothed = hso.apply_operator(hso.build_hso(scheme.n), encode(msg, scheme))
     return SymCiphertext(
-        n=scheme.n,
-        t=scheme.t,
-        encoding_id=scheme.encoding_id,
-        nonce=bytes(nonce),
-        body=GridFunction(smoothed + derive_error(key, nonce)),
+        scheme=scheme, nonce=bytes(nonce), body=GridFunction(smoothed + derive_error(key, nonce))
     )
 
 
@@ -95,9 +91,10 @@ def sym_decrypt(key: ErrorKey, ct: SymCiphertext) -> Message:
     hso.hso_svd.cold_s from it on the keyed workloads, and it goes when
     the benchmark times hso_svd where a workload needs the factors.
     """
-    if ct.n != key.params.n:
-        raise ValueError(f"ciphertext grid {ct.n} != key grid {key.params.n}")
-    hso.hso_svd(ct.n)
+    n = ct.scheme.n
+    if n != key.params.n:
+        raise ValueError(f"ciphertext grid {n} != key grid {key.params.n}")
+    hso.hso_svd(n)
     clean = ct.body.values - derive_error(key, ct.nonce)
-    recovered = hso.naive_inverse_apply(hso.build_hso(ct.n), clean)
-    return decode(recovered, ct.scheme())
+    recovered = hso.naive_inverse_apply(hso.build_hso(n), clean)
+    return decode(recovered, ct.scheme)

@@ -252,7 +252,7 @@ def test_criterion_8_kem_and_hybrid():
         v = ct.c1.v.copy()
         j = int(rng.integers(0, v.size))
         v[j] = (v[j] + DESK_PARAMS.half_q) % DESK_PARAMS.q
-        tampered = HybridCiphertext(c1=KemCiphertext(u=ct.c1.u, v=v), c2=ct.c2)
+        tampered = HybridCiphertext(c1=KemCiphertext(params=ct.c1.params, u=ct.c1.u, v=v), c2=ct.c2)
         tamper_broken += pke_decrypt(pair.secret, tampered) != msg
 
     vector_ok = (

@@ -108,9 +108,7 @@ def test_naive_attack_succeeds_without_noise():
     key = fresh_key(rng)
     msg = Message.from_int(0xB4, 8)
     body = GridFunction(apply_operator(build_hso(256), encode(msg, SCHEME)))
-    ct = SymCiphertext(
-        n=SCHEME.n, t=SCHEME.t, encoding_id=SCHEME.encoding_id, nonce=b"\x00" * 16, body=body
-    )
+    ct = SymCiphertext(scheme=SCHEME, nonce=b"\x00" * 16, body=body)
     rep = attack_naive(ct, hso_svd(256), truth=msg)
     assert rep.method == "naive"
     assert rep.recovered == msg

@@ -1,8 +1,9 @@
 """The library names the benchmark in perfbench/ patches or reads still exist.
 
-perfbench/tracing.py wraps library functions by (module, attribute) and
-perfbench/run.py reads a few attributes directly, so a rename in the
-library breaks `perfbench/run.py --trace 1` without failing any other test.
+perfbench/tracing.py wraps library functions by (module, attribute),
+perfbench/run.py reads a few attributes directly, and perfbench/workloads.py
+reads fields of the objects the library returns, so a rename in the
+library breaks the benchmark without failing any other test.
 """
 
 import importlib
@@ -11,7 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from ipcrypt import hso, kem
+from ipcrypt import attacks, hso, kem, symmetric
+from ipcrypt.encoding import EncodingScheme, Message, map1_capacity
+from ipcrypt.noise import ErrorKey
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -37,3 +40,22 @@ def test_attributes_the_benchmark_reads():
     assert hso.build_hso(8).matrix.shape == (8, 8)
     assert hso.hso_svd(8).right_vectors.shape == (8, 8)
     assert callable(kem.expand_matrix.cache_info)
+
+
+def test_object_fields_the_workloads_read():
+    n, t = 256, 32
+    key = ErrorKey(seed=bytes(32), params=symmetric.recommended_error_params(n=n))
+    msg = Message.from_int(0x5A5A5A5A, t)
+    ct = symmetric.sym_encrypt(key, msg, EncodingScheme.map2(t, n), bytes(16))
+    assert ct.body.values.shape == (n,)
+    methods = (attacks.Tsvd(8), attacks.Tikhonov(1e-4))
+    assert methods[0].k == 8 and methods[1].alpha == 1e-4
+    factors = hso.hso_svd(n)
+    reports = [attacks.attack_naive(ct, factors, truth=msg)]
+    reports += [attacks.attack_regularized(ct, factors, m, truth=msg) for m in methods]
+    for report in reports:
+        assert len(report.recovered.bits) == t
+        assert 0.0 <= report.bit_accuracy <= 1.0
+        assert report.residual_norm >= 0.0
+    assert map1_capacity(n, "fourier") == 255
+    assert EncodingScheme.map1(7, n, "fourier").t == 7

@@ -1,9 +1,12 @@
 """Binary containers: frozen layouts, roundtrips, malformed-input rejection."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ipcrypt.encoding import EncodingScheme, Message
 from ipcrypt.formats import (
@@ -21,9 +24,10 @@ from ipcrypt.formats import (
     write_sym_ciphertext,
 )
 from ipcrypt.hybrid import pke_decrypt, pke_encrypt, pke_keygen
-from ipcrypt.kem import DESK_PARAMS, KemCiphertext, KemParams, kem_encaps, kem_keygen
+from ipcrypt.kem import DESK_PARAMS, KemParams, kem_encaps, kem_keygen
 from ipcrypt.noise import DISCRETE_GAUSSIAN, ErrorKey, ErrorParams
-from ipcrypt.symmetric import recommended_error_params, sym_encrypt, sym_keygen
+from ipcrypt.grid import GridFunction
+from ipcrypt.symmetric import SymCiphertext, recommended_error_params, sym_encrypt, sym_keygen
 
 RNG = np.random.default_rng  # short alias for seeded generators
 
@@ -104,10 +108,10 @@ def test_sym_ciphertext_layout_and_roundtrip():
     assert blob[14:30] == ct.nonce
     assert len(blob) == 30 + 4 + 8 * 256
     again = read_sym_ciphertext(blob)
-    assert (again.n, again.t, again.encoding_id, again.nonce) == (
-        ct.n,
-        ct.t,
-        ct.encoding_id,
+    assert (again.scheme.n, again.scheme.t, again.scheme.encoding_id, again.nonce) == (
+        ct.scheme.n,
+        ct.scheme.t,
+        ct.scheme.encoding_id,
         ct.nonce,
     )
     np.testing.assert_array_equal(again.body.values, ct.body.values)
@@ -128,6 +132,60 @@ def test_sym_ciphertext_rejects_malformed_input():
         read_sym_ciphertext(patched)
     with pytest.raises(ValueError):
         read_sym_ciphertext(blob + b"\x00\x01")
+
+
+def body_ct(values):
+    """Ciphertext whose body is the given samples (map2 with t = 1 fits any n)."""
+    values = np.asarray(values, dtype=np.float64)
+    return SymCiphertext(
+        scheme=EncodingScheme.map2(1, values.size), nonce=bytes(16), body=GridFunction(values)
+    )
+
+
+def test_sym_ciphertext_body_layout_is_frozen():
+    blob = write_sym_ciphertext(body_ct([1.0]))
+    assert blob[30:] == struct.pack("<I", 1) + struct.pack("<d", 1.0)
+    assert len(blob) == 30 + 12
+
+
+def test_sym_ciphertext_body_length():
+    assert len(write_sym_ciphertext(body_ct(np.arange(7)))) == 30 + 4 + 7 * 8
+
+
+@given(st.lists(st.floats(-1e3, 1e3, allow_nan=False, width=64), min_size=1, max_size=64))
+def test_sym_ciphertext_body_roundtrip(values):
+    ct = body_ct(values)
+    again = read_sym_ciphertext(write_sym_ciphertext(ct))
+    assert again.body.n == ct.body.n
+    np.testing.assert_array_equal(again.body.values, ct.body.values)
+
+
+def test_sym_ciphertext_body_rejects_truncation_trailing_and_zero_size():
+    blob = write_sym_ciphertext(body_ct([1.0, 2.0]))
+    with pytest.raises(ValueError, match="truncated"):
+        read_sym_ciphertext(blob[:-1])
+    with pytest.raises(ValueError, match="trailing"):
+        read_sym_ciphertext(blob + b"\x00")
+    with pytest.raises(ValueError, match="truncated .*body sample count"):
+        read_sym_ciphertext(blob[:31])
+    zero = blob[:5] + struct.pack("<I", 0) + blob[9:30] + struct.pack("<I", 0)
+    with pytest.raises(ValueError, match="grid size must be positive"):
+        read_sym_ciphertext(zero)
+
+
+def test_sym_ciphertext_huge_header_n_is_refused_before_reading_the_body():
+    """A short file claiming n = 2^31 fails as truncated without a 16 GiB buffer."""
+    blob = write_sym_ciphertext(body_ct([1.0, 2.0]))
+    huge = struct.pack("<I", 1 << 31)
+    forged = blob[:5] + huge + blob[9:30] + huge + blob[34:]
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="truncated"):
+            read_sym_ciphertext(forged)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------- KEM material
@@ -164,6 +222,7 @@ def test_kem_ciphertext_roundtrip():
     again = read_kem_ciphertext(blob)
     np.testing.assert_array_equal(again.u, ct.u)
     np.testing.assert_array_equal(again.v, ct.v)
+    assert again.params == DESK_PARAMS
 
 
 def test_kem_kind_and_param_id_checks():
@@ -191,11 +250,6 @@ def test_kem_writers_refuse_unregistered_parameters():
         write_kem_secret_key(pair.secret)
     with pytest.raises(ValueError, match="no registered IPQ1 id"):
         write_kem_ciphertext(ct)
-    desk = kem_keygen(DESK_PARAMS, RNG(10))
-    _, desk_ct = kem_encaps(desk.public, RNG(11))
-    too_big = KemCiphertext(u=np.full(256, DESK_PARAMS.q), v=desk_ct.v)
-    with pytest.raises(ValueError, match="no registered IPQ1 id"):
-        write_kem_ciphertext(too_big)
 
 
 # ---------------------------------------------------------------- hybrid

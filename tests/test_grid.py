@@ -1,17 +1,19 @@
-"""Grid functions: the quadrature norm, the validated body type, and serialization."""
+"""Grid functions: the quadrature norm and the validated body type.
+
+The body's byte layout lives in the IPC1 container; its tests are in
+test_formats.py.
+"""
 
 import dataclasses
-import struct
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ipcrypt.grid import GridFunction, from_bytes, midpoints, norm, to_bytes
+from ipcrypt.grid import GridFunction, midpoints, norm
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, width=64)
-value_lists = st.lists(finite, min_size=1, max_size=64)
 paired_lists = st.lists(st.tuples(finite, finite), min_size=1, max_size=64)
 
 
@@ -112,33 +114,3 @@ def test_add_then_subtract_recovers_exactly(pairs):
     masked = GridFunction(x + e)
     np.testing.assert_allclose(masked.values - e, x, atol=1e-12)
 
-
-def test_serialized_layout_is_frozen():
-    blob = to_bytes(GridFunction([1.0]))
-    assert blob == struct.pack("<I", 1) + struct.pack("<d", 1.0)
-    assert len(blob) == 12
-
-
-def test_serialization_length():
-    u = GridFunction(np.arange(7, dtype=np.float64))
-    assert len(to_bytes(u)) == 4 + 7 * 8
-
-
-@given(value_lists)
-def test_serialization_roundtrip(values):
-    u = GridFunction(values)
-    v = from_bytes(to_bytes(u))
-    assert v.n == u.n
-    np.testing.assert_array_equal(v.values, u.values)
-
-
-def test_from_bytes_rejects_truncation_and_trailing():
-    blob = to_bytes(GridFunction([1.0, 2.0]))
-    with pytest.raises(ValueError):
-        from_bytes(blob[:-1])
-    with pytest.raises(ValueError):
-        from_bytes(blob + b"\x00")
-    with pytest.raises(ValueError):
-        from_bytes(b"\x01")
-    with pytest.raises(ValueError):
-        from_bytes(struct.pack("<I", 0))

@@ -8,6 +8,7 @@ from ipcrypt.hybrid import HybridCiphertext, pke_decrypt, pke_encrypt, pke_keyge
 from ipcrypt.kem import (
     DESK_PARAMS,
     KemCiphertext,
+    KemParams,
     SharedSecret,
     kem_decaps,
     kem_keygen,
@@ -16,6 +17,7 @@ from ipcrypt.kem import (
 from ipcrypt.noise import NONCE_BYTES
 
 SCHEME = EncodingScheme.map2(32, 256)
+STUB_PARAMS = KemParams(q=17, dim=4, secret_bits=8, eta=1)
 
 
 def test_roundtrip_map2():
@@ -68,7 +70,7 @@ def test_tampered_kem_ciphertext_yields_wrong_message_not_error():
         v = ct.c1.v.copy()
         j = int(rng.integers(0, v.size))
         v[j] = (v[j] + DESK_PARAMS.half_q) % DESK_PARAMS.q
-        tampered = HybridCiphertext(c1=KemCiphertext(u=ct.c1.u, v=v), c2=ct.c2)
+        tampered = HybridCiphertext(c1=KemCiphertext(params=ct.c1.params, u=ct.c1.u, v=v), c2=ct.c2)
         got = pke_decrypt(pair.secret, tampered)  # must not raise
         assert got != msg
 
@@ -80,7 +82,7 @@ def test_tampering_u_also_breaks_recovery():
     ct = pke_encrypt(pair.public, msg, SCHEME, rng)
     u = ct.c1.u.copy()
     u[0] = (u[0] + 1000) % DESK_PARAMS.q
-    tampered = HybridCiphertext(c1=KemCiphertext(u=u, v=ct.c1.v), c2=ct.c2)
+    tampered = HybridCiphertext(c1=KemCiphertext(params=ct.c1.params, u=u, v=ct.c1.v), c2=ct.c2)
     assert pke_decrypt(pair.secret, tampered) != msg
 
 
@@ -109,7 +111,8 @@ class _StubKem:
 
     def __init__(self, secret_byte=0x42):
         self.secret = SharedSecret(data=bytes([secret_byte]) * 32)
-        self.ct = KemCiphertext(u=np.arange(4), v=np.arange(4))
+        # Any object would do, since the hybrid never inspects c1.
+        self.ct = KemCiphertext(params=STUB_PARAMS, u=np.arange(4), v=np.arange(8))
         self.decaps_calls = 0
 
     def keygen(self, rng=None):

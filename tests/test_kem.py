@@ -434,7 +434,7 @@ def test_single_coefficient_tamper_flips_exactly_that_bit():
     for j in (0, 17, 255):
         tampered_v = ct.v.copy()
         tampered_v[j] = (tampered_v[j] + 1665) % 3329
-        tampered = KemCiphertext(u=ct.u, v=tampered_v)
+        tampered = KemCiphertext(params=ct.params, u=ct.u, v=tampered_v)
         got = kem_decaps(pair.secret, tampered)
         clean_bits = np.unpackbits(
             np.frombuffer(secret.data, dtype=np.uint8), bitorder="little"
@@ -463,18 +463,30 @@ def test_shared_secret_bytes_are_uniform():
 
 
 def test_decaps_validates_ciphertext():
+    """The checks decapsulation relies on run when the ciphertext is built."""
     pair = kem_keygen(DESK_PARAMS, np.random.default_rng(10))
     _, ct = kem_encaps(pair.public, np.random.default_rng(11))
     with pytest.raises(ValueError, match="shape"):
-        kem_decaps(pair.secret, KemCiphertext(u=ct.u[:100], v=ct.v))
+        KemCiphertext(params=DESK_PARAMS, u=ct.u[:100], v=ct.v)
     big_v = ct.v.copy()
     big_v[0] = 3329
     with pytest.raises(ValueError, match="\\[0, q\\)"):
-        kem_decaps(pair.secret, KemCiphertext(u=ct.u, v=big_v))
+        KemCiphertext(params=DESK_PARAMS, u=ct.u, v=big_v)
+    with pytest.raises(ValueError, match="\\[0, q\\)"):
+        KemCiphertext(params=DESK_PARAMS, u=np.full(256, DESK_PARAMS.q), v=ct.v)
     with pytest.raises(ValueError, match="nonnegative"):
-        KemCiphertext(u=ct.u - 5000, v=ct.v)
+        KemCiphertext(params=DESK_PARAMS, u=ct.u - 5000, v=ct.v)
     with pytest.raises(ValueError, match="1-d"):
-        KemCiphertext(u=np.zeros((2, 2), dtype=np.int64), v=ct.v)
+        KemCiphertext(params=DESK_PARAMS, u=np.zeros((2, 2), dtype=np.int64), v=ct.v)
+
+
+def test_decaps_refuses_a_ciphertext_of_another_parameter_set():
+    rng = np.random.default_rng(14)
+    desk = kem_keygen(DESK_PARAMS, rng)
+    _, small_ct = kem_encaps(kem_keygen(SMALL, rng).public, rng)
+    assert small_ct.params == SMALL
+    with pytest.raises(ValueError, match="ciphertext parameters"):
+        kem_decaps(desk.secret, small_ct)
 
 
 def test_small_parameter_set_roundtrip():

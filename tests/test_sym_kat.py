@@ -88,17 +88,15 @@ def _encrypt(name: str) -> SymCiphertext:
     if key is not None:
         return sym_encrypt(key, msg, scheme, nonce)
     body = GridFunction(hso.apply_operator(hso.build_hso(scheme.n), encode(msg, scheme)))
-    return SymCiphertext(
-        n=scheme.n, t=scheme.t, encoding_id=scheme.encoding_id, nonce=nonce, body=body
-    )
+    return SymCiphertext(scheme=scheme, nonce=nonce, body=body)
 
 
 def _decrypt(name: str, ct: SymCiphertext) -> Message:
     _, _, _, key = _case_inputs(name)
     if key is not None:
         return sym_decrypt(key, ct)
-    recovered = hso.naive_inverse_apply(hso.build_hso(ct.n), ct.body.values)
-    return decode(recovered, ct.scheme())
+    recovered = hso.naive_inverse_apply(hso.build_hso(ct.scheme.n), ct.body.values)
+    return decode(recovered, ct.scheme)
 
 
 def sym_vectors() -> dict:
@@ -121,9 +119,9 @@ def sym_vectors() -> dict:
         ct = _encrypt(name)
         ciphertexts[name] = {
             "message": list(msg.bits),
-            "n": ct.n,
-            "t": ct.t,
-            "encoding_id": ct.encoding_id,
+            "n": ct.scheme.n,
+            "t": ct.scheme.t,
+            "encoding_id": ct.scheme.encoding_id,
             "nonce": ct.nonce.hex(),
             "ipc1_base64": base64.b64encode(write_sym_ciphertext(ct)).decode(),
         }
@@ -164,8 +162,9 @@ def test_ciphertext_kat(stored, name):
     assert list(msg.bits) == want["message"]
     got = _encrypt(name)
     ref = _stored_ciphertext(stored, name)
-    assert (got.n, got.t, got.encoding_id) == (want["n"], want["t"], want["encoding_id"])
-    assert (ref.n, ref.t, ref.encoding_id) == (want["n"], want["t"], want["encoding_id"])
+    for ct in (got, ref):
+        scheme = ct.scheme
+        assert (scheme.n, scheme.t, scheme.encoding_id) == (want["n"], want["t"], want["encoding_id"])
     assert got.nonce.hex() == want["nonce"] == ref.nonce.hex()
     scale = np.abs(ref.body.values).max()
     assert np.abs(got.body.values - ref.body.values).max() <= BODY_RTOL * scale

@@ -70,7 +70,7 @@ def test_ciphertext_is_deterministic_in_key_nonce_message():
     c1 = sym_encrypt(key, msg, scheme, nonce)
     c2 = sym_encrypt(key, msg, scheme, nonce)
     np.testing.assert_array_equal(c1.body.values, c2.body.values)
-    assert (c1.n, c1.t, c1.encoding_id, c1.nonce) == (256, 8, 0x03, nonce)
+    assert (c1.scheme.n, c1.scheme.t, c1.scheme.encoding_id, c1.nonce) == (256, 8, 0x03, nonce)
 
 
 def test_ciphertext_hides_the_plaintext_profile():
@@ -108,9 +108,7 @@ def test_tampered_nonce_breaks_decryption():
         msg = Message.random(32, rng)
         ct = sym_encrypt(key, msg, scheme, rng.bytes(16))
         bad_nonce = bytes([ct.nonce[0] ^ 0x01]) + ct.nonce[1:]
-        tampered = SymCiphertext(
-            n=ct.n, t=ct.t, encoding_id=ct.encoding_id, nonce=bad_nonce, body=ct.body
-        )
+        tampered = SymCiphertext(scheme=ct.scheme, nonce=bad_nonce, body=ct.body)
         assert sym_decrypt(key, tampered) != msg
 
 
@@ -199,6 +197,37 @@ def test_round_trip_builds_one_body_per_crossing(monkeypatch):
     assert built == []
 
 
+
+def test_ciphertext_carries_its_scheme_and_nothing_rebuilds_it(monkeypatch):
+    """Only the file reader builds an EncodingScheme, from the header.
+
+    Encryption stores the caller's scheme in the ciphertext; decryption
+    and the attacks decode with that object.
+    """
+    rng = np.random.default_rng(18)
+    key = fresh_key(rng)
+    scheme = EncodingScheme.map2(32, 256)
+    msg = Message.random(32, rng)
+    factors = hso.hso_svd(256)
+    built = []
+    original = EncodingScheme.__post_init__
+
+    def counted(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(EncodingScheme, "__post_init__", counted)
+    ct = sym_encrypt(key, msg, scheme, rng.bytes(16))
+    assert ct.scheme is scheme
+    parsed = read_sym_ciphertext(write_sym_ciphertext(ct))
+    assert sym_decrypt(key, parsed) == msg
+    assert len(built) == 1 and built[0] is parsed.scheme
+    built.clear()
+    attack_naive(ct, factors, truth=msg)
+    attack_regularized(ct, factors, Tsvd(8), truth=msg)
+    attack_regularized(ct, factors, Tikhonov(1e-4), truth=msg)
+    assert built == []
+
 def test_exact_inverse_paths_never_compute_the_singular_system():
     """Attack and experiment paths that need only n never call hso_svd.
 
@@ -244,10 +273,11 @@ def test_decrypt_validates_grid_match():
 def test_ciphertext_header_validation():
     body = GridFunction(np.zeros(64))
     with pytest.raises(ValueError, match="header"):
-        SymCiphertext(n=32, t=8, encoding_id=0x03, nonce=b"\x00" * 16, body=body)
+        SymCiphertext(scheme=EncodingScheme.map2(8, 32), nonce=b"\x00" * 16, body=body)
     with pytest.raises(ValueError, match="nonce"):
-        SymCiphertext(n=64, t=8, encoding_id=0x03, nonce=b"\x00" * 4, body=body)
+        SymCiphertext(scheme=EncodingScheme.map2(8, 64), nonce=b"\x00" * 4, body=body)
+    # The header's (id, t, n) is checked where the scheme is built from it.
     with pytest.raises(ValueError, match="t \\| n"):
-        SymCiphertext(n=64, t=7, encoding_id=0x03, nonce=b"\x00" * 16, body=body)
+        EncodingScheme.from_encoding_id(0x03, 7, 64)
     with pytest.raises(ValueError, match="encoding id"):
-        SymCiphertext(n=64, t=8, encoding_id=0x42, nonce=b"\x00" * 16, body=body)
+        EncodingScheme.from_encoding_id(0x42, 8, 64)
