@@ -159,12 +159,15 @@ def _attack(
 
 
 def attack_naive(
-    ct: SymCiphertext, factors: hso.SVDFactors, truth: Message | None = None
+    ct: SymCiphertext,
+    factors: hso.SVDFactors | hso.DiscretizedOperator,
+    truth: Message | None = None,
 ) -> AttackReport:
     """Invert the raw ciphertext as if there were no error term.
 
     The exact inverse reads only the grid size factors.n, through the
-    cached operator; a body on another grid is rejected.
+    cached operator, so the operator itself serves as well as its
+    singular system; a body on another grid is rejected.
     """
     op = hso.build_hso(factors.n)
     return _attack(ct, "naive", lambda v: hso.naive_inverse_apply(op, v), truth)

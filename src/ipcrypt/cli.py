@@ -251,7 +251,8 @@ def _cmd_attack(args) -> int:
     method = _parse_method(args.method)
     params = ErrorParams(n=args.n, scale=args.scale, distribution=CENTERED_BINOMIAL, eta=args.eta)
     scheme = _scheme_from_args(args.encoding, args.t, args.n)
-    factors = hso.hso_svd(args.n)
+    # The exact inverse reads only n; the filters need the singular values.
+    factors = hso.build_hso(args.n) if method is None else hso.hso_svd(args.n)
     rows = []
     accuracies = []
     residuals = []

@@ -342,20 +342,12 @@ def classify_decay(
     severe_slope, _, severe_r2 = _linear_fit(k, log_s)
 
     low_confidence = abs(mild_r2 - severe_r2) < _FIT_TIE_GAP
-    if mild_r2 >= severe_r2 or low_confidence:
-        return DecayClassification(
-            kind=MILD,
-            decay_exponent=-mild_slope,
-            decay_rate=None,
-            fit_quality=mild_r2,
-            fit_range=(lo, hi),
-            low_confidence=low_confidence,
-        )
+    mild = mild_r2 >= severe_r2 or low_confidence
     return DecayClassification(
-        kind=SEVERE,
-        decay_exponent=None,
-        decay_rate=-severe_slope,
-        fit_quality=severe_r2,
+        kind=MILD if mild else SEVERE,
+        decay_exponent=-mild_slope if mild else None,
+        decay_rate=None if mild else -severe_slope,
+        fit_quality=mild_r2 if mild else severe_r2,
         fit_range=(lo, hi),
         low_confidence=low_confidence,
     )

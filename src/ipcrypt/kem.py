@@ -129,13 +129,12 @@ class KemPublicKey:
     def __post_init__(self) -> None:
         if len(self.seed_a) != 32:
             raise ValueError(f"matrix seed must be 32 bytes, got {len(self.seed_a)}")
-        b = np.asarray(self.b_pub, dtype=np.int64)
+        b = np.array(self.b_pub, dtype=np.int64)
         shape = (self.params.dim, self.params.secret_bits)
         if b.shape != shape:
             raise ValueError(f"public matrix shape {b.shape} != {shape}")
-        if np.any(b < 0) or np.any(b >= self.params.q):
+        if b.min() < 0 or b.max() >= self.params.q:
             raise ValueError("public matrix entries must lie in [0, q)")
-        b = b.copy()
         b.flags.writeable = False
         object.__setattr__(self, "b_pub", b)
 
@@ -156,13 +155,12 @@ class KemSecretKey:
     s: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        s = np.asarray(self.s, dtype=np.int64)
+        s = np.array(self.s, dtype=np.int64)
         shape = (self.params.dim, self.params.secret_bits)
         if s.shape != shape:
             raise ValueError(f"secret matrix shape {s.shape} != {shape}")
-        if np.any(np.abs(s) > self.params.eta):
+        if s.min() < -self.params.eta or s.max() > self.params.eta:
             raise ValueError("secret entries must be bounded by eta")
-        s = s.copy()
         s.flags.writeable = False
         object.__setattr__(self, "s", s)
 

@@ -60,7 +60,12 @@ _DOUBLE_STEP = 1.0 / (1 << 53)
 
 @dataclass(frozen=True)
 class ErrorParams:
-    """Shape of the per-point integer noise and its grid placement."""
+    """Shape of the per-point integer noise and its grid placement.
+
+    The binomial reads eta and the Gaussian sigma; the parameter the
+    distribution does not read must keep its default (eta = 2, sigma =
+    1.0), since a key file stores only the one that is read.
+    """
 
     n: int
     scale: float
@@ -76,7 +81,11 @@ class ErrorParams:
         if self.distribution == CENTERED_BINOMIAL:
             if not 1 <= self.eta <= _MAX_SUPPORT:
                 raise ValueError(f"eta must be in [1, {_MAX_SUPPORT}], got {self.eta}")
+            if self.sigma != 1.0:
+                raise ValueError(f"sigma is unused by the binomial; keep 1.0, got {self.sigma}")
         elif self.distribution == DISCRETE_GAUSSIAN:
+            if self.eta != 2:
+                raise ValueError(f"eta is unused by the Gaussian; keep 2, got {self.eta}")
             # Also rejects nan and inf.
             if not (0 < self.sigma and _GAUSS_TAIL_SIGMAS * self.sigma < _MAX_SUPPORT + 1):
                 raise ValueError(

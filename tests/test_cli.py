@@ -343,6 +343,14 @@ def test_attack_naive_writes_table(tmp_path, capsys):
     assert lines[2].split(",")[1] == "naive"
 
 
+def test_naive_attack_never_computes_the_singular_system(capsys):
+    """The exact inverse reads only n, so a naive run leaves the hso_svd cache untouched."""
+    before = hso_svd.cache_info()
+    code, _, _ = run(capsys, "attack", "--method", "naive", "--trials", "2", "--n", "96", "--t", "8")
+    assert code == 0
+    assert hso_svd.cache_info() == before
+
+
 def test_attack_truncated_inversion_beats_naive_at_small_scale(capsys):
     _, naive_out, _ = run(
         capsys, "attack", "--method", "naive", "--trials", "20", "--n", "64",

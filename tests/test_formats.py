@@ -25,7 +25,7 @@ from ipcrypt.formats import (
 )
 from ipcrypt.hybrid import pke_decrypt, pke_encrypt, pke_keygen
 from ipcrypt.kem import DESK_PARAMS, KemParams, kem_encaps, kem_keygen
-from ipcrypt.noise import DISCRETE_GAUSSIAN, ErrorKey, ErrorParams
+from ipcrypt.noise import CENTERED_BINOMIAL, DISCRETE_GAUSSIAN, ErrorKey, ErrorParams
 from ipcrypt.grid import GridFunction
 from ipcrypt.symmetric import SymCiphertext, recommended_error_params, sym_encrypt, sym_keygen
 
@@ -71,6 +71,20 @@ def test_error_key_roundtrip_gaussian():
     again = read_error_key(blob)
     assert again.params == params
     assert again.seed == key.seed
+
+
+@pytest.mark.parametrize(
+    "distribution, used, unused",
+    [(CENTERED_BINOMIAL, {"eta": 5}, {"sigma": 3.0}), (DISCRETE_GAUSSIAN, {"sigma": 3.0}, {"eta": 7})],
+)
+def test_error_key_file_keeps_every_parameter_of_the_key(distribution, used, unused):
+    """The file stores only the parameter the distribution reads; the other keeps its default."""
+    params = ErrorParams(n=256, scale=0.5, distribution=distribution, **used)
+    again = read_error_key(write_error_key(ErrorKey(seed=bytes(32), params=params)))
+    assert again.params == params
+    (name,) = unused
+    with pytest.raises(ValueError, match=f"{name} is unused"):
+        ErrorParams(n=256, scale=0.5, distribution=distribution, **used, **unused)
 
 
 def test_error_key_rejects_malformed_input():

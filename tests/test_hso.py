@@ -3,6 +3,7 @@
 import ast
 import math
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -222,6 +223,13 @@ def test_library_calls_no_eigensolver():
             if name.startswith("eig"):
                 calls.append(f"{path.name}:{node.lineno} {name}")
     assert calls == []
+
+
+def test_package_root_holds_only_modules():
+    """Each name has one import path, its defining module; the root re-exports none."""
+    public = {name: value for name, value in vars(ipcrypt).items() if not name.startswith("_")}
+    assert public
+    assert [name for name, value in public.items() if not isinstance(value, types.ModuleType)] == []
 
 
 # ---------------------------------------------------------------- naive inversion
