@@ -184,12 +184,10 @@ def _cmd_encode(args) -> int:
 
 
 def _error_params_from_args(args) -> ErrorParams:
-    if args.dist == "binomial":
-        return ErrorParams(
-            n=args.n, scale=args.scale, distribution=CENTERED_BINOMIAL, eta=args.eta
-        )
+    """Both --eta and --sigma go to ErrorParams, which refuses a non-default unread one."""
+    distribution = CENTERED_BINOMIAL if args.dist == "binomial" else DISCRETE_GAUSSIAN
     return ErrorParams(
-        n=args.n, scale=args.scale, distribution=DISCRETE_GAUSSIAN, sigma=args.sigma
+        n=args.n, scale=args.scale, distribution=distribution, eta=args.eta, sigma=args.sigma
     )
 
 

@@ -12,13 +12,17 @@ v - S^T u at q/4.  With these parameters the accumulated noise is
 bounded well inside q/4, so decapsulation never fails.
 
 All four matrix products (A S in keygen, A^T r and B^T r in encapsulation,
-S^T u in decapsulation) run on float64 BLAS and are exact.  Each sums dim
+S^T u in decapsulation) run on float32 BLAS and are exact.  Each sums dim
 terms of absolute value at most (q - 1) * eta, so with
-dim * (q - 1) * eta < 2^53 every partial sum is an integer that float64
-represents exactly, whatever order BLAS adds in; `KemParams` rejects
-parameters outside that bound.  NumPy does not send int64 products to
-BLAS, and at desk scale the float64 route is over 20 times faster.  The
-key objects hold read-only float64 copies of A, B and S, made on first
+dim * (q - 1) * eta < 2^24 every product and partial sum is an integer
+that float32 represents exactly, whatever order BLAS adds in (fused
+multiply-adds included); `KemParams` rejects parameters outside that
+bound.  At the desk q and eta this allows dim <= 2520.  NumPy does not
+send int64 products to BLAS, and at desk scale the float32 route is
+about 12 times faster for a vector times a matrix and over 20 times for
+keygen's matrix product.  The vector products are bound by memory
+traffic, and float32 operands are half the bytes of float64 ones.  The
+key objects hold read-only float32 copies of A, B and S, made on first
 use, so encapsulation and decapsulation convert only the short vectors.
 
 Every coin is a bit of one SHAKE-256 squeeze over a 32-byte seed.
@@ -78,23 +82,29 @@ def xof_expand(data: bytes, out_len: int) -> bytes:
 
 
 def _exact_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Integer product of x and y on float64 BLAS, exact under the KemParams bound.
+    """Integer product of x and y on float32 BLAS, exact under the KemParams bound.
 
-    Either operand may already be a float64 copy of an integer array; it
+    Either operand may already be a float32 copy of an integer array; it
     is then used as it is.
     """
-    return (np.asarray(x, dtype=np.float64) @ np.asarray(y, dtype=np.float64)).astype(np.int64)
+    return (np.asarray(x, dtype=np.float32) @ np.asarray(y, dtype=np.float32)).astype(np.int64)
 
 
 def _float_copy(a: np.ndarray) -> np.ndarray:
-    """Read-only float64 copy of an integer matrix, for `_exact_matmul`."""
-    f = a.astype(np.float64)
+    """Read-only float32 copy of an integer matrix, for `_exact_matmul`."""
+    f = a.astype(np.float32)
     f.flags.writeable = False
     return f
 
 
 @dataclass(frozen=True)
 class KemParams:
+    """Modulus q, LWE dimension, shared-secret bits and the binomial eta.
+
+    dim * (q - 1) * eta must stay below 2^24, the bound under which
+    float32 products are exact; at q = 3329 and eta = 2 that is dim <= 2520.
+    """
+
     q: int = 3329
     dim: int = 256
     secret_bits: int = 256
@@ -105,9 +115,9 @@ class KemParams:
             raise ValueError("KEM parameters must be positive")
         if self.secret_bits % 8 != 0:
             raise ValueError("secret_bits must be a multiple of 8")
-        if self.dim * (self.q - 1) * self.eta >= 2**53:
+        if self.dim * (self.q - 1) * self.eta >= 2**24:
             raise ValueError(
-                f"dim * (q - 1) * eta must stay below 2^53 for exact float64 "
+                f"dim * (q - 1) * eta must stay below 2^24 for exact float32 "
                 f"products, got {self.dim} * {self.q - 1} * {self.eta}"
             )
 
@@ -139,13 +149,13 @@ class KemPublicKey:
         object.__setattr__(self, "b_pub", b)
 
     @cached_property
-    def a_f64(self) -> np.ndarray:
-        """A = expand_matrix(seed_a) as read-only float64, expanded once per key."""
+    def a_f32(self) -> np.ndarray:
+        """A = expand_matrix(seed_a) as read-only float32, expanded once per key."""
         return _float_copy(expand_matrix(self.seed_a, self.params))
 
     @cached_property
-    def b_f64(self) -> np.ndarray:
-        """b_pub as read-only float64."""
+    def b_f32(self) -> np.ndarray:
+        """b_pub as read-only float32."""
         return _float_copy(self.b_pub)
 
 
@@ -165,8 +175,8 @@ class KemSecretKey:
         object.__setattr__(self, "s", s)
 
     @cached_property
-    def s_f64(self) -> np.ndarray:
-        """s as read-only float64."""
+    def s_f32(self) -> np.ndarray:
+        """s as read-only float32."""
         return _float_copy(self.s)
 
 
@@ -307,8 +317,8 @@ def kem_encaps(
     noise = cbd(stream[m:], 2 * dim + params.secret_bits, params.eta)
     r, e_u, e_v = noise[:dim], noise[dim : 2 * dim], noise[2 * dim :]
     bits = np.unpackbits(np.frombuffer(secret, dtype=np.uint8), bitorder="little")
-    u = (_exact_matmul(r, pk.a_f64) + e_u) % params.q
-    v = (_exact_matmul(r, pk.b_f64) + e_v + params.half_q * bits.astype(np.int64)) % params.q
+    u = (_exact_matmul(r, pk.a_f32) + e_u) % params.q
+    v = (_exact_matmul(r, pk.b_f32) + e_v + params.half_q * bits.astype(np.int64)) % params.q
     return SharedSecret(secret), KemCiphertext(params=params, u=u, v=v)
 
 
@@ -322,7 +332,7 @@ def kem_decaps(sk: KemSecretKey, ct: KemCiphertext) -> SharedSecret:
     params = sk.params
     if ct.params != params:
         raise ValueError(f"ciphertext parameters {ct.params} != key parameters {params}")
-    c = (ct.v - _exact_matmul(ct.u, sk.s_f64)) % params.q
+    c = (ct.v - _exact_matmul(ct.u, sk.s_f32)) % params.q
     c = np.where(c > params.q // 2, c - params.q, c)
     bits = (np.abs(c) > params.q / 4).astype(np.int64)
     return SharedSecret(_pack_bits(bits))

@@ -20,6 +20,7 @@ difference of the smoothed messages (see the attacks module).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import hso
 from .encoding import EncodingScheme, Message, decode, encode
@@ -41,8 +42,13 @@ RECOMMENDED_N = 256
 RECOMMENDED_SCALE = 0.5
 
 
+@lru_cache
 def recommended_error_params(n: int = RECOMMENDED_N, scale: float = RECOMMENDED_SCALE) -> ErrorParams:
-    """Default working point: centered binomial eta = 2 at half-integer scale."""
+    """Default working point: centered binomial eta = 2 at half-integer scale.
+
+    Cached: ErrorParams is frozen, so each (n, scale) is built and
+    validated once.
+    """
     return ErrorParams(n=n, scale=scale, distribution=CENTERED_BINOMIAL, eta=2)
 
 

@@ -314,6 +314,27 @@ def test_keygen_sym_rejects_huge_eta(tmp_path, capsys):
     assert not key_file.exists()
 
 
+@pytest.mark.parametrize(
+    "dist_args, message",
+    [
+        (("--dist", "gaussian", "--eta", "7"), "eta is unused by the Gaussian; keep 2, got 7"),
+        (("--dist", "binomial", "--sigma", "3"), "sigma is unused by the binomial; keep 1.0, got 3.0"),
+    ],
+    ids=["gaussian-eta7", "binomial-sigma3"],
+)
+def test_keygen_sym_refuses_the_flag_its_distribution_does_not_read(
+    tmp_path, capsys, dist_args, message
+):
+    key_file = tmp_path / "key.ipk"
+    code, stdout, stderr = run(
+        capsys, "keygen-sym", *dist_args, "--seed", "01", "--out", str(key_file)
+    )
+    assert code == 1
+    assert stdout == ""
+    assert stderr == f"error: {message}\n"
+    assert not key_file.exists()
+
+
 def test_keygen_sym_is_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a.ipk", tmp_path / "b.ipk"
     run(capsys, "keygen-sym", "--out", str(a), "--seed", "1234")

@@ -284,8 +284,8 @@ def test_keygen_and_encaps_need_only_rng_bytes(seed_rng):
 
 @pytest.mark.parametrize("sign", [1, -1])
 def test_exact_matmul_matches_int64_at_the_extremes(sign):
-    """Every term at its bound (q - 1) * eta: float64 BLAS equals int64 exactly."""
-    for q, dim, eta in ((3329, 256, 2), (2**45, 256, 1), (2**40 + 1, 4095, 2)):
+    """Every term at its bound (q - 1) * eta: float32 BLAS equals int64 exactly."""
+    for q, dim, eta in ((3329, 256, 2), (2**16, 128, 2), (4097, 4095, 1)):
         KemParams(q=q, dim=dim, secret_bits=8, eta=eta)
         a = np.full((3, dim), q - 1, dtype=np.int64)
         s = np.full((dim, 5), sign * eta, dtype=np.int64)
@@ -298,6 +298,18 @@ def test_exact_matmul_matches_int64_at_the_extremes(sign):
         got_vec = kem._exact_matmul(a[0], s)
         assert got_vec.shape == (5,)
         np.testing.assert_array_equal(got_vec, want[0])
+
+
+def test_exact_matmul_matches_int64_on_random_operands():
+    """Random entries of a parameter set just inside the 2^24 bound stay exact."""
+    q, dim, eta = 2**16, 128, 2
+    KemParams(q=q, dim=dim, secret_bits=8, eta=eta)
+    rng = np.random.default_rng(31)
+    for _ in range(5):
+        a = rng.integers(0, q, size=(7, dim))
+        s = rng.integers(-eta, eta + 1, size=(dim, 9))
+        np.testing.assert_array_equal(kem._exact_matmul(a, s), a @ s)
+        np.testing.assert_array_equal(kem._exact_matmul(a[0], s), a[0] @ s)
 
 
 def test_exact_matmul_is_the_only_matrix_product():
@@ -371,19 +383,19 @@ def test_cached_float_operands_are_read_only_copies():
     pair = kem_keygen(DESK_PARAMS, np.random.default_rng(21))
     pk, sk = pair.public, pair.secret
     want = (
-        (pk.a_f64, expand_matrix(pk.seed_a, DESK_PARAMS)),
-        (pk.b_f64, pk.b_pub),
-        (sk.s_f64, sk.s),
+        (pk.a_f32, expand_matrix(pk.seed_a, DESK_PARAMS)),
+        (pk.b_f32, pk.b_pub),
+        (sk.s_f32, sk.s),
     )
     for cached, ints in want:
-        assert cached.dtype == np.float64
+        assert cached.dtype == np.float32
         assert not cached.flags.writeable
         np.testing.assert_array_equal(cached, ints)
         assert not np.shares_memory(cached, ints)
         with pytest.raises(ValueError):
             cached[0, 0] = 1.0
     # One conversion per key: later reads return the same array.
-    assert pk.a_f64 is pk.a_f64 and pk.b_f64 is pk.b_f64 and sk.s_f64 is sk.s_f64
+    assert pk.a_f32 is pk.a_f32 and pk.b_f32 is pk.b_f32 and sk.s_f32 is sk.s_f32
 
 
 def test_keys_rebuilt_from_files_encapsulate_and_decapsulate_alike():
@@ -404,10 +416,10 @@ def test_public_keys_sharing_a_matrix_seed_never_share_b():
     pk = pair.public
     other_b = np.random.default_rng(24).integers(0, DESK_PARAMS.q, size=pk.b_pub.shape)
     twin = KemPublicKey(params=DESK_PARAMS, seed_a=pk.seed_a, b_pub=other_b)
-    np.testing.assert_array_equal(twin.a_f64, pk.a_f64)
-    np.testing.assert_array_equal(twin.b_f64, other_b)
-    assert not np.array_equal(twin.b_f64, pk.b_f64)
-    assert not np.shares_memory(twin.b_f64, pk.b_f64)
+    np.testing.assert_array_equal(twin.a_f32, pk.a_f32)
+    np.testing.assert_array_equal(twin.b_f32, other_b)
+    assert not np.array_equal(twin.b_f32, pk.b_f32)
+    assert not np.shares_memory(twin.b_f32, pk.b_f32)
     # Encapsulating against each key sees its own B.
     _, ct = kem_encaps(twin, np.random.default_rng(0))
     _, ref = kem_encaps(pk, np.random.default_rng(0))
@@ -509,10 +521,14 @@ def test_params_validation_and_half_q():
         KemParams(secret_bits=12)
     with pytest.raises(ValueError):
         KemParams(eta=0)
-    # Products stay exact in float64 only while dim * (q - 1) * eta < 2^53.
-    KemParams(q=2**45, dim=256, eta=1)
-    for q, dim, eta in ((2**45 + 1, 256, 1), (2**45 + 2, 256, 1), (3329, 2**42, 2)):
-        with pytest.raises(ValueError, match="2\\^53"):
+    # Products stay exact in float32 only while dim * (q - 1) * eta < 2^24.
+    KemParams(q=2**16, dim=128, eta=2)
+    KemParams(q=4097, dim=4095, eta=1)
+    KemParams(q=3329, dim=2520, eta=2)
+    for q, dim, eta in (
+        (2**16 + 1, 256, 1), (3329, 2521, 2), (2**16, 257, 1), (3329, 2**42, 2)
+    ):
+        with pytest.raises(ValueError, match="2\\^24"):
             KemParams(q=q, dim=dim, eta=eta)
 
 

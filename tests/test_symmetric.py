@@ -42,6 +42,15 @@ def test_recommended_params():
     assert params.eta == 2
 
 
+def test_recommended_params_are_built_once_per_argument_set():
+    assert recommended_error_params() is recommended_error_params()
+    assert recommended_error_params(n=128) is recommended_error_params(n=128)
+    # A refused set is never cached: each call validates and raises again.
+    for _ in range(2):
+        with pytest.raises(ValueError, match="128-bit floor"):
+            recommended_error_params(n=1)
+
+
 @pytest.mark.parametrize(
     "scheme",
     [
