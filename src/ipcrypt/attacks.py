@@ -203,9 +203,8 @@ def decode_difference(diff: np.ndarray, scheme: EncodingScheme) -> tuple[int, ..
     """Per-bit message difference in {-1, 0, +1} from a ciphertext difference.
 
     Inverts the noise-free difference exactly and reads each subinterval
-    mean (piecewise-constant scheme) or basis correlation sign pattern.
-    Only the piecewise-constant scheme admits a per-bit reading; the
-    basis-indexed scheme is rejected.
+    mean.  Only the piecewise-constant scheme admits a per-bit reading;
+    the basis-indexed scheme is rejected.
     """
     if scheme.kind != "map2":
         raise ValueError("per-bit difference decoding needs the subinterval scheme")

@@ -13,6 +13,7 @@ from ipcrypt.encoding import (
     MAP2_ID,
     EncodingScheme,
     Message,
+    _map1_correlations,
     basis_vector,
     decode,
     decode_map1,
@@ -104,7 +105,7 @@ def test_scheme_validation():
     with pytest.raises(ValueError, match="basis"):
         EncodingScheme.map1(4, 64, basis="walsh")
     with pytest.raises(ValueError, match="2\\^t"):
-        EncodingScheme.map1(21, 1 << 21)  # decode table would be intractable
+        EncodingScheme.map1(21, 1 << 21)  # capacity 2^21 - 1 < 2^21
     with pytest.raises(ValueError, match="capacity 255"):
         EncodingScheme.map1(8, 256, basis="fourier")  # top index 256 is the Nyquist mode
     with pytest.raises(ValueError, match="no basis"):
@@ -232,6 +233,31 @@ def test_map1_roundtrip_survives_small_perturbation():
         g = rng.standard_normal(256)
         g *= 0.1 / (math.sqrt(1.0 / 256) * np.linalg.norm(g))
         assert decode_map1(u + g, scheme) == msg
+
+
+@pytest.mark.parametrize(
+    "basis, n, t",
+    [
+        ("fourier", 64, 5),
+        ("fourier", 256, 7),
+        ("fourier", 257, 8),
+        ("haar", 256, 8),
+        ("haar", 96, 5),  # capacity 32 falls short of the grid
+        ("haar", 2048, 11),
+    ],
+)
+def test_map1_decoder_matches_the_table_oracle(basis, n, t):
+    """The fast transforms give every candidate's correlation, in table order."""
+    scheme = EncodingScheme.map1(t, n, basis=basis)
+    table = np.column_stack([basis_vector(k, scheme) for k in range(1, (1 << t) + 1)])
+    rng = np.random.default_rng(n + t)
+    noisy = table[:, rng.integers(0, 1 << t, 20)] + 0.3 * rng.standard_normal((n, 20))
+    inputs = np.column_stack([rng.standard_normal((n, 20)), table, noisy])
+    for u, expected in zip(inputs.T, (table.T @ inputs).T):
+        got = _map1_correlations(u, scheme)
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+        best = int(np.argmax(np.abs(expected)))
+        assert decode_map1(u, scheme) == Message.from_int(best, t)
 
 
 def test_map1_length_mismatch():

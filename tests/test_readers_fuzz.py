@@ -129,3 +129,7 @@ def test_sym_ciphertext_header_errors_keep_their_text():
     text = re.escape("body grid size 64 != header n = 32")
     with pytest.raises(ValueError, match=f"^{text}$"):
         read_sym_ciphertext(patched)
+    huge_t = SYM_BLOB[:9] + struct.pack("<IB", 2**32 - 1, 0x02) + SYM_BLOB[14:]
+    text = re.escape("map1 needs 2^t <= capacity 64 of the n = 64 grid, got t = 4294967295")
+    with pytest.raises(ValueError, match=f"^{text}$"):
+        read_sym_ciphertext(huge_t)

@@ -149,14 +149,24 @@ def test_body_is_smoothed_message_plus_derived_error():
     )
 
 
-def test_large_grid_round_trip_is_linear_in_memory(monkeypatch):
-    """A map2 file round trip at n = 2^16 with no basis and no dense matrix.
+@pytest.mark.parametrize(
+    "scheme",
+    [
+        EncodingScheme.map2(64, 1 << 16),
+        EncodingScheme.map1(16, 1 << 16, basis="haar"),
+        EncodingScheme.map1(15, 1 << 16, basis="fourier"),
+    ],
+    ids=["map2-t64", "map1-haar-t16", "map1-fourier-t15"],
+)
+def test_large_grid_round_trip_is_linear_in_memory(monkeypatch, scheme):
+    """A file round trip at n = 2^16 with no basis and no dense matrix.
 
-    The tracemalloc peak of encrypt, write, read and decrypt measured 13.1
-    times the 8n-byte body with the cached singular values cold and 5.0
-    times warm; one n x n array alone would be n = 65536 times.
+    The tracemalloc peak of a map2 encrypt, write, read and decrypt
+    measured 13.1 times the 8n-byte body with the cached singular values
+    cold and 5.0 times warm; one n x n array alone would be n = 65536
+    times, and so would a map1 table of all 2^16 haar candidates.
     """
-    n = 1 << 16
+    n = scheme.n
 
     def forbidden(*_):
         raise AssertionError("the keyed round trip built an O(n^2) array")
@@ -165,10 +175,10 @@ def test_large_grid_round_trip_is_linear_in_memory(monkeypatch):
     monkeypatch.setattr(hso.DiscretizedOperator, "matrix", property(forbidden))
     rng = np.random.default_rng(16)
     key = fresh_key(rng, n=n)
-    msg = Message.random(64, rng)
+    msg = Message.random(scheme.t, rng)
     tracemalloc.start()
     try:
-        ct = sym_encrypt(key, msg, EncodingScheme.map2(64, n), rng.bytes(16))
+        ct = sym_encrypt(key, msg, scheme, rng.bytes(16))
         recovered = sym_decrypt(key, read_sym_ciphertext(write_sym_ciphertext(ct)))
         _, peak = tracemalloc.get_traced_memory()
     finally:
