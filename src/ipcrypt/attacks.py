@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from . import hso
-from .encoding import EncodingScheme, Message, decode, encode
+from .encoding import EncodingScheme, Message, decode, encode, map2_cell_means
 from .grid import norm
 from .noise import ErrorKey
 from .symmetric import SymCiphertext, sym_encrypt
@@ -209,7 +209,7 @@ def decode_difference(diff: np.ndarray, scheme: EncodingScheme) -> tuple[int, ..
     if scheme.kind != "map2":
         raise ValueError("per-bit difference decoding needs the subinterval scheme")
     inverted = hso.naive_inverse_apply(hso.build_hso(scheme.n), diff)
-    means = inverted.reshape(scheme.t, scheme.n // scheme.t).mean(axis=1)
+    means = map2_cell_means(inverted, scheme)
     return tuple(0 if abs(m) < 0.5 else (1 if m > 0 else -1) for m in means)
 
 

@@ -36,6 +36,7 @@ __all__ = [
     "decode_map1",
     "encode_map2",
     "decode_map2",
+    "map2_cell_means",
 ]
 
 MAP1_FOURIER_ID = 0x01
@@ -226,8 +227,11 @@ def _map1_correlations(u: np.ndarray, scheme: EncodingScheme) -> np.ndarray:
 def decode_map1(u: np.ndarray, scheme: EncodingScheme) -> Message:
     """Nearest-basis-element decoding by maximal correlation.
 
-    Ties break toward the smaller index, so decoding is a deterministic
-    function of the samples.
+    Ties in the computed float correlations break toward the smaller
+    index, so decoding is a deterministic function of the samples.  The
+    correlations come from a transform, not exact arithmetic: where two
+    candidates tie or nearly tie within rounding, the winner follows the
+    transform's rounding.
     """
     if u.shape != (scheme.n,):
         raise ValueError(f"grid size mismatch: {u.shape} vs {(scheme.n,)}")
@@ -242,12 +246,21 @@ def encode_map2(msg: Message, scheme: EncodingScheme) -> np.ndarray:
     return np.repeat(np.asarray(msg.bits, dtype=np.float64), cells)
 
 
+def map2_cell_means(u: np.ndarray, scheme: EncodingScheme) -> np.ndarray:
+    """Mean of the n samples u over each of the t map2 cells.
+
+    The same pairwise sum and division that `.mean(axis=1)` makes, without
+    its wrapper.
+    """
+    cells = scheme.n // scheme.t
+    return np.add.reduce(u.reshape(scheme.t, cells), axis=1) / cells
+
+
 def decode_map2(u: np.ndarray, scheme: EncodingScheme) -> Message:
     """Per-subinterval mean thresholded at 1/2."""
     if u.shape != (scheme.n,):
         raise ValueError(f"grid size mismatch: {u.shape} vs {(scheme.n,)}")
-    means = u.reshape(scheme.t, scheme.n // scheme.t).mean(axis=1)
-    return Message(tuple((means >= 0.5).tolist()))
+    return Message(tuple((map2_cell_means(u, scheme) >= 0.5).tolist()))
 
 
 def encode(msg: Message, scheme: EncodingScheme) -> np.ndarray:

@@ -60,11 +60,16 @@ class DiscretizedOperator:
     """Midpoint-rule exponential-kernel operator, kept as its separable weights.
 
     grow = exp(y) and decay = exp(-y) at the n midpoints, both read-only.
+    rho = e^-h, diagonal = 1 + rho^2 and scale = h (1 - rho^2), taken as
+    h * -expm1(-2h), are the constants of the tridiagonal inverse.
     """
 
     n: int
     grow: np.ndarray
     decay: np.ndarray
+    rho: float
+    diagonal: float
+    scale: float
 
     @property
     def matrix(self) -> np.ndarray:
@@ -167,7 +172,16 @@ def build_hso(n: int) -> DiscretizedOperator:
     grow, decay = np.exp(y), np.exp(-y)
     grow.flags.writeable = False
     decay.flags.writeable = False
-    return DiscretizedOperator(n=n, grow=grow, decay=decay)
+    h = 1.0 / n
+    rho = float(np.exp(-h))
+    return DiscretizedOperator(
+        n=n,
+        grow=grow,
+        decay=decay,
+        rho=rho,
+        diagonal=1.0 + rho * rho,
+        scale=h * -float(np.expm1(-2.0 * h)),
+    )
 
 
 def apply_operator(op: DiscretizedOperator, u: np.ndarray) -> np.ndarray:
@@ -175,13 +189,19 @@ def apply_operator(op: DiscretizedOperator, u: np.ndarray) -> np.ndarray:
 
     Both sums count the diagonal, hence the one u subtracted.  The weights
     lie in [1/e, e], so the split form's rounding stays within a factor
-    e^2 of the dense product's.
+    e^2 of the dense product's.  The combining steps run in place, in the
+    order (lower + upper - u) / n.
     """
     if u.shape != (op.n,):
         raise ValueError(f"grid size mismatch: {u.shape} vs {(op.n,)}")
-    lower = op.decay * np.cumsum(op.grow * u)
-    upper = op.grow * np.cumsum((op.decay * u)[::-1])[::-1]
-    return (lower + upper - u) / op.n
+    out = np.add.accumulate(op.grow * u)
+    out *= op.decay
+    upper = np.add.accumulate((op.decay * u)[::-1])[::-1]
+    upper *= op.grow
+    out += upper
+    out -= u
+    out /= op.n
+    return out
 
 
 def _kms_basis(phases: np.ndarray) -> np.ndarray:
@@ -271,22 +291,21 @@ def naive_inverse_apply(op: DiscretizedOperator, v: np.ndarray) -> np.ndarray:
     tridiagonal (Kac, Murdock & Szegő 1953):
     A^-1 = tridiag(-rho, 1 + rho^2, -rho) / (h (1 - rho^2)), except that
     the two corner diagonal entries are 1, not 1 + rho^2; at n = 1,
-    A^-1 = [1].  h (1 - rho^2) is taken as h * -expm1(-2h).  This is the
-    filter 1/s on every mode, but only op.n is read: no singular value or
-    vector is computed.
+    A^-1 = [1].  rho, 1 + rho^2 and h (1 - rho^2) are the operator's cached
+    constants.  This is the filter 1/s on every mode, but no singular
+    value or vector is computed.
     """
     n = op.n
     if v.shape != (n,):
         raise ValueError(f"grid size mismatch: {v.shape} vs {(n,)}")
     if n == 1:
         return v.copy()
-    h = 1.0 / n
-    rho = np.exp(-h)
-    out = (1.0 + rho * rho) * v
+    rho_v = op.rho * v
+    out = op.diagonal * v
     out[0], out[-1] = v[0], v[-1]
-    out[1:] -= rho * v[:-1]
-    out[:-1] -= rho * v[1:]
-    out /= h * -np.expm1(-2.0 * h)
+    out[1:] -= rho_v[:-1]
+    out[:-1] -= rho_v[1:]
+    out /= op.scale
     return out
 
 

@@ -32,6 +32,8 @@ E, each filled row by row.  Encapsulation takes one more rng.bytes(32)
 and splits its squeeze into the shared secret (secret_bits / 8 bytes,
 whose bits, little endian within each byte, are the encapsulated ones)
 and one `cbd` draw of 2 dim + secret_bits values: r, then e_u, then e_v.
+At eta = 1, 2 or 4 a byte holds whole values, and `cbd` reads whole bytes
+through a cached table of 256 entries; other eta sum the bits in planes.
 The rng supplies those seeds and nothing else, so keys and ciphertexts
 are functions of the seeds and SHAKE-256 alone; with no rng, each seed
 is os.urandom(32).
@@ -261,6 +263,31 @@ def _cbd_bytes(count: int, eta: int) -> int:
     return (2 * eta * count + 7) // 8
 
 
+def _cbd_planes(coins: np.ndarray, count: int, eta: int) -> np.ndarray:
+    """`cbd` by bit planes, for any eta, from its checked uint8 coin bytes."""
+    bits = np.unpackbits(coins, count=2 * eta * count, bitorder="little")
+    # Row k of the planes holds bit k of every value, so each sum adds
+    # whole contiguous rows; int16 holds the sum exactly up to eta = 256.
+    planes = np.ascontiguousarray(bits.reshape(count, 2 * eta).T).view(np.int8)
+    return (planes[:eta] - planes[eta:]).sum(axis=0, dtype=np.int16)
+
+
+@lru_cache(maxsize=3)
+def _cbd_table(eta: int) -> np.ndarray:
+    """Read-only table of 256 entries, one per byte, for an eta with 2 eta | 8.
+
+    A byte holds 4 / eta whole values, and entry b packs byte b's values
+    as that many int16 lanes in one unsigned word, so viewing the words
+    of table.take(bytes) as int16 gives the draw in order.  The entries
+    are the bit-plane draw of the bytes 0, 1, ..., 255.
+    """
+    lanes = 4 // eta
+    table = _cbd_planes(np.arange(256, dtype=np.uint8), 256 * lanes, eta)
+    table = table.view(np.dtype(f"u{2 * lanes}"))
+    table.flags.writeable = False
+    return table
+
+
 def cbd(data: bytes, count: int, eta: int) -> np.ndarray:
     """count centered binomial values from the bits of data, as int16.
 
@@ -270,6 +297,11 @@ def cbd(data: bytes, count: int, eta: int) -> np.ndarray:
     minus the sum of the next eta bits.  The first ceil(2 eta count / 8)
     bytes are read and the rest ignored.  A non-integer count raises
     TypeError; a negative count, eta < 1 or too short data ValueError.
+
+    When 2 eta divides 8 (eta = 1, 2 or 4) every byte holds whole values,
+    so the draw reads whole bytes through a cached table of 256 entries,
+    as Kyber's reference cbd2 does; any other eta sums the bits in
+    planes.  Both give the same values, and the result is a fresh array.
     """
     count = operator.index(count)
     if eta < 1:
@@ -279,13 +311,10 @@ def cbd(data: bytes, count: int, eta: int) -> np.ndarray:
     need = _cbd_bytes(count, eta)
     if len(data) < need:
         raise ValueError(f"{count} draws at eta = {eta} read {need} bytes, got {len(data)}")
-    bits = np.unpackbits(
-        np.frombuffer(data, dtype=np.uint8, count=need), count=2 * eta * count, bitorder="little"
-    )
-    # Row k of the planes holds bit k of every value, so each sum adds
-    # whole contiguous rows; int16 holds the sum exactly up to eta = 256.
-    planes = np.ascontiguousarray(bits.reshape(count, 2 * eta).T).view(np.int8)
-    return (planes[:eta] - planes[eta:]).sum(axis=0, dtype=np.int16)
+    coins = np.frombuffer(data, dtype=np.uint8, count=need)
+    if 8 % (2 * eta) == 0:
+        return _cbd_table(eta).take(coins).view(np.int16)[:count]
+    return _cbd_planes(coins, count, eta)
 
 
 def kem_keygen(params: KemParams = DESK_PARAMS, rng: np.random.Generator | None = None) -> KemKeyPair:

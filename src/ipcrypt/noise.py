@@ -7,9 +7,10 @@ parameters; derive_error reads its coins straight from SHAKE-256 over
 seed || nonce, so equal nonces reproduce the same error, distinct
 nonces give independent-looking ones, and the error depends on the key,
 the nonce and SHAKE-256 alone.  Binomial coins are read as FIPS 203's
-SamplePolyCBD reads them (`kem.cbd`); a Gaussian point looks a 53-bit
-uniform up in a cumulative distribution table, as FrodoKEM samples its
-noise.
+SamplePolyCBD reads them (`kem.cbd`: whole bytes through a 256-entry
+table when 2 eta divides 8, bit planes for any other eta); a Gaussian
+point looks a 53-bit uniform up in a cumulative distribution table, as
+FrodoKEM samples its noise.
 
 The distribution must carry enough entropy that enumerating error
 candidates is hopeless: ErrorParams enforces a 128-bit floor on

@@ -22,6 +22,7 @@ from ipcrypt.encoding import (
     encode_map1,
     encode_map2,
     map1_capacity,
+    map2_cell_means,
 )
 from ipcrypt.grid import norm
 
@@ -301,6 +302,20 @@ def test_map2_roundtrip_random(data):
     msg = Message(tuple(data.draw(st.integers(0, 1)) for _ in range(t)))
     scheme = EncodingScheme.map2(t, n)
     assert decode_map2(encode_map2(msg, scheme), scheme) == msg
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 255, 256, 2048])
+def test_map2_cell_means_equal_numpy_mean_exactly(n):
+    """Random cells and cells whose exact mean is 1/2, so the float mean sits on the threshold."""
+    rng = np.random.default_rng(n)
+    for t in sorted({d for d in (1, 3, 5, 8, 32, 64, n) if n % d == 0}):
+        scheme = EncodingScheme.map2(t, n)
+        noise = 1e-3 * rng.standard_normal((t, n // t))
+        noise -= noise.mean(axis=1, keepdims=True)
+        for u in (rng.standard_normal(n), (0.5 + noise).ravel()):
+            expected = u.reshape(t, -1).mean(axis=1)
+            assert np.array_equal(map2_cell_means(u, scheme), expected)
+            assert decode_map2(u, scheme).bits == tuple((expected >= 0.5).tolist())
 
 
 def test_map2_length_mismatch():

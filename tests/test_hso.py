@@ -96,6 +96,43 @@ def test_apply_matches_dense_matrix_in_linear_memory(n):
     assert np.abs(out - dense).max() <= 1e-13 * np.abs(dense).max()
 
 
+EXACT_NS = [1, 2, 3, 255, 256, 2048]
+
+
+def exact_inputs(n):
+    """A standard normal vector and one within 2^-40 of 1/2, as a map2 body near its threshold."""
+    rng = np.random.default_rng(n)
+    return [rng.standard_normal(n), 0.5 + 2.0**-40 * rng.standard_normal(n)]
+
+
+@pytest.mark.parametrize("n", EXACT_NS)
+def test_apply_equals_the_two_cumsum_formula_exactly(n):
+    y = midpoints(n)
+    grow, decay = np.exp(y), np.exp(-y)
+    for u in exact_inputs(n):
+        lower = decay * np.cumsum(grow * u)
+        upper = grow * np.cumsum((decay * u)[::-1])[::-1]
+        expected = (lower + upper - u) / n
+        assert np.array_equal(apply_operator(build_hso(n), u), expected)
+
+
+@pytest.mark.parametrize("n", EXACT_NS)
+def test_naive_inverse_equals_the_tridiagonal_formula_exactly(n):
+    """Against the formula with rho, 1 + rho^2 and h (1 - rho^2) computed on each call."""
+    for v in exact_inputs(n):
+        if n == 1:
+            expected = v.copy()
+        else:
+            h = 1.0 / n
+            rho = np.exp(-h)
+            expected = (1.0 + rho * rho) * v
+            expected[0], expected[-1] = v[0], v[-1]
+            expected[1:] -= rho * v[:-1]
+            expected[:-1] -= rho * v[1:]
+            expected /= h * -np.expm1(-2.0 * h)
+        assert np.array_equal(naive_inverse_apply(build_hso(n), v), expected)
+
+
 # ---------------------------------------------------------------- singular system
 
 

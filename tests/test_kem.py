@@ -160,7 +160,7 @@ CBD_SHAPES = [0, (1,), (5, 7), 256, (2, 3, 5)]
 
 @pytest.mark.parametrize("prior", [0, 1, 2, 3])
 @pytest.mark.parametrize("shape", CBD_SHAPES, ids=str)
-@pytest.mark.parametrize("eta", [1, 2, 3])
+@pytest.mark.parametrize("eta", [1, 2, 3, 4])
 def test_cbd_matches_the_integers_draw_bit_for_bit(sample_poly_cbd, eta, shape, prior):
     """cbd equals the oracle's bit-by-bit integer draw, starting `prior` bytes into a squeeze.
 
@@ -175,6 +175,16 @@ def test_cbd_matches_the_integers_draw_bit_for_bit(sample_poly_cbd, eta, shape, 
     assert got.dtype == np.int16
     assert got.shape == (count,)
     assert got.tolist() == sample_poly_cbd(stream[prior:], count, eta)
+
+
+@pytest.mark.parametrize("eta", [1, 2, 3, 4])
+def test_cbd_result_is_not_the_cached_table(eta):
+    """Writing into one draw's result leaves the next draw of the same bytes unchanged."""
+    data = xof_expand(b"cbd fresh", 64)
+    first = cbd(data, 17, eta)
+    expected = first.copy()
+    first[:] = 99
+    np.testing.assert_array_equal(cbd(data, 17, eta), expected)
 
 
 # (count, eta): eta 256 is the ErrorParams cap, and 87 one-bit coin pairs
