@@ -5,8 +5,11 @@ applied to the float64 samples of the ciphertext body:
 it keeps sum_k phi(s_k) <C, u_k> u_k and decodes.  The naive attack uses
 phi = 1/s, the exact inverse, which it applies in O(n) through the
 tridiagonal A^-1 without the singular vectors; the keyed error, amplified
-by 1/s_k across the spectrum, swamps the message and decoding
-degenerates to coin flipping.  The regularized methods only change phi:
+by 1/s_k across the spectrum, swamps most of the message.  It does not
+reduce decoding to coin flipping: at the recommended parameters
+(n = 256, t = 32, scale 0.5, eta = 2) the naive attack reads about 59.5%
+of the bits (the mean over 20000 trials of `ipcrypt attack`), against the
+50% of a guess.  The regularized methods only change phi:
 truncated SVD keeps 1/s on the k largest modes, Tikhonov uses
 s / (s^2 + alpha), and both go through hso.filtered_inverse.  They trade
 amplification for bias and do recover low-frequency structure when the
@@ -24,7 +27,10 @@ a GridFunction.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -70,13 +76,19 @@ class Tikhonov:
 
 @dataclass(frozen=True)
 class Tsvd:
-    """Keep the k largest modes, zero the rest."""
+    """Keep the k largest modes, zero the rest.
+
+    k must be an integer: the filter cache keys on equal methods, and
+    Tsvd(8.0) == Tsvd(8) must not stand for a filter that 8.0 cannot slice.
+    """
 
     k: int
 
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError(f"cutoff must be positive, got {self.k}")
+        if not isinstance(self.k, numbers.Integral):
+            raise TypeError(f"cutoff must be an integer, got {self.k!r}")
 
     @property
     def label(self) -> str:
@@ -123,13 +135,27 @@ def bit_accuracy(a: Message, b: Message) -> float:
     """Fraction of agreeing bits."""
     if a.t != b.t:
         raise ValueError(f"message lengths differ: {a.t} vs {b.t}")
-    agree = sum(int(x == y) for x, y in zip(a.bits, b.bits))
+    agree = sum(map(operator.eq, a.bits, b.bits))
     return agree / a.t
+
+
+@lru_cache(maxsize=8)
+def _filter_factors(method: Tikhonov | Tsvd, factors: hso.SVDFactors) -> np.ndarray:
+    """Read-only filter factors of the method on the factors' singular values.
+
+    Cached per (method, factors) pair, since an attack campaign applies one
+    filter to every ciphertext; an entry keeps its factors alive, so the
+    cache is bounded like hso_svd's.  A method that rejects the factors
+    raises on every call: an exception is not cached.
+    """
+    phi = method.filter(factors.singular_values)
+    phi.flags.writeable = False
+    return phi
 
 
 def tikhonov_apply(factors: hso.SVDFactors, v: np.ndarray, alpha: float) -> np.ndarray:
     """Filtered inversion sum_k s_k/(s_k^2 + alpha) <v, u_k> u_k of the samples v."""
-    return hso.filtered_inverse(factors, v, Tikhonov(alpha).filter(factors.singular_values))
+    return hso.filtered_inverse(factors, v, _filter_factors(Tikhonov(alpha), factors))
 
 
 def _attack(
@@ -182,7 +208,7 @@ def attack_regularized(
     """Invert with the method's stabilizing filter instead of the exact inverse."""
     if not isinstance(method, (Tikhonov, Tsvd)):
         raise ValueError(f"unknown regularization method {method!r}")
-    phi = method.filter(factors.singular_values)
+    phi = _filter_factors(method, factors)
     return _attack(ct, method.label, lambda v: hso.filtered_inverse(factors, v, phi), truth)
 
 

@@ -9,14 +9,19 @@ the j-th of t equal subintervals, so the message is a piecewise constant
 midpoint samples, and decoding reads such an array.  Map1 decodes by
 maximal correlation, which an rfft (trigonometric) or the fast Haar
 transform (dyadic) gives for all 2^t candidates in O(n log n) or O(n)
-time and O(n) memory, with no table of candidates and no BLAS.  Both
-maps are exactly invertible from clean samples; decoding tolerances
-against perturbation differ and are probed in the tests.
+time and O(n) memory, with no table of candidates and no BLAS; only the
+trigonometric constants (the midpoints per n, the rfft's half-sample
+phase per n and t) are cached, read-only, and no returned array shares
+their memory.  Both maps are exactly invertible from clean samples;
+decoding tolerances against perturbation differ and are probed in the
+tests.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -76,13 +81,24 @@ class Message:
             raise ValueError(f"bit length must be positive, got {t}")
         if not 0 <= value < (1 << t):
             raise ValueError(f"value {value} does not fit in {t} bits")
-        return cls(tuple((value >> (t - 1 - i)) & 1 for i in range(t)))
+        return cls._of_bits(tuple((value >> (t - 1 - i)) & 1 for i in range(t)))
 
     @classmethod
     def random(cls, t: int, rng: np.random.Generator) -> "Message":
         if t < 1:
             raise ValueError(f"bit length must be positive, got {t}")
-        return cls(tuple(int(b) for b in rng.integers(0, 2, size=t)))
+        return cls._of_bits(tuple(rng.integers(0, 2, size=t).tolist()))
+
+    @classmethod
+    def _of_bits(cls, bits: tuple[int, ...]) -> "Message":
+        """Message of a nonempty tuple of int bits that are 0 or 1 by construction.
+
+        The decoders and the constructors above build their bits so, and
+        skip the validation pass that a Message of outside bits makes.
+        """
+        msg = object.__new__(cls)
+        object.__setattr__(msg, "bits", bits)
+        return msg
 
 
 @dataclass(frozen=True)
@@ -158,10 +174,18 @@ def map1_capacity(n: int, basis: str) -> int:
     raise ValueError(f"map1 basis must be fourier or haar, got {basis!r}")
 
 
-def _fourier_vector(k: int, n: int) -> np.ndarray:
+@lru_cache(maxsize=16)
+def _midpoints(n: int) -> np.ndarray:
+    """Read-only grid.midpoints(n), cached per grid size."""
     y = midpoints(n)
+    y.flags.writeable = False
+    return y
+
+
+def _fourier_vector(k: int, n: int) -> np.ndarray:
     if k == 1:
         return np.ones(n)
+    y = _midpoints(n)
     j = k // 2
     if k % 2 == 0:
         return np.sqrt(2.0) * np.cos(2.0 * np.pi * j * y)
@@ -171,15 +195,19 @@ def _fourier_vector(k: int, n: int) -> np.ndarray:
 def _haar_vector(k: int, n: int) -> np.ndarray:
     if k == 1:
         return np.ones(n)
-    # k - 1 = 2^level + shift enumerates the mother-wavelet dyad.
+    # k - 1 = 2^level + shift enumerates the mother-wavelet dyad.  Its
+    # support is the shift-th of 2^level equal blocks of whole grid cells,
+    # +sqrt(2^level) on the first half and -sqrt(2^level) on the second;
+    # map1_capacity makes 2^(level + 1) divide n.
     level = (k - 1).bit_length() - 1
     shift = (k - 1) - (1 << level)
-    y = midpoints(n)
-    scaled = (1 << level) * y - shift
+    half = n >> (level + 1)
+    start = 2 * half * shift
+    height = math.sqrt(float(1 << level))
     out = np.zeros(n)
-    out[(scaled >= 0.0) & (scaled < 0.5)] = 1.0
-    out[(scaled >= 0.5) & (scaled < 1.0)] = -1.0
-    return np.sqrt(float(1 << level)) * out
+    out[start : start + half] = height
+    out[start + half : start + 2 * half] = -height
+    return out
 
 
 def basis_vector(k: int, scheme: EncodingScheme) -> np.ndarray:
@@ -202,24 +230,38 @@ def encode_map1(msg: Message, scheme: EncodingScheme) -> np.ndarray:
     return basis_vector(msg.to_int() + 1, scheme)
 
 
+@lru_cache(maxsize=16)
+def _fourier_phase(n: int, count: int) -> np.ndarray:
+    """Read-only sqrt(2) e^(-i pi j / n) for j = 1 ... count / 2, cached per (n, count).
+
+    The midpoints sit half a cell past the DFT nodes, y = (m + 1/2) / n, so
+    rfft bin j times this phase is sqrt(2) sum_m u_m e^(-2 pi i j y_m).
+    """
+    j = np.arange(1, count // 2 + 1)
+    phase = np.sqrt(2.0) * np.exp(-1j * np.pi * j / n)
+    phase.flags.writeable = False
+    return phase
+
+
 def _map1_correlations(u: np.ndarray, scheme: EncodingScheme) -> np.ndarray:
     """<u, basis_vector(k)> for k = 1 ... 2^t, by rfft or by pairwise block sums."""
     count = 1 << scheme.t
     corr = np.empty(count)
     corr[0] = u.sum()
     if scheme.basis == "fourier":
-        # The midpoints sit half a cell past the DFT nodes: y = (m + 1/2) / n.
-        j = np.arange(1, count // 2 + 1)
-        spectrum = np.fft.rfft(u)[j] * (np.sqrt(2.0) * np.exp(-1j * np.pi * j / scheme.n))
+        spectrum = np.fft.rfft(u)[1 : count // 2 + 1] * _fourier_phase(scheme.n, count)
         corr[1::2] = spectrum.real
         corr[2::2] = -spectrum.imag[:-1]
         return corr
     # Fast Haar transform, finest level first: dyad k - 1 = 2^level + shift
-    # is its first half's sum minus its second's, times sqrt(2^level).
+    # is its first half's sum minus its second's, times sqrt(2^level),
+    # written in place into its level's slice of corr.
     sums = u.reshape(count, -1).sum(axis=1)
     for level in reversed(range(scheme.t)):
         first, second = sums[::2], sums[1::2]
-        corr[1 << level : 2 << level] = np.sqrt(float(1 << level)) * (first - second)
+        block = corr[1 << level : 2 << level]
+        np.subtract(first, second, out=block)
+        block *= math.sqrt(float(1 << level))
         sums = first + second
     return corr
 
@@ -243,7 +285,7 @@ def encode_map2(msg: Message, scheme: EncodingScheme) -> np.ndarray:
     if msg.t != scheme.t:
         raise ValueError(f"message length {msg.t} != scheme t = {scheme.t}")
     cells = scheme.n // scheme.t
-    return np.repeat(np.asarray(msg.bits, dtype=np.float64), cells)
+    return np.array(msg.bits, dtype=np.float64).repeat(cells)
 
 
 def map2_cell_means(u: np.ndarray, scheme: EncodingScheme) -> np.ndarray:
@@ -260,7 +302,8 @@ def decode_map2(u: np.ndarray, scheme: EncodingScheme) -> Message:
     """Per-subinterval mean thresholded at 1/2."""
     if u.shape != (scheme.n,):
         raise ValueError(f"grid size mismatch: {u.shape} vs {(scheme.n,)}")
-    return Message(tuple((map2_cell_means(u, scheme) >= 0.5).tolist()))
+    above = map2_cell_means(u, scheme) >= 0.5
+    return Message._of_bits(tuple(above.view(np.uint8).tolist()))
 
 
 def encode(msg: Message, scheme: EncodingScheme) -> np.ndarray:

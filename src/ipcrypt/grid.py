@@ -15,6 +15,7 @@ from outside the program; this module has no byte layout of its own
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,8 +70,16 @@ def midpoints(n: int) -> np.ndarray:
 
 
 def norm(u: np.ndarray) -> float:
-    """Midpoint-rule L2 norm sqrt(h) ||u|| of the samples u."""
+    """Midpoint-rule L2 norm sqrt(h) ||u|| of the samples u.
+
+    ||u|| is sqrt(u . u) from one dot product, the same ddot that
+    np.linalg.norm makes for 1-d float64 samples, so the value is the
+    same to the bit; samples of any other dtype are converted to float64
+    first, as np.linalg.norm converts integers.
+    """
     if u.ndim != 1 or u.size == 0:
         raise ValueError(f"samples must be 1-d and nonempty, got shape {u.shape}")
-    return float(np.sqrt(1.0 / u.size) * np.linalg.norm(u))
+    if u.dtype != np.float64:
+        u = u.astype(np.float64)
+    return math.sqrt(1.0 / u.size) * math.sqrt(u.dot(u))
 

@@ -21,6 +21,7 @@ measures that blowup directly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -383,7 +384,9 @@ def noise_amplification_experiment(
 
     Each trial forms v = S psi + scale * g from the n samples psi and iid
     standard normal g, inverts naively, and records
-    ||psi_hat - psi|| / ||noise|| in the grid norm.  Trials draw from independent substreams of seed, so reports are
+    ||psi_hat - psi|| / ||noise|| in the grid norm, each norm as
+    sqrt(h) sqrt(x . x) from one dot product, as grid.norm takes it.
+    Trials draw from independent substreams of seed, so reports are
     reproducible and trial order is immaterial.
     """
     if psi.shape != (op.n,):
@@ -403,8 +406,9 @@ def noise_amplification_experiment(
         rng = np.random.default_rng((seed, t))
         g = rng.standard_normal(op.n)
         recovered = naive_inverse_apply(op, clean + noise_scale * g)
-        noise_norms[t] = noise_scale * sqrt_h * np.linalg.norm(g)
-        error_norms[t] = sqrt_h * np.linalg.norm(recovered - psi)
+        error = recovered - psi
+        noise_norms[t] = noise_scale * sqrt_h * math.sqrt(g.dot(g))
+        error_norms[t] = sqrt_h * math.sqrt(error.dot(error))
         if noise_norms[t] > 0:
             ratios.append(error_norms[t] / noise_norms[t])
 

@@ -9,6 +9,7 @@ from ipcrypt.attacks import (
     Tikhonov,
     Tsvd,
     attack_naive,
+    _filter_factors,
     attack_regularized,
     bit_accuracy,
     decode_difference,
@@ -22,6 +23,7 @@ from ipcrypt.hso import apply_operator, build_hso, filtered_inverse, hso_svd, na
 from ipcrypt.symmetric import SymCiphertext, recommended_error_params, sym_encrypt, sym_keygen
 
 SCHEME = EncodingScheme.map2(8, 256)
+SCHEME_64 = EncodingScheme.map2(8, 64)
 
 
 def fresh_key(rng, scale=0.5):
@@ -40,12 +42,27 @@ def test_bit_accuracy():
         bit_accuracy(a, Message((1,)))
 
 
+@pytest.mark.parametrize("t", [1, 7, 32, 256])
+def test_bit_accuracy_equals_the_per_bit_formula(t):
+    rng = np.random.default_rng(t)
+    for _ in range(20):
+        a, b = Message.random(t, rng), Message.random(t, rng)
+        assert bit_accuracy(a, b) == sum(int(x == y) for x, y in zip(a.bits, b.bits)) / t
+    with pytest.raises(ValueError, match=f"^message lengths differ: {t} vs {t + 1}$"):
+        bit_accuracy(Message.random(t, rng), Message.random(t + 1, rng))
+
+
 def test_method_validation():
     for alpha in (0.0, -1.0, float("inf"), float("nan")):
         with pytest.raises(ValueError, match="alpha must be positive and finite"):
             Tikhonov(alpha=alpha)
     with pytest.raises(ValueError, match="cutoff"):
         Tsvd(k=0)
+    with pytest.raises(ValueError, match="^cutoff must be positive, got 0.5$"):
+        Tsvd(k=0.5)
+    with pytest.raises(TypeError, match="^cutoff must be an integer, got 8.0$"):
+        Tsvd(k=8.0)
+    assert Tsvd(k=np.int64(8)) == Tsvd(k=8)
 
 
 # ---------------------------------------------------------------- tikhonov filter
@@ -72,6 +89,23 @@ def test_tikhonov_matches_filter_formula(method):
     k = phi.size
     expected = u[:, :k] @ (phi * (u[:, :k].T @ v))
     np.testing.assert_allclose(got, expected, atol=1e-12)
+
+
+def test_filter_factors_are_cached_read_only_and_never_returned():
+    factors = hso_svd(64)
+    v = np.random.default_rng(4).standard_normal(64)
+    for method in (Tsvd(k=8), Tikhonov(alpha=1e-4)):
+        phi = _filter_factors(method, factors)
+        assert _filter_factors(method, factors) is phi
+        assert not phi.flags.writeable
+        assert np.array_equal(phi, method.filter(factors.singular_values))
+    out = tikhonov_apply(factors, v, 1e-4)
+    assert out.flags.writeable
+    assert not np.shares_memory(out, _filter_factors(Tikhonov(alpha=1e-4), factors))
+    ct = SymCiphertext(scheme=SCHEME_64, nonce=bytes(16), body=GridFunction(v))
+    for _ in range(2):  # a rejection is not cached
+        with pytest.raises(ValueError, match="^cutoff 65 exceeds 64 modes$"):
+            attack_regularized(ct, factors, Tsvd(k=65))
 
 
 def test_tikhonov_tiny_alpha_approaches_exact_inverse():

@@ -59,3 +59,29 @@ def test_object_fields_the_workloads_read():
         assert report.residual_norm >= 0.0
     assert map1_capacity(n, "fourier") == 255
     assert EncodingScheme.map1(7, n, "fourier").t == 7
+
+
+def test_attacks_encode_and_decode_through_their_module_names(monkeypatch):
+    """tracing.py wraps attacks.encode and attacks.decode; each report must call both."""
+    calls = {"encode": 0, "decode": 0}
+
+    def counted(name):
+        original = getattr(attacks, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(attacks, name, counted(name))
+    n, t = 64, 8
+    key = ErrorKey(seed=bytes(32), params=symmetric.recommended_error_params(n=n))
+    msg = Message.from_int(0x5A, t)
+    ct = symmetric.sym_encrypt(key, msg, EncodingScheme.map2(t, n), bytes(16))
+    factors = hso.hso_svd(n)
+    attacks.attack_naive(ct, factors, truth=msg)
+    for method in (attacks.Tsvd(8), attacks.Tikhonov(1e-4)):
+        attacks.attack_regularized(ct, factors, method, truth=msg)
+    assert calls == {"encode": 3, "decode": 3}

@@ -13,7 +13,9 @@ from ipcrypt.encoding import (
     MAP2_ID,
     EncodingScheme,
     Message,
+    _fourier_phase,
     _map1_correlations,
+    _midpoints,
     basis_vector,
     decode,
     decode_map1,
@@ -24,7 +26,7 @@ from ipcrypt.encoding import (
     map1_capacity,
     map2_cell_means,
 )
-from ipcrypt.grid import norm
+from ipcrypt.grid import midpoints, norm
 
 # ---------------------------------------------------------------- messages
 
@@ -82,6 +84,25 @@ def test_message_random_is_reproducible():
     b = Message.random(16, np.random.default_rng(3))
     assert a == b
     assert set(a.bits) <= {0, 1}
+
+
+def test_built_messages_equal_validated_messages():
+    """Decoders and constructors skip validation, yet build the same value."""
+    rng = np.random.default_rng(11)
+    built = [Message.random(32, rng), Message.from_int(0x5A5A5A5A, 32), Message.from_int(0, 1)]
+    for scheme in (
+        EncodingScheme.map2(32, 256),
+        EncodingScheme.map1(7, 256),
+        EncodingScheme.map1(8, 256, basis="haar"),
+    ):
+        for _ in range(5):
+            built.append(decode(rng.standard_normal(256), scheme))
+            built.append(decode(encode(Message.random(scheme.t, rng), scheme), scheme))
+    for msg in built:
+        assert type(msg.bits) is tuple
+        assert all(type(b) is int for b in msg.bits)
+        checked = Message(msg.bits)
+        assert msg == checked and hash(msg) == hash(checked)
 
 
 # ---------------------------------------------------------------- schemes
@@ -148,6 +169,35 @@ def test_basis_vector_bounds():
         basis_vector(9, scheme)
     with pytest.raises(ValueError, match="map1"):
         basis_vector(1, EncodingScheme.map2(4, 8))
+
+
+def reference_basis_vector(k, n, basis):
+    """The cos/sin and interval-mask formulas on freshly computed midpoints."""
+    y = midpoints(n)
+    if k == 1:
+        return np.ones(n)
+    if basis == "fourier":
+        j = k // 2
+        wave = np.cos if k % 2 == 0 else np.sin
+        return np.sqrt(2.0) * wave(2.0 * np.pi * j * y)
+    level = (k - 1).bit_length() - 1
+    shift = (k - 1) - (1 << level)
+    scaled = (1 << level) * y - shift
+    out = np.zeros(n)
+    out[(scaled >= 0.0) & (scaled < 0.5)] = 1.0
+    out[(scaled >= 0.5) & (scaled < 1.0)] = -1.0
+    return np.sqrt(float(1 << level)) * out
+
+
+@pytest.mark.parametrize("n", [8, 16, 24, 96, 768, 3072])
+@pytest.mark.parametrize("basis", ["fourier", "haar"])
+def test_basis_vector_equals_the_reference_formulas_for_every_k(basis, n):
+    scheme = EncodingScheme.map1(1, n, basis=basis)
+    y = _midpoints(n)
+    for k in range(1, map1_capacity(n, basis) + 1):
+        v = basis_vector(k, scheme)
+        assert np.array_equal(v, reference_basis_vector(k, n, basis)), k
+        assert v.flags.writeable and not np.shares_memory(v, y)
 
 
 # ---------------------------------------------------------------- orthonormality
@@ -261,6 +311,50 @@ def test_map1_decoder_matches_the_table_oracle(basis, n, t):
         assert decode_map1(u, scheme) == Message.from_int(best, t)
 
 
+def reference_correlations(u, scheme):
+    """_map1_correlations with the phase and the level scales computed per call."""
+    count = 1 << scheme.t
+    corr = np.empty(count)
+    corr[0] = u.sum()
+    if scheme.basis == "fourier":
+        j = np.arange(1, count // 2 + 1)
+        spectrum = np.fft.rfft(u)[j] * (np.sqrt(2.0) * np.exp(-1j * np.pi * j / scheme.n))
+        corr[1::2] = spectrum.real
+        corr[2::2] = -spectrum.imag[:-1]
+        return corr
+    sums = u.reshape(count, -1).sum(axis=1)
+    for level in reversed(range(scheme.t)):
+        first, second = sums[::2], sums[1::2]
+        corr[1 << level : 2 << level] = np.sqrt(float(1 << level)) * (first - second)
+        sums = first + second
+    return corr
+
+
+@pytest.mark.parametrize(
+    "basis, n, t",
+    [("fourier", 24, 4), ("fourier", 256, 7), ("fourier", 257, 8), ("fourier", 3072, 11),
+     ("haar", 24, 3), ("haar", 256, 8), ("haar", 768, 8), ("haar", 2048, 11)],
+)
+def test_map1_correlations_equal_the_per_call_formula_exactly(basis, n, t):
+    scheme = EncodingScheme.map1(t, n, basis=basis)
+    rng = np.random.default_rng(n + t)
+    for u in (rng.standard_normal(n), encode_map1(Message.random(t, rng), scheme)):
+        corr = _map1_correlations(u, scheme)
+        assert np.array_equal(corr, reference_correlations(u, scheme))
+    if basis == "fourier":
+        phase = _fourier_phase(n, 1 << t)
+        assert _fourier_phase(n, 1 << t) is phase
+        assert not phase.flags.writeable and not np.shares_memory(corr, phase)
+
+
+def test_map1_cached_constants_are_read_only():
+    y = _midpoints(24)
+    assert _midpoints(24) is y and not y.flags.writeable
+    assert np.array_equal(y, midpoints(24))
+    with pytest.raises(ValueError, match="read-only"):
+        _fourier_phase(24, 16)[0] = 0.0
+
+
 def test_map1_length_mismatch():
     scheme = EncodingScheme.map1(4, 64)
     with pytest.raises(ValueError, match="length"):
@@ -276,6 +370,15 @@ def test_encode_map2_hand_value():
     scheme = EncodingScheme.map2(4, 8)
     out = encode_map2(Message((1, 0, 1, 0)), scheme)
     np.testing.assert_array_equal(out, [1, 1, 0, 0, 1, 1, 0, 0])
+
+
+@pytest.mark.parametrize("t, n", [(1, 1), (4, 8), (32, 256), (64, 2048), (5, 255)])
+def test_encode_map2_equals_repeat_exactly(t, n):
+    scheme = EncodingScheme.map2(t, n)
+    msg = Message.random(t, np.random.default_rng(n))
+    out = encode_map2(msg, scheme)
+    assert out.dtype == np.float64 and out.flags.writeable
+    assert np.array_equal(out, np.repeat(np.asarray(msg.bits, dtype=np.float64), n // t))
 
 
 def test_decode_map2_threshold_is_inclusive():

@@ -90,6 +90,20 @@ def test_norm_of_constant_one():
         assert norm(np.ones(n)) == pytest.approx(1.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("n", [1, 2, 255, 256, 2048])
+def test_norm_equals_the_linalg_norm_formula_exactly(n):
+    """One dot product is the ddot np.linalg.norm makes; integers are converted first."""
+    rng = np.random.default_rng(n)
+    for u in (
+        rng.standard_normal(n),
+        1e150 * rng.standard_normal(n),
+        rng.integers(-1000, 1000, n),
+        rng.integers(-(1 << 40), 1 << 40, n),  # squares overflow an int64 dot
+    ):
+        assert norm(u) == float(np.sqrt(1 / n) * np.linalg.norm(u))
+        assert type(norm(u)) is float
+
+
 def test_norm_rejects_non_vector_samples():
     with pytest.raises(ValueError, match="1-d"):
         norm(np.ones((2, 4)))

@@ -404,6 +404,19 @@ def test_amplification_report_is_deterministic():
     assert (a.error_norms != c.error_norms).any()
 
 
+def test_amplification_norms_equal_the_linalg_norm_formula_exactly():
+    n, scale = 96, 0.03
+    op = build_hso(n)
+    psi = smooth_profile(n)
+    rep = noise_amplification_experiment(op, psi, scale, trials=20, seed=5)
+    sqrt_h = np.sqrt(1.0 / n)
+    for t in range(20):
+        g = np.random.default_rng((5, t)).standard_normal(n)
+        recovered = naive_inverse_apply(op, apply_operator(op, psi) + scale * g)
+        assert rep.noise_norms[t] == scale * sqrt_h * np.linalg.norm(g)
+        assert rep.error_norms[t] == sqrt_h * np.linalg.norm(recovered - psi)
+
+
 def test_amplification_per_trial_bookkeeping():
     op = build_hso(64)
     psi = smooth_profile(64)

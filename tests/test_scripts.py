@@ -20,7 +20,10 @@ ROOT = Path(__file__).resolve().parents[1]
         ("amplification_scan.py", ["--n", "64", "128", "--trials", "3"], "1/(2 s_min)"),
         (
             "regularization_sweep.py",
-            ["--n", "64", "--t", "8", "--trials", "2", "--levels", "4", "--scales", "0.1"],
+            [
+                "--n", "64", "--t", "8", "--trials", "2", "--levels", "4", "--scales", "0.1",
+                "--alphas", "1e-4",
+            ],
             "scale 0.1",
         ),
         ("kem_noise_margin.py", ["--encaps", "2", "--keys", "1"], "threshold q/4"),
