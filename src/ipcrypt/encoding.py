@@ -9,10 +9,14 @@ the j-th of t equal subintervals, so the message is a piecewise constant
 midpoint samples, and decoding reads such an array.  Map1 decodes by
 maximal correlation, which an rfft (trigonometric) or the fast Haar
 transform (dyadic) gives for all 2^t candidates in O(n log n) or O(n)
-time and O(n) memory, with no table of candidates and no BLAS; only the
-trigonometric constants (the midpoints per n, the rfft's half-sample
-phase per n and t) are cached, read-only, and no returned array shares
-their memory.  Both maps are exactly invertible from clean samples;
+time and O(n) memory, with no table of candidates and no BLAS.  The Haar
+transform is Mallat's pyramid kept as a heap: the 2^t block sums are the
+leaves, each internal node is the sum of its two children, filled one
+level per call, and every dyad's correlation is its left child minus its
+right, scaled, in one subtraction over the heap.  Only constants (the
+midpoints per n, the rfft's half-sample phase per n and t, the Haar
+heights per t) are cached, read-only, and no returned array shares their
+memory.  Both maps are exactly invertible from clean samples;
 decoding tolerances against perturbation differ and are probed in the
 tests.
 """
@@ -243,6 +247,16 @@ def _fourier_phase(n: int, count: int) -> np.ndarray:
     return phase
 
 
+@lru_cache(maxsize=16)
+def _haar_heights(t: int) -> np.ndarray:
+    """Read-only sqrt(2^level) of dyads k - 1 = 2^level + shift, k = 1 ... 2^t - 1, cached per t."""
+    heights = np.repeat(
+        [math.sqrt(float(1 << level)) for level in range(t)], [1 << level for level in range(t)]
+    )
+    heights.flags.writeable = False
+    return heights
+
+
 def _map1_correlations(u: np.ndarray, scheme: EncodingScheme) -> np.ndarray:
     """<u, basis_vector(k)> for k = 1 ... 2^t, by rfft or by pairwise block sums."""
     count = 1 << scheme.t
@@ -253,16 +267,19 @@ def _map1_correlations(u: np.ndarray, scheme: EncodingScheme) -> np.ndarray:
         corr[1::2] = spectrum.real
         corr[2::2] = -spectrum.imag[:-1]
         return corr
-    # Fast Haar transform, finest level first: dyad k - 1 = 2^level + shift
-    # is its first half's sum minus its second's, times sqrt(2^level),
-    # written in place into its level's slice of corr.
-    sums = u.reshape(count, -1).sum(axis=1)
-    for level in reversed(range(scheme.t)):
-        first, second = sums[::2], sums[1::2]
-        block = corr[1 << level : 2 << level]
-        np.subtract(first, second, out=block)
-        block *= math.sqrt(float(1 << level))
-        sums = first + second
+    # Fast Haar transform on a heap: node k >= 1 holds the sum over dyad
+    # k - 1's support and its children 2k and 2k + 1 the sums over the two
+    # halves; the 2^t leaves are the block sums.  Internal nodes are filled
+    # a level at a time, finest first, apart from the root (corr[0] is
+    # u.sum()).  Dyad k - 1 is node 2k minus node 2k + 1, times sqrt(2^level).
+    heap = np.empty(2 * count)
+    np.add.reduce(u.reshape(count, -1), axis=1, out=heap[count:])
+    for level in reversed(range(1, scheme.t)):
+        children = heap[2 << level : 4 << level]
+        np.add(children[::2], children[1::2], out=heap[1 << level : 2 << level])
+    dyads = corr[1:]
+    np.subtract(heap[2::2], heap[3::2], out=dyads)
+    dyads *= _haar_heights(scheme.t)
     return corr
 
 

@@ -24,11 +24,15 @@ straight from SHAKE-256 (see `noise.derive_error`); a version 1 file
 was written for the earlier derivation and is refused, not misread.
 Readers reject wrong magics, unknown versions and ids, truncation, and
 trailing bytes.  This module alone packs and unpacks these layouts.  The
-IPC1 reader builds the ciphertext's EncodingScheme from the header, so a
-bad id, t or body count is refused before the body is read.  KEM keys
-and ciphertexts carry their parameter set: the writers label it with its
-registered id (and refuse a set that has none), and the readers pass the
-set the id names to the object, which checks its arrays against it.
+IPC1 header is one fixed 34-byte struct, unpacked in one call; the reader
+builds the ciphertext's EncodingScheme from it, so a bad id, t or body
+count is refused before the body is read, and takes the body as one
+float64 view of the bytes past the header.  A blob that ends inside the
+header is refused with the name of the first field it misses, in the
+order the fields are laid out.  KEM keys and ciphertexts carry their
+parameter set: the writers label it with its registered id (and refuse a
+set that has none), and the readers pass the set the id names to the
+object, which checks its arrays against it.
 """
 
 from __future__ import annotations
@@ -79,6 +83,19 @@ _KIND_SECRET = 0x02
 _KIND_CIPHERTEXT = 0x03
 
 _PARAM_SETS = {DESK_PARAM_ID: DESK_PARAMS}
+
+# IPC1 header: magic, version, n, t, encoding id, nonce, body sample count;
+# the end offset of each field names what a blob cut short of it misses.
+_SYM_HEADER = struct.Struct("<4sBIIB16sI")
+_SYM_FIELD_ENDS = (
+    (4, "magic"),
+    (5, "version"),
+    (9, "grid size"),
+    (13, "message length"),
+    (14, "encoding id"),
+    (30, "nonce"),
+    (34, "body sample count"),
+)
 
 
 class _Reader:
@@ -170,30 +187,49 @@ def read_error_key(data: bytes) -> ErrorKey:
 
 def write_sym_ciphertext(ct: SymCiphertext) -> bytes:
     scheme = ct.scheme
-    return (
-        _SYM_MAGIC
-        + struct.pack("<BIIB", _SYM_VERSION, scheme.n, scheme.t, scheme.encoding_id)
-        + ct.nonce
-        + struct.pack("<I", ct.body.n)
-        + ct.body.values.astype("<f8").tobytes()
+    header = _SYM_HEADER.pack(
+        _SYM_MAGIC, _SYM_VERSION, scheme.n, scheme.t, scheme.encoding_id, ct.nonce, ct.body.n
     )
+    return header + ct.body.values.astype("<f8", copy=False).tobytes()
+
+
+def _sym_truncated(size: int) -> ValueError:
+    """The refusal of an IPC1 blob of size bytes that ends inside its header."""
+    what = next(name for end, name in _SYM_FIELD_ENDS if size < end)
+    return ValueError(f"truncated symmetric ciphertext: missing {what}")
 
 
 def read_sym_ciphertext(data: bytes) -> SymCiphertext:
-    r = _Reader(data, "symmetric ciphertext")
-    r.expect_magic(_SYM_MAGIC)
-    r.expect_version(_SYM_VERSION)
-    n = r.u32("grid size")
-    t = r.u32("message length")
-    encoding_id = r.u8("encoding id")
-    nonce = r.take(16, "nonce")
+    size = len(data)
+    # A short blob is zero-padded to unpack; no check reads a padded field
+    # before the size check that refuses it.  4, 5 and 30 are the ends of
+    # the magic, the version and the nonce in _SYM_FIELD_ENDS.
+    head = data[: _SYM_HEADER.size].ljust(_SYM_HEADER.size, b"\0")
+    magic, version, n, t, encoding_id, nonce, count = _SYM_HEADER.unpack(head)
+    if size < 4:
+        raise _sym_truncated(size)
+    if magic != _SYM_MAGIC:
+        raise ValueError(
+            f"bad magic for symmetric ciphertext: expected {_SYM_MAGIC!r}, got {magic!r}"
+        )
+    if size < 5:
+        raise _sym_truncated(size)
+    if version != _SYM_VERSION:
+        raise ValueError(f"unsupported symmetric ciphertext version {version}")
+    if size < 30:
+        raise _sym_truncated(size)
     # The header is checked whole before any of the 8n body bytes is read.
     scheme = EncodingScheme.from_encoding_id(encoding_id, t, n)
-    count = r.u32("body sample count")
+    if size < _SYM_HEADER.size:
+        raise _sym_truncated(size)
     if count != n:
         raise ValueError(f"body grid size {count} != header n = {n}")
-    body = GridFunction(r.array("<f8", n, "body samples"))
-    r.done()
+    end = _SYM_HEADER.size + 8 * n
+    if size < end:
+        raise ValueError("truncated symmetric ciphertext: missing body samples")
+    body = GridFunction(np.frombuffer(data, dtype="<f8", count=n, offset=_SYM_HEADER.size))
+    if size != end:
+        raise ValueError(f"{size - end} trailing bytes after symmetric ciphertext")
     return SymCiphertext(scheme=scheme, nonce=nonce, body=body)
 
 

@@ -38,15 +38,14 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.values, dtype=np.float64)
+        arr = np.array(self.values, dtype=np.float64)
         if arr.ndim != 1:
             raise ValueError(f"grid function must be 1-d, got shape {arr.shape}")
         if arr.size == 0:
             raise ValueError("grid function must not be empty")
-        if not np.isfinite(arr).all():
-            bad = np.flatnonzero(~np.isfinite(arr))
-            raise ValueError(f"non-finite sample at index {int(bad[0])}")
-        arr = arr.copy()
+        finite = np.isfinite(arr)
+        if not np.logical_and.reduce(finite):
+            raise ValueError(f"non-finite sample at index {int(np.argmin(finite))}")
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 

@@ -190,14 +190,18 @@ def apply_operator(op: DiscretizedOperator, u: np.ndarray) -> np.ndarray:
 
     Both sums count the diagonal, hence the one u subtracted.  The weights
     lie in [1/e, e], so the split form's rounding stays within a factor
-    e^2 of the dense product's.  The combining steps run in place, in the
-    order (lower + upper - u) / n.
+    e^2 of the dense product's.  Both sums and the combining steps run in
+    place, the upper sum on the reversed view, in the order
+    (lower + upper - u) / n.
     """
     if u.shape != (op.n,):
         raise ValueError(f"grid size mismatch: {u.shape} vs {(op.n,)}")
-    out = np.add.accumulate(op.grow * u)
+    out = op.grow * u
+    np.add.accumulate(out, out=out)
     out *= op.decay
-    upper = np.add.accumulate((op.decay * u)[::-1])[::-1]
+    upper = op.decay * u
+    backward = upper[::-1]
+    np.add.accumulate(backward, out=backward)
     upper *= op.grow
     out += upper
     out -= u

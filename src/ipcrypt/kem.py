@@ -330,10 +330,6 @@ def kem_keygen(params: KemParams = DESK_PARAMS, rng: np.random.Generator | None 
     return KemKeyPair(public=public, secret=secret)
 
 
-def _pack_bits(bits: np.ndarray) -> bytes:
-    return np.packbits(bits.astype(np.uint8), bitorder="little").tobytes()
-
-
 def kem_encaps(
     pk: KemPublicKey, rng: np.random.Generator | None = None
 ) -> tuple[SharedSecret, KemCiphertext]:
@@ -351,6 +347,17 @@ def kem_encaps(
     return SharedSecret(secret), KemCiphertext(params=params, u=u, v=v)
 
 
+def _threshold(c: np.ndarray, q: int) -> np.ndarray:
+    """Decapsulated bits of the int64 residues c in [0, q), as bools.
+
+    Bit 1 is the centered residue farther than q/4 from 0, that is
+    q//4 + 1 <= c <= q - q//4 - 1.  The interval is one unsigned
+    comparison: below q//4 + 1, c - (q//4 + 1) wraps to a huge uint64.
+    """
+    lo = q // 4 + 1
+    return (c - lo).view(np.uint64) <= q - q // 4 - 1 - lo
+
+
 def kem_decaps(sk: KemSecretKey, ct: KemCiphertext) -> SharedSecret:
     """Threshold v - S^T u at q/4 to recover the encapsulated bits.
 
@@ -362,9 +369,7 @@ def kem_decaps(sk: KemSecretKey, ct: KemCiphertext) -> SharedSecret:
     if ct.params != params:
         raise ValueError(f"ciphertext parameters {ct.params} != key parameters {params}")
     c = (ct.v - _exact_matmul(ct.u, sk.s_f32)) % params.q
-    c = np.where(c > params.q // 2, c - params.q, c)
-    bits = (np.abs(c) > params.q / 4).astype(np.int64)
-    return SharedSecret(_pack_bits(bits))
+    return SharedSecret(np.packbits(_threshold(c, params.q), bitorder="little").tobytes())
 
 
 class LweKem:

@@ -7,10 +7,12 @@ parameters; derive_error reads its coins straight from SHAKE-256 over
 seed || nonce, so equal nonces reproduce the same error, distinct
 nonces give independent-looking ones, and the error depends on the key,
 the nonce and SHAKE-256 alone.  Binomial coins are read as FIPS 203's
-SamplePolyCBD reads them (`kem.cbd`: whole bytes through a 256-entry
-table when 2 eta divides 8, bit planes for any other eta); a Gaussian
-point looks a 53-bit uniform up in a cumulative distribution table, as
-FrodoKEM samples its noise.
+SamplePolyCBD reads them.  When 2 eta divides 8 each coin byte indexes
+one row of a cached 256-row table of its 4 / eta draws already times the
+scale, so the error is one table lookup of the SHAKE-256 bytes; any other
+eta sums bit planes (`kem.cbd`) and scales after.  A Gaussian point looks
+a 53-bit uniform up in a cumulative distribution table, as FrodoKEM
+samples its noise.
 
 The distribution must carry enough entropy that enumerating error
 candidates is hopeless: ErrorParams enforces a 128-bit floor on
@@ -26,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .kem import _cbd_bytes, cbd, xof_expand
+from .kem import _cbd_bytes, _cbd_table, cbd, xof_expand
 
 __all__ = [
     "DISCRETE_GAUSSIAN",
@@ -143,6 +145,19 @@ def _point_table(
     return support, probs, cdf, entropy
 
 
+@lru_cache(maxsize=16, typed=True)
+def _scaled_cbd_table(eta: int, scale: float) -> np.ndarray:
+    """Read-only (256, 4 / eta) table, row b the draws of coin byte b times scale.
+
+    Its entries are the products scale * k that scaling a `kem.cbd` draw
+    makes, of the same types: the cache is typed, so a scale of another
+    type gets a table of its own.
+    """
+    table = scale * _cbd_table(eta).view(np.int16).reshape(256, 4 // eta)
+    table.flags.writeable = False
+    return table
+
+
 def point_distribution(params: ErrorParams) -> tuple[np.ndarray, np.ndarray]:
     """Integer support and probabilities of the per-point draw (read-only, cached)."""
     support, probs, _, _ = _point_table(params.distribution, params.eta, params.sigma)
@@ -164,7 +179,10 @@ def derive_error(key: ErrorKey, nonce: bytes) -> np.ndarray:
 
     The integers k are distributed per key.params, and their coins are
     the SHAKE-256 stream over seed || nonce.  A binomial key reads its
-    first ceil(2 eta n / 8) bytes through `kem.cbd`.  A Gaussian key reads
+    first ceil(2 eta n / 8) bytes as `kem.cbd` does: when 2 eta divides 8
+    each byte picks its row of the cached scaled table, and the first n
+    entries of those rows, in order, are the error; any other eta scales
+    the `kem.cbd` draw.  The result is a fresh array.  A Gaussian key reads
     n little-endian 64-bit words w and looks each uniform
     (w >> 11) * 2^-53 up in the cached cdf: the draw is the first support
     point whose cdf entry exceeds it.
@@ -173,7 +191,11 @@ def derive_error(key: ErrorKey, nonce: bytes) -> np.ndarray:
         raise ValueError(f"nonce must be {NONCE_BYTES} bytes, got {len(nonce)}")
     p = key.params
     if p.distribution == CENTERED_BINOMIAL:
-        values = cbd(xof_expand(key.seed + nonce, _cbd_bytes(p.n, p.eta)), p.n, p.eta)
+        coins = xof_expand(key.seed + nonce, _cbd_bytes(p.n, p.eta))
+        if 8 % (2 * p.eta) == 0:
+            rows = np.frombuffer(coins, dtype=np.uint8)
+            return _scaled_cbd_table(p.eta, p.scale).take(rows, axis=0).reshape(-1)[: p.n]
+        values = cbd(coins, p.n, p.eta)
     else:
         support, _, cdf, _ = _point_table(p.distribution, p.eta, p.sigma)
         words = np.frombuffer(xof_expand(key.seed + nonce, 8 * p.n), dtype="<u8")

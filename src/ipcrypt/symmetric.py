@@ -83,9 +83,8 @@ def sym_encrypt(
     if scheme.n != key.params.n:
         raise ValueError(f"scheme grid {scheme.n} != key grid {key.params.n}")
     smoothed = hso.apply_operator(hso.build_hso(scheme.n), encode(msg, scheme))
-    return SymCiphertext(
-        scheme=scheme, nonce=bytes(nonce), body=GridFunction(smoothed + derive_error(key, nonce))
-    )
+    smoothed += derive_error(key, nonce)
+    return SymCiphertext(scheme=scheme, nonce=bytes(nonce), body=GridFunction(smoothed))
 
 
 def sym_decrypt(key: ErrorKey, ct: SymCiphertext) -> Message:

@@ -14,6 +14,7 @@ from ipcrypt.encoding import (
     EncodingScheme,
     Message,
     _fourier_phase,
+    _haar_heights,
     _map1_correlations,
     _midpoints,
     basis_vector,
@@ -347,12 +348,25 @@ def test_map1_correlations_equal_the_per_call_formula_exactly(basis, n, t):
         assert not phase.flags.writeable and not np.shares_memory(corr, phase)
 
 
+@pytest.mark.parametrize("n", [2, 8, 24, 96, 256, 2048])
+def test_haar_heap_equals_the_per_level_loop_for_every_t(n):
+    rng = np.random.default_rng(n)
+    for t in range(1, map1_capacity(n, "haar").bit_length()):
+        scheme = EncodingScheme.map1(t, n, basis="haar")
+        for u in (rng.standard_normal(n), basis_vector(int(rng.integers(1, 1 << t)), scheme)):
+            assert np.array_equal(_map1_correlations(u, scheme), reference_correlations(u, scheme))
+
+
 def test_map1_cached_constants_are_read_only():
     y = _midpoints(24)
     assert _midpoints(24) is y and not y.flags.writeable
     assert np.array_equal(y, midpoints(24))
     with pytest.raises(ValueError, match="read-only"):
         _fourier_phase(24, 16)[0] = 0.0
+    heights = _haar_heights(4)
+    assert _haar_heights(4) is heights and heights.size == 15
+    with pytest.raises(ValueError, match="read-only"):
+        heights[0] = 0.0
 
 
 def test_map1_length_mismatch():

@@ -449,6 +449,17 @@ def test_decoding_noise_margin_is_wide():
         assert np.abs(np.abs(c) - threshold).min() > 600
 
 
+@pytest.mark.parametrize("q", [2, 3, 17, 3329, 4097, 12289, 65536])
+def test_threshold_equals_the_centered_formula_for_every_residue(q):
+    """The one-interval test gives the centered |c| > q/4 bit at every c in [0, q)."""
+    c = np.arange(q, dtype=np.int64)
+    centered = np.where(c > q // 2, c - q, c)
+    expected = np.abs(centered) > q / 4
+    got = kem._threshold(c, q)
+    assert got.dtype == np.bool_
+    np.testing.assert_array_equal(got, expected)
+
+
 def test_single_coefficient_tamper_flips_exactly_that_bit():
     rng = np.random.default_rng(8)
     pair = kem_keygen(DESK_PARAMS, rng)

@@ -244,6 +244,51 @@ def test_derive_error_matches_the_shake_oracle(n, kind, value, sample_poly_cbd):
         np.testing.assert_array_equal(got, _oracle_draw(key, nonce, sample_poly_cbd))
 
 
+def _unchecked_params(n: int, scale: float, eta: int) -> ErrorParams:
+    """Binomial ErrorParams built without its checks, so n may sit below the entropy floor.
+
+    The short grids reach the sampler's partial last coin byte, which no
+    key that clears the floor at n = 1, 2, 3 or 7 could.
+    """
+    params = object.__new__(ErrorParams)
+    fields = dict(n=n, scale=scale, distribution=CENTERED_BINOMIAL, eta=eta, sigma=1.0)
+    for name, value in fields.items():
+        object.__setattr__(params, name, value)
+    return params
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 256, 2048])
+@pytest.mark.parametrize("eta", [1, 2, 3, 4, 5])
+def test_derive_error_is_the_scaled_cbd_draw_exactly(eta, n):
+    """derive_error equals scale * cbd(SHAKE-256(seed || nonce)) value for value and in dtype."""
+    seed = bytes(range(64, 96))
+    for scale in (0.5, 0.37, 3.25):
+        key = ErrorKey(seed=seed, params=_unchecked_params(n, scale, eta))
+        for i in range(3):
+            nonce = bytes([eta, n % 256, i]) * 5 + b"\x00"
+            coins = kem.xof_expand(seed + nonce, (2 * eta * n + 7) // 8)
+            expected = scale * kem.cbd(coins, n, eta)
+            got = derive_error(key, nonce)
+            assert got.dtype == expected.dtype and got.shape == (n,)
+            assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("eta", [1, 2, 4])
+def test_scaled_table_is_read_only_and_results_are_fresh(eta):
+    """The cached table refuses writes; writing into one error leaves the next unchanged."""
+    table = noise._scaled_cbd_table(eta, 0.5)
+    assert noise._scaled_cbd_table(eta, 0.5) is table
+    assert table.shape == (256, 4 // eta) and not table.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 1.0
+    key = ErrorKey(seed=bytes(32), params=cb_params(n=257, eta=eta))
+    first = derive_error(key, bytes(16))
+    expected = first.copy()
+    first[:] = 99.0
+    assert not np.shares_memory(first, table)
+    np.testing.assert_array_equal(derive_error(key, bytes(16)), expected)
+
+
 def test_noise_module_does_not_use_numpy_random():
     """Errors and KEM coins are functions of SHAKE-256 and their seeds alone.
 

@@ -133,3 +133,87 @@ def test_sym_ciphertext_header_errors_keep_their_text():
     text = re.escape("map1 needs 2^t <= capacity 64 of the n = 64 grid, got t = 4294967295")
     with pytest.raises(ValueError, match=f"^{text}$"):
         read_sym_ciphertext(huge_t)
+
+
+def _sym_blob(scheme: EncodingScheme, value: int) -> bytes:
+    key = ErrorKey(seed=SEED, params=recommended_error_params(n=64))
+    msg = Message.from_int(value, scheme.t)
+    return write_sym_ciphertext(sym_encrypt(key, msg, scheme, SEED[:16]))
+
+
+SYM_BLOBS = {
+    "map2": _sym_blob(EncodingScheme.map2(8, 64), 3),
+    "map1": _sym_blob(EncodingScheme.map1(3, 64, basis="haar"), 5),
+}
+
+# (first prefix length, refusal text): every prefix blob[:k] with k from
+# that length up to the next entry's is refused with that text.
+SYM_PREFIX_TEXTS = [
+    (0, "truncated symmetric ciphertext: missing magic"),
+    (4, "truncated symmetric ciphertext: missing version"),
+    (5, "truncated symmetric ciphertext: missing grid size"),
+    (9, "truncated symmetric ciphertext: missing message length"),
+    (13, "truncated symmetric ciphertext: missing encoding id"),
+    (14, "truncated symmetric ciphertext: missing nonce"),
+    (30, "truncated symmetric ciphertext: missing body sample count"),
+    (34, "truncated symmetric ciphertext: missing body samples"),
+]
+
+
+def _refusal(data: bytes) -> str:
+    with pytest.raises(ValueError) as info:
+        read_sym_ciphertext(data)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("kind", sorted(SYM_BLOBS))
+def test_sym_ciphertext_prefix_refusals_keep_their_text(kind):
+    blob = SYM_BLOBS[kind]
+    assert len(blob) == 34 + 8 * 64
+    bounds = [start for start, _ in SYM_PREFIX_TEXTS[1:]] + [len(blob)]
+    for (start, text), stop in zip(SYM_PREFIX_TEXTS, bounds):
+        for k in range(start, stop):
+            assert _refusal(blob[:k]) == text, k
+    assert _refusal(blob + b"\x00") == "1 trailing bytes after symmetric ciphertext"
+
+
+# (label, edit of a valid blob, map2 text, map1 text).  The map1 blob is
+# haar t = 3 on the n = 64 grid, whose capacity is 64.
+SYM_HEADER_REFUSALS = [
+    ("magic", lambda b: b"IPC2" + b[4:],
+     "bad magic for symmetric ciphertext: expected b'IPC1', got b'IPC2'", None),
+    ("short magic", lambda b: b"XXXX\x01",
+     "bad magic for symmetric ciphertext: expected b'IPC1', got b'XXXX'", None),
+    ("version", lambda b: b[:4] + b"\x02" + b[5:],
+     "unsupported symmetric ciphertext version 2", None),
+    ("short version", lambda b: b"IPC1\x07\x00",
+     "unsupported symmetric ciphertext version 7", None),
+    ("id", lambda b: b[:13] + b"\x42" + b[14:], "unknown encoding id 0x42", None),
+    ("id 0", lambda b: b[:13] + b"\x00" + b[14:], "unknown encoding id 0x00", None),
+    ("short id", lambda b: b[:13] + b"\x42" + b[14:31], "unknown encoding id 0x42", None),
+    ("t 0", lambda b: b[:9] + struct.pack("<I", 0) + b[13:],
+     "message length must be positive, got 0", None),
+    ("t 7", lambda b: b[:9] + struct.pack("<I", 7) + b[13:],
+     "map2 needs t | n for exact subinterval cells, got t = 7, n = 64",
+     "map1 needs 2^t <= capacity 64 of the n = 64 grid, got t = 7"),
+    ("t 2^32-1", lambda b: b[:9] + struct.pack("<I", 2**32 - 1) + b[13:],
+     "map2 needs t | n for exact subinterval cells, got t = 4294967295, n = 64",
+     "map1 needs 2^t <= capacity 64 of the n = 64 grid, got t = 4294967295"),
+    ("count", lambda b: b[:30] + struct.pack("<I", 63) + b[34:],
+     "body grid size 63 != header n = 64", None),
+    ("n", lambda b: b[:5] + struct.pack("<I", 32) + b[9:],
+     "body grid size 64 != header n = 32", None),
+    ("nan and trailing", lambda b: b[:34] + struct.pack("<d", float("nan")) + b[42:] + b"\x00",
+     "non-finite sample at index 0", None),
+]
+
+
+@pytest.mark.parametrize("kind", sorted(SYM_BLOBS))
+@pytest.mark.parametrize(
+    "edit, map2_text, map1_text",
+    [case[1:] for case in SYM_HEADER_REFUSALS],
+    ids=[case[0] for case in SYM_HEADER_REFUSALS],
+)
+def test_sym_ciphertext_bad_fields_keep_their_text(kind, edit, map2_text, map1_text):
+    expected = map1_text if kind == "map1" and map1_text is not None else map2_text
+    assert _refusal(edit(SYM_BLOBS[kind])) == expected
