@@ -18,7 +18,7 @@ import numpy as np
 from . import attacks, formats, hso, hybrid, lwe, symmetric
 from .encoding import EncodingScheme, Message, encode
 from .grid import midpoints, norm
-from .kem import DEFAULT_KEM, xof_expand
+from .kem import DESK_PARAMS, kem_keygen, xof_expand
 from .noise import CENTERED_BINOMIAL, DISCRETE_GAUSSIAN, ErrorParams
 
 __all__ = ["main", "build_parser"]
@@ -339,7 +339,7 @@ def _cmd_analogy(args) -> int:
 
 
 def _cmd_kem_keygen(args) -> int:
-    pair = DEFAULT_KEM.keygen(_rng_for(args.seed, "kem-keygen"))
+    pair = kem_keygen(DESK_PARAMS, _rng_for(args.seed, "kem-keygen"))
     Path(args.out_pk).write_bytes(formats.write_kem_public_key(pair.public))
     Path(args.out_sk).write_bytes(formats.write_kem_secret_key(pair.secret))
     print(f"wrote public key to {args.out_pk}")

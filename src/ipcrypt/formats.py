@@ -22,14 +22,15 @@ fixed-width little-endian fields.  Layouts:
 Version 2 of the error key and hybrid containers marks the noise read
 straight from SHAKE-256 (see `noise.derive_error`); a version 1 file
 was written for the earlier derivation and is refused, not misread.
-Readers reject wrong magics, unknown versions and ids, truncation, and
-trailing bytes.  This module alone packs and unpacks these layouts.  The
-IPC1 header is one fixed 34-byte struct, unpacked in one call; the reader
-builds the ciphertext's EncodingScheme from it, so a bad id, t or body
-count is refused before the body is read, and takes the body as one
-float64 view of the bytes past the header.  A blob that ends inside the
-header is refused with the name of the first field it misses, in the
-order the fields are laid out.  KEM keys and ciphertexts carry their
+
+Each container's header is declared once, as a `_Layout` of (struct
+code, field name) pairs that its writer packs and its reader unpacks.
+A reader unpacks the whole header in one call and refuses a blob for its
+first fault in layout order: a wrong magic or version, an end before a
+field it checks (named by the first field it misses), a bad value, a
+short array, then trailing bytes.  So the IPC1 reader refuses a bad id,
+t or body count before it reads the body, which it takes as one float64
+view of the bytes past the header.  KEM keys and ciphertexts carry their
 parameter set: the writers label it with its registered id (and refuse a
 set that has none), and the readers pass the set the id names to the
 object, which checks its arrays against it.
@@ -38,6 +39,8 @@ object, which checks its arrays against it.
 from __future__ import annotations
 
 import struct
+from functools import partial
+from itertools import accumulate
 
 import numpy as np
 
@@ -70,13 +73,90 @@ __all__ = [
     "read_hybrid_ciphertext",
 ]
 
-_KEY_MAGIC, _KEY_VERSION = b"IPK1", 2
-_SYM_MAGIC, _SYM_VERSION = b"IPC1", 1
-_KEM_MAGIC, _KEM_VERSION = b"IPQ1", 1
-_HYB_MAGIC, _HYB_VERSION = b"IPH1", 2
+_F64, _U16, _I8 = np.dtype("<f8"), np.dtype("<u2"), np.dtype("<i1")
+
+
+class _Layout:
+    """A container's header: label, magic, version, then (struct code, name) fields."""
+
+    def __init__(self, label: str, magic: bytes, version: int, *fields: tuple[str, str]):
+        codes = ("4s", "B", *(code for code, _ in fields))
+        names = ("magic", "version", *(name for _, name in fields))
+        self.label, self.magic, self.version = label, magic, version
+        self.struct = struct.Struct("<" + "".join(codes))
+        self.size = self.struct.size
+        self.ends = dict(zip(names, accumulate(struct.calcsize("<" + c) for c in codes)))
+        # pack(*fields) packs the fields after the magic and version: a partial,
+        # which costs each message's write less than a method call would.
+        self.pack = partial(self.struct.pack, magic, version)
+
+    def unpack(self, data: bytes) -> tuple:
+        """Every header field of data, with the magic and version checked.
+
+        A blob shorter than the header is zero-filled to unpack; a reader
+        calls `need` for a field before it uses the field's value.
+        """
+        if len(data) >= self.size:
+            fields = self.struct.unpack_from(data)
+        else:
+            fields = self.struct.unpack(data.ljust(self.size, b"\0"))
+        if len(data) >= 5 and fields[0] == self.magic and fields[1] == self.version:
+            return fields
+        self.need(data, "magic")
+        if fields[0] != self.magic:
+            raise ValueError(
+                f"bad magic for {self.label}: expected {self.magic!r}, got {fields[0]!r}"
+            )
+        self.need(data, "version")
+        raise ValueError(f"unsupported {self.label} version {fields[1]}")
+
+    def missing(self, what: str) -> ValueError:
+        return ValueError(f"truncated {self.label}: missing {what}")
+
+    def need(self, data: bytes, field: str) -> None:
+        """Refuse data if it ends before field does, naming the first field it misses."""
+        if len(data) < self.ends[field]:
+            raise self.missing(next(name for name, end in self.ends.items() if len(data) < end))
+
+    def array(self, data: bytes, at: int, dtype: np.dtype, count: int, what: str) -> np.ndarray:
+        """count values of dtype at offset at, as a read-only view of data."""
+        if len(data) < at + count * dtype.itemsize:
+            raise self.missing(what)
+        return np.frombuffer(data, dtype, count, at)
+
+    def done(self, data: bytes, end: int) -> None:
+        if len(data) != end:
+            raise ValueError(f"{len(data) - end} trailing bytes after {self.label}")
+
+
+_KEY_GAUSSIAN = _Layout(
+    "error key", b"IPK1", 2,
+    ("B", "distribution id"), ("d", "sigma"), ("d", "scale"), ("I", "grid size"), ("32s", "seed"),
+)
+_KEY_BINOMIAL = _Layout(
+    "error key", b"IPK1", 2,
+    ("B", "distribution id"), ("I", "eta"), ("d", "scale"), ("I", "grid size"), ("32s", "seed"),
+)
+_SYM = _Layout(
+    "symmetric ciphertext", b"IPC1", 1,
+    ("I", "grid size"), ("I", "message length"), ("B", "encoding id"), ("16s", "nonce"),
+    ("I", "body sample count"),
+)
+_KEM_PUBLIC = _Layout(
+    "KEM public key", b"IPQ1", 1, ("B", "parameter id"), ("B", "kind"), ("32s", "matrix seed")
+)
+_KEM_SECRET = _Layout("KEM secret key", b"IPQ1", 1, ("B", "parameter id"), ("B", "kind"))
+_KEM_CIPHERTEXT = _Layout("KEM ciphertext", b"IPQ1", 1, ("B", "parameter id"), ("B", "kind"))
+_HYBRID = _Layout("hybrid ciphertext", b"IPH1", 2, ("I", "first block length"))
 
 _DIST_GAUSSIAN = 0x01
 _DIST_BINOMIAL = 0x02
+
+# distribution id -> (layout, distribution, name of its parameter field)
+_KEY_LAYOUTS = {
+    _DIST_GAUSSIAN: (_KEY_GAUSSIAN, DISCRETE_GAUSSIAN, "sigma"),
+    _DIST_BINOMIAL: (_KEY_BINOMIAL, CENTERED_BINOMIAL, "eta"),
+}
 
 _KIND_PUBLIC = 0x01
 _KIND_SECRET = 0x02
@@ -84,234 +164,120 @@ _KIND_CIPHERTEXT = 0x03
 
 _PARAM_SETS = {DESK_PARAM_ID: DESK_PARAMS}
 
-# IPC1 header: magic, version, n, t, encoding id, nonce, body sample count;
-# the end offset of each field names what a blob cut short of it misses.
-_SYM_HEADER = struct.Struct("<4sBIIB16sI")
-_SYM_FIELD_ENDS = (
-    (4, "magic"),
-    (5, "version"),
-    (9, "grid size"),
-    (13, "message length"),
-    (14, "encoding id"),
-    (30, "nonce"),
-    (34, "body sample count"),
-)
-
-
-class _Reader:
-    """Cursor over a byte string with typed, bounds-checked reads."""
-
-    def __init__(self, data: bytes, label: str) -> None:
-        self.data = data
-        self.pos = 0
-        self.label = label
-
-    def take(self, count: int, what: str) -> bytes:
-        if self.pos + count > len(self.data):
-            raise ValueError(f"truncated {self.label}: missing {what}")
-        out = self.data[self.pos : self.pos + count]
-        self.pos += count
-        return out
-
-    def u8(self, what: str) -> int:
-        return self.take(1, what)[0]
-
-    def u32(self, what: str) -> int:
-        return struct.unpack("<I", self.take(4, what))[0]
-
-    def f64(self, what: str) -> float:
-        return struct.unpack("<d", self.take(8, what))[0]
-
-    def array(self, dtype: str, count: int, what: str) -> np.ndarray:
-        raw = self.take(count * np.dtype(dtype).itemsize, what)
-        return np.frombuffer(raw, dtype=dtype)
-
-    def expect_magic(self, magic: bytes) -> None:
-        got = self.take(len(magic), "magic")
-        if got != magic:
-            raise ValueError(f"bad magic for {self.label}: expected {magic!r}, got {got!r}")
-
-    def expect_version(self, expected: int) -> None:
-        version = self.u8("version")
-        if version != expected:
-            raise ValueError(f"unsupported {self.label} version {version}")
-
-    def done(self) -> None:
-        if self.pos != len(self.data):
-            raise ValueError(
-                f"{len(self.data) - self.pos} trailing bytes after {self.label}"
-            )
-
-    def rest(self) -> bytes:
-        out = self.data[self.pos :]
-        self.pos = len(self.data)
-        return out
-
 
 def write_error_key(key: ErrorKey) -> bytes:
     p = key.params
-    if p.distribution == DISCRETE_GAUSSIAN:
-        dist = struct.pack("<Bd", _DIST_GAUSSIAN, p.sigma)
-    else:
-        dist = struct.pack("<BI", _DIST_BINOMIAL, p.eta)
-    return (
-        _KEY_MAGIC
-        + struct.pack("<B", _KEY_VERSION)
-        + dist
-        + struct.pack("<dI", p.scale, p.n)
-        + key.seed
-    )
+    dist_id = _DIST_GAUSSIAN if p.distribution == DISCRETE_GAUSSIAN else _DIST_BINOMIAL
+    layout, _, name = _KEY_LAYOUTS[dist_id]
+    return layout.pack(dist_id, getattr(p, name), p.scale, p.n, key.seed)
 
 
 def read_error_key(data: bytes) -> ErrorKey:
-    r = _Reader(data, "error key")
-    r.expect_magic(_KEY_MAGIC)
-    r.expect_version(_KEY_VERSION)
-    dist_id = r.u8("distribution id")
-    if dist_id == _DIST_GAUSSIAN:
-        sigma = r.f64("sigma")
-        scale = r.f64("scale")
-        n = r.u32("grid size")
-        params = ErrorParams(n=n, scale=scale, distribution=DISCRETE_GAUSSIAN, sigma=sigma)
-    elif dist_id == _DIST_BINOMIAL:
-        eta = r.u32("eta")
-        scale = r.f64("scale")
-        n = r.u32("grid size")
-        params = ErrorParams(n=n, scale=scale, distribution=CENTERED_BINOMIAL, eta=eta)
-    else:
+    dist_id = _KEY_GAUSSIAN.unpack(data)[2]
+    _KEY_GAUSSIAN.need(data, "distribution id")
+    if dist_id not in _KEY_LAYOUTS:
         raise ValueError(f"unknown distribution id {dist_id:#04x}")
-    seed = r.take(32, "seed")
-    r.done()
+    layout, distribution, name = _KEY_LAYOUTS[dist_id]
+    _, _, _, value, scale, n, seed = layout.unpack(data)
+    layout.need(data, "grid size")
+    params = ErrorParams(n=n, scale=scale, distribution=distribution, **{name: value})
+    layout.need(data, "seed")
+    layout.done(data, layout.size)
     return ErrorKey(seed=seed, params=params)
 
 
 def write_sym_ciphertext(ct: SymCiphertext) -> bytes:
     scheme = ct.scheme
-    header = _SYM_HEADER.pack(
-        _SYM_MAGIC, _SYM_VERSION, scheme.n, scheme.t, scheme.encoding_id, ct.nonce, ct.body.n
-    )
-    return header + ct.body.values.astype("<f8", copy=False).tobytes()
-
-
-def _sym_truncated(size: int) -> ValueError:
-    """The refusal of an IPC1 blob of size bytes that ends inside its header."""
-    what = next(name for end, name in _SYM_FIELD_ENDS if size < end)
-    return ValueError(f"truncated symmetric ciphertext: missing {what}")
+    header = _SYM.pack(scheme.n, scheme.t, scheme.encoding_id, ct.nonce, ct.body.n)
+    return header + ct.body.values.astype(_F64, copy=False).tobytes()
 
 
 def read_sym_ciphertext(data: bytes) -> SymCiphertext:
-    size = len(data)
-    # A short blob is zero-padded to unpack; no check reads a padded field
-    # before the size check that refuses it.  4, 5 and 30 are the ends of
-    # the magic, the version and the nonce in _SYM_FIELD_ENDS.
-    head = data[: _SYM_HEADER.size].ljust(_SYM_HEADER.size, b"\0")
-    magic, version, n, t, encoding_id, nonce, count = _SYM_HEADER.unpack(head)
-    if size < 4:
-        raise _sym_truncated(size)
-    if magic != _SYM_MAGIC:
-        raise ValueError(
-            f"bad magic for symmetric ciphertext: expected {_SYM_MAGIC!r}, got {magic!r}"
-        )
-    if size < 5:
-        raise _sym_truncated(size)
-    if version != _SYM_VERSION:
-        raise ValueError(f"unsupported symmetric ciphertext version {version}")
-    if size < 30:
-        raise _sym_truncated(size)
+    _, _, n, t, encoding_id, nonce, count = _SYM.unpack(data)
+    _SYM.need(data, "nonce")
     # The header is checked whole before any of the 8n body bytes is read.
     scheme = EncodingScheme.from_encoding_id(encoding_id, t, n)
-    if size < _SYM_HEADER.size:
-        raise _sym_truncated(size)
+    _SYM.need(data, "body sample count")
     if count != n:
         raise ValueError(f"body grid size {count} != header n = {n}")
-    end = _SYM_HEADER.size + 8 * n
-    if size < end:
-        raise ValueError("truncated symmetric ciphertext: missing body samples")
-    body = GridFunction(np.frombuffer(data, dtype="<f8", count=n, offset=_SYM_HEADER.size))
-    if size != end:
-        raise ValueError(f"{size - end} trailing bytes after symmetric ciphertext")
+    body = GridFunction(_SYM.array(data, _SYM.size, _F64, n, "body samples"))
+    _SYM.done(data, _SYM.size + _F64.itemsize * n)
     return SymCiphertext(scheme=scheme, nonce=nonce, body=body)
 
 
-def _kem_header(kind: int, params: KemParams) -> bytes:
-    """IPQ1 header carrying the id of params; unregistered sets have no layout."""
+def _param_id(params: KemParams) -> int:
+    """Registered IPQ1 id of params; unregistered sets have no layout."""
     for param_id, registered in _PARAM_SETS.items():
         if registered == params:
-            return _KEM_MAGIC + struct.pack("<BBB", _KEM_VERSION, param_id, kind)
+            return param_id
     raise ValueError(f"KEM parameters {params} have no registered IPQ1 id")
 
 
-def _read_kem_header(r: _Reader, expected_kind: int, kind_name: str) -> KemParams:
-    r.expect_magic(_KEM_MAGIC)
-    r.expect_version(_KEM_VERSION)
-    param_id = r.u8("parameter id")
-    if param_id not in _PARAM_SETS:
-        raise ValueError(f"unknown KEM parameter id {param_id:#04x}")
-    kind = r.u8("kind")
-    if kind != expected_kind:
-        raise ValueError(f"expected a KEM {kind_name} file, got kind {kind:#04x}")
-    return _PARAM_SETS[param_id]
+def _read_kem_header(layout: _Layout, data: bytes, kind: int) -> tuple[KemParams, tuple]:
+    """The parameter set an IPQ1 blob of one kind names, and its header fields."""
+    fields = layout.unpack(data)
+    layout.need(data, "parameter id")
+    if fields[2] not in _PARAM_SETS:
+        raise ValueError(f"unknown KEM parameter id {fields[2]:#04x}")
+    layout.need(data, "kind")
+    if fields[3] != kind:
+        raise ValueError(f"expected a {layout.label} file, got kind {fields[3]:#04x}")
+    return _PARAM_SETS[fields[2]], fields
 
 
 def write_kem_public_key(pk: KemPublicKey) -> bytes:
-    return (
-        _kem_header(_KIND_PUBLIC, pk.params)
-        + pk.seed_a
-        + pk.b_pub.astype("<u2").tobytes()
-    )
+    header = _KEM_PUBLIC.pack(_param_id(pk.params), _KIND_PUBLIC, pk.seed_a)
+    return header + pk.b_pub.astype(_U16).tobytes()
 
 
 def read_kem_public_key(data: bytes) -> KemPublicKey:
-    r = _Reader(data, "KEM public key")
-    params = _read_kem_header(r, _KIND_PUBLIC, "public key")
-    seed_a = r.take(32, "matrix seed")
+    params, fields = _read_kem_header(_KEM_PUBLIC, data, _KIND_PUBLIC)
+    _KEM_PUBLIC.need(data, "matrix seed")
     count = params.dim * params.secret_bits
-    b = r.array("<u2", count, "public matrix").reshape(params.dim, params.secret_bits)
-    r.done()
-    return KemPublicKey(params=params, seed_a=seed_a, b_pub=b)
+    b = _KEM_PUBLIC.array(data, _KEM_PUBLIC.size, _U16, count, "public matrix")
+    _KEM_PUBLIC.done(data, _KEM_PUBLIC.size + _U16.itemsize * count)
+    b = b.reshape(params.dim, params.secret_bits)
+    return KemPublicKey(params=params, seed_a=fields[4], b_pub=b)
 
 
 def write_kem_secret_key(sk: KemSecretKey) -> bytes:
-    return _kem_header(_KIND_SECRET, sk.params) + sk.s.astype("<i1").tobytes()
+    header = _KEM_SECRET.pack(_param_id(sk.params), _KIND_SECRET)
+    return header + sk.s.astype(_I8).tobytes()
 
 
 def read_kem_secret_key(data: bytes) -> KemSecretKey:
-    r = _Reader(data, "KEM secret key")
-    params = _read_kem_header(r, _KIND_SECRET, "secret key")
+    params, _ = _read_kem_header(_KEM_SECRET, data, _KIND_SECRET)
     count = params.dim * params.secret_bits
-    s = r.array("<i1", count, "secret matrix").reshape(params.dim, params.secret_bits)
-    r.done()
-    return KemSecretKey(params=params, s=s)
+    s = _KEM_SECRET.array(data, _KEM_SECRET.size, _I8, count, "secret matrix")
+    _KEM_SECRET.done(data, _KEM_SECRET.size + _I8.itemsize * count)
+    return KemSecretKey(params=params, s=s.reshape(params.dim, params.secret_bits))
 
 
 def write_kem_ciphertext(ct: KemCiphertext) -> bytes:
-    return (
-        _kem_header(_KIND_CIPHERTEXT, ct.params)
-        + ct.u.astype("<u2").tobytes()
-        + ct.v.astype("<u2").tobytes()
-    )
+    header = _KEM_CIPHERTEXT.pack(_param_id(ct.params), _KIND_CIPHERTEXT)
+    return header + ct.u.astype(_U16).tobytes() + ct.v.astype(_U16).tobytes()
 
 
 def read_kem_ciphertext(data: bytes) -> KemCiphertext:
-    r = _Reader(data, "KEM ciphertext")
-    params = _read_kem_header(r, _KIND_CIPHERTEXT, "ciphertext")
-    u = r.array("<u2", params.dim, "u component")
-    v = r.array("<u2", params.secret_bits, "v component")
-    r.done()
+    params, _ = _read_kem_header(_KEM_CIPHERTEXT, data, _KIND_CIPHERTEXT)
+    at = _KEM_CIPHERTEXT.size
+    u = _KEM_CIPHERTEXT.array(data, at, _U16, params.dim, "u component")
+    at += _U16.itemsize * params.dim
+    v = _KEM_CIPHERTEXT.array(data, at, _U16, params.secret_bits, "v component")
+    _KEM_CIPHERTEXT.done(data, at + _U16.itemsize * params.secret_bits)
     return KemCiphertext(params=params, u=u, v=v)
 
 
 def write_hybrid_ciphertext(ct: HybridCiphertext) -> bytes:
     c1 = write_kem_ciphertext(ct.c1)
-    c2 = write_sym_ciphertext(ct.c2)
-    return _HYB_MAGIC + struct.pack("<BI", _HYB_VERSION, len(c1)) + c1 + c2
+    return _HYBRID.pack(len(c1)) + c1 + write_sym_ciphertext(ct.c2)
 
 
 def read_hybrid_ciphertext(data: bytes) -> HybridCiphertext:
-    r = _Reader(data, "hybrid ciphertext")
-    r.expect_magic(_HYB_MAGIC)
-    r.expect_version(_HYB_VERSION)
-    c1_len = r.u32("first block length")
-    c1 = read_kem_ciphertext(r.take(c1_len, "first block"))
-    c2 = read_sym_ciphertext(r.rest())
-    return HybridCiphertext(c1=c1, c2=c2)
+    c1_len = _HYBRID.unpack(data)[2]
+    _HYBRID.need(data, "first block length")
+    end = _HYBRID.size + c1_len
+    if len(data) < end:
+        raise _HYBRID.missing("first block")
+    c1 = read_kem_ciphertext(data[_HYBRID.size : end])
+    return HybridCiphertext(c1=c1, c2=read_sym_ciphertext(data[end:]))

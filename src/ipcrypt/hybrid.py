@@ -2,9 +2,7 @@
 
 The KEM transports a fresh 256-bit secret; the XOF stretches it into
 the symmetric key seed and the nonce, and the noise-masked operator
-cipher carries the message.  Ciphertexts are pairs (C1, C2).  Any
-object with keygen / encaps / decaps can play the KEM role, so the
-composition is tested against mocks as well as the LWE instance.
+cipher carries the message.  Ciphertexts are pairs (C1, C2).
 
 Tampering with C1 lands decapsulation on a different shared secret,
 which derails the derived error and reduces C2 to the no-key situation:
@@ -18,8 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# The KEM is called as kem.kem_*, so a wrapper set on the kem module sees every call.
+from . import kem
 from .encoding import EncodingScheme, Message
-from .kem import DEFAULT_KEM, KemCiphertext, KemKeyPair, SharedSecret, xof_expand
+from .kem import DESK_PARAMS, KemCiphertext, KemKeyPair, SharedSecret, xof_expand
 from .noise import NONCE_BYTES, ErrorKey, ErrorParams
 from .symmetric import SymCiphertext, recommended_error_params, sym_decrypt, sym_encrypt
 
@@ -48,24 +48,23 @@ def _dem_material(shared: SharedSecret, params: ErrorParams) -> tuple[ErrorKey, 
     return ErrorKey(seed=seed, params=params), nonce
 
 
-def pke_keygen(rng: np.random.Generator | None = None, kem=DEFAULT_KEM) -> KemKeyPair:
-    return kem.keygen(rng)
+def pke_keygen(rng: np.random.Generator | None = None) -> KemKeyPair:
+    return kem.kem_keygen(DESK_PARAMS, rng)
 
 
 def pke_encrypt(
-    pk,
+    pk: kem.KemPublicKey,
     msg: Message,
     scheme: EncodingScheme,
     rng: np.random.Generator | None = None,
-    kem=DEFAULT_KEM,
 ) -> HybridCiphertext:
-    shared, c1 = kem.encaps(pk, rng)
+    shared, c1 = kem.kem_encaps(pk, rng)
     key, nonce = _dem_material(shared, recommended_error_params(n=scheme.n))
     c2 = sym_encrypt(key, msg, scheme, nonce)
     return HybridCiphertext(c1=c1, c2=c2)
 
 
-def pke_decrypt(sk, ct: HybridCiphertext, kem=DEFAULT_KEM) -> Message:
+def pke_decrypt(sk: kem.KemSecretKey, ct: HybridCiphertext) -> Message:
     """Decapsulate, rebuild the symmetric key, decrypt.
 
     C2's header fixes the encoding, so the caller passes no scheme.  A
@@ -73,6 +72,6 @@ def pke_decrypt(sk, ct: HybridCiphertext, kem=DEFAULT_KEM) -> Message:
     wrong error term; the result is then an arbitrary wrong message, not
     an exception, since nothing here authenticates the ciphertext.
     """
-    shared = kem.decaps(sk, ct.c1)
+    shared = kem.kem_decaps(sk, ct.c1)
     key, _ = _dem_material(shared, recommended_error_params(n=ct.c2.scheme.n))
     return sym_decrypt(key, ct.c2)

@@ -67,8 +67,6 @@ __all__ = [
     "kem_keygen",
     "kem_encaps",
     "kem_decaps",
-    "LweKem",
-    "DEFAULT_KEM",
 ]
 
 
@@ -371,27 +369,3 @@ def kem_decaps(sk: KemSecretKey, ct: KemCiphertext) -> SharedSecret:
     c = (ct.v - _exact_matmul(ct.u, sk.s_f32)) % params.q
     return SharedSecret(np.packbits(_threshold(c, params.q), bitorder="little").tobytes())
 
-
-class LweKem:
-    """Keygen / encaps / decaps bundle with fixed parameters.
-
-    The hybrid scheme talks to this interface only, so any object with
-    the same three methods can stand in (mocks in tests do exactly that).
-    """
-
-    def __init__(self, params: KemParams = DESK_PARAMS) -> None:
-        self.params = params
-
-    def keygen(self, rng: np.random.Generator | None = None) -> KemKeyPair:
-        return kem_keygen(self.params, rng)
-
-    def encaps(
-        self, pk: KemPublicKey, rng: np.random.Generator | None = None
-    ) -> tuple[SharedSecret, KemCiphertext]:
-        return kem_encaps(pk, rng)
-
-    def decaps(self, sk: KemSecretKey, ct: KemCiphertext) -> SharedSecret:
-        return kem_decaps(sk, ct)
-
-
-DEFAULT_KEM = LweKem(DESK_PARAMS)

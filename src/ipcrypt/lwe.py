@@ -162,9 +162,10 @@ class AnalogyReport:
 
     Every field is optional; absent halves render as explicit "missing"
     markers so a report never silently invents numbers.  All fields are
-    primitives, and to_keyvalues / from_keyvalues round-trip losslessly;
-    both read each field's type from its annotation, and to_keyvalues
-    writes the fields in declaration order (ints, floats, then strs).
+    primitives, and to_keyvalues writes them losslessly, in declaration
+    order (ints, floats, then strs), reading each field's type from its
+    annotation; the library never parses a report back, and the tests'
+    parser round-trips it.
     """
 
     q: int | None = None
@@ -267,19 +268,6 @@ class AnalogyReport:
             lines.append(f"{name}={text}")
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_keyvalues(cls, text: str) -> "AnalogyReport":
-        types = cls._field_types()
-        kwargs = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            name, _, value = line.partition("=")
-            if name not in types:
-                raise ValueError(f"unknown analogy field {name!r}")
-            kwargs[name] = None if value == _MISSING else types[name](value)
-        return cls(**kwargs)
 
 def analogy_report(
     lwe: LweParams | None = None,

@@ -10,9 +10,10 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from ipcrypt import attacks, hso, kem, symmetric
+from ipcrypt import attacks, hso, hybrid, kem, symmetric
 from ipcrypt.encoding import EncodingScheme, Message, map1_capacity
 from ipcrypt.noise import ErrorKey
 
@@ -85,3 +86,26 @@ def test_attacks_encode_and_decode_through_their_module_names(monkeypatch):
     for method in (attacks.Tsvd(8), attacks.Tikhonov(1e-4)):
         attacks.attack_regularized(ct, factors, method, truth=msg)
     assert calls == {"encode": 3, "decode": 3}
+
+
+def test_hybrid_reaches_the_kem_through_its_module_names(monkeypatch):
+    """tracing.py wraps kem.kem_keygen, kem_encaps and kem_decaps; the hybrid must call each."""
+    calls = {"kem_keygen": 0, "kem_encaps": 0, "kem_decaps": 0}
+
+    def counted(name):
+        original = getattr(kem, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(kem, name, counted(name))
+    rng = np.random.default_rng(0)
+    pair = hybrid.pke_keygen(rng)
+    msg = Message.from_int(0x5A, 8)
+    ct = hybrid.pke_encrypt(pair.public, msg, EncodingScheme.map2(8, 64), rng)
+    assert hybrid.pke_decrypt(pair.secret, ct) == msg
+    assert calls == {"kem_keygen": 1, "kem_encaps": 1, "kem_decaps": 1}

@@ -14,7 +14,7 @@ from ipcrypt.cli import main
 from ipcrypt.formats import read_error_key, read_sym_ciphertext
 from ipcrypt.hso import hso_svd
 from ipcrypt.kem import xof_expand
-from ipcrypt.lwe import AnalogyReport
+from report_parsing import report_from_keyvalues
 
 try:
     import tomllib
@@ -429,7 +429,7 @@ def test_analogy_report_file_parses_back(tmp_path, capsys):
     assert text.splitlines()[0].startswith("aspect")
     assert "Dimension" in stdout
     assert text.rstrip().endswith("# seed=00")
-    rep = AnalogyReport.from_keyvalues(text.split("\n\n", 1)[1])
+    rep = report_from_keyvalues(text.split("\n\n", 1)[1])
     assert rep.q == 17 and rep.secret_dim == 2 and rep.num_samples == 8
     assert rep.grid_n == 64
     assert rep.decay_kind == "mild"
@@ -444,7 +444,7 @@ def test_analogy_lwe_only_leaves_operator_half_missing(tmp_path, capsys):
         "--out", str(out),
     )
     assert code == 0
-    rep = AnalogyReport.from_keyvalues(out.read_text().split("\n\n", 1)[1])
+    rep = report_from_keyvalues(out.read_text().split("\n\n", 1)[1])
     assert rep.q == 17
     assert rep.grid_n is None and rep.decay_kind is None
     assert "missing" in out.read_text()
@@ -518,7 +518,7 @@ def test_config_boolean_becomes_bare_switch(tmp_path, capsys):
     out = tmp_path / "rep.txt"
     code, _, _ = run(capsys, "analogy", "--config", str(cfg), "--out", str(out))
     assert code == 0
-    rep = AnalogyReport.from_keyvalues(out.read_text().split("\n\n", 1)[1])
+    rep = report_from_keyvalues(out.read_text().split("\n\n", 1)[1])
     assert rep.secret_dim == 2
     assert rep.grid_n is None  # --lwe-only took effect
 

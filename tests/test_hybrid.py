@@ -1,4 +1,4 @@
-"""KEM-DEM composition: roundtrips, tampering behavior, pluggable KEM."""
+"""KEM-DEM composition: roundtrips, tampering behavior, non-desk parameter sets."""
 
 import numpy as np
 
@@ -9,7 +9,6 @@ from ipcrypt.kem import (
     DESK_PARAMS,
     KemCiphertext,
     KemParams,
-    SharedSecret,
     kem_decaps,
     kem_keygen,
     xof_expand,
@@ -17,7 +16,6 @@ from ipcrypt.kem import (
 from ipcrypt.noise import NONCE_BYTES
 
 SCHEME = EncodingScheme.map2(32, 256)
-STUB_PARAMS = KemParams(q=17, dim=4, secret_bits=8, eta=1)
 
 
 def test_roundtrip_map2():
@@ -106,41 +104,14 @@ def test_keygen_delegates_to_kem():
     np.testing.assert_array_equal(a.secret.s, b.secret.s)
 
 
-class _StubKem:
-    """Minimal stand-in: fixed shared secret, remembers what it was asked."""
-
-    def __init__(self, secret_byte=0x42):
-        self.secret = SharedSecret(data=bytes([secret_byte]) * 32)
-        # Any object would do, since the hybrid never inspects c1.
-        self.ct = KemCiphertext(params=STUB_PARAMS, u=np.arange(4), v=np.arange(8))
-        self.decaps_calls = 0
-
-    def keygen(self, rng=None):
-        return "stub-keypair"
-
-    def encaps(self, pk, rng=None):
-        return self.secret, self.ct
-
-    def decaps(self, sk, ct):
-        self.decaps_calls += 1
-        assert ct is self.ct
-        return self.secret
-
-
-def test_any_three_method_object_can_play_the_kem():
-    stub = _StubKem()
+def test_roundtrip_under_a_non_desk_parameter_set():
+    params = KemParams(q=3329, dim=16, secret_bits=64, eta=2)
     rng = np.random.default_rng(11)
-    msg = Message.random(32, rng)
-    ct = pke_encrypt("stub-pk", msg, SCHEME, rng, kem=stub)
-    assert pke_decrypt("stub-sk", ct, kem=stub) == msg
-    assert stub.decaps_calls == 1
-
-
-def test_stub_kem_with_wrong_secret_breaks_recovery():
-    good = _StubKem(0x42)
-    bad = _StubKem(0x43)
-    bad.ct = good.ct  # same transported ciphertext, different decaps output
-    rng = np.random.default_rng(12)
-    msg = Message.random(32, rng)
-    ct = pke_encrypt("stub-pk", msg, SCHEME, rng, kem=good)
-    assert pke_decrypt("stub-sk", ct, kem=bad) != msg
+    pair = kem_keygen(params, rng)
+    assert pair.public.params == params and pair.secret.params == params
+    for _ in range(20):
+        msg = Message.random(32, rng)
+        ct = pke_encrypt(pair.public, msg, SCHEME, rng)
+        assert ct.c1.params == params
+        assert ct.c1.u.shape == (16,) and ct.c1.v.shape == (64,)
+        assert pke_decrypt(pair.secret, ct) == msg

@@ -18,13 +18,11 @@ from ipcrypt.formats import (
     write_kem_secret_key,
 )
 from ipcrypt.kem import (
-    DEFAULT_KEM,
     DESK_PARAMS,
     KemCiphertext,
     KemParams,
     KemPublicKey,
     KemSecretKey,
-    LweKem,
     cbd,
     expand_matrix,
     kem_decaps,
@@ -563,11 +561,3 @@ def test_public_key_validation():
     with pytest.raises(ValueError, match="eta"):
         KemSecretKey(params=SMALL, s=np.full((8, 8), 2))
 
-
-def test_kem_bundle_delegates():
-    kem = LweKem(DESK_PARAMS)
-    assert kem.params == DESK_PARAMS
-    assert DEFAULT_KEM.params == DESK_PARAMS
-    pair = kem.keygen(np.random.default_rng(13))
-    secret, ct = kem.encaps(pair.public, np.random.default_rng(14))
-    assert kem.decaps(pair.secret, ct).data == secret.data

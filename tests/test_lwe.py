@@ -16,6 +16,7 @@ from ipcrypt.lwe import (
     lwe_brute_force,
     lwe_gen,
 )
+from report_parsing import report_from_keyvalues
 
 # ---------------------------------------------------------------- params
 
@@ -221,7 +222,7 @@ def test_empty_report_renders_missing_everywhere():
     for _, fin, op in rep.rows():
         assert fin == "missing"
         assert op == "missing"
-    assert AnalogyReport.from_keyvalues(rep.to_keyvalues()) == rep
+    assert report_from_keyvalues(rep.to_keyvalues()) == rep
 
 
 def test_report_table_layout():
@@ -275,12 +276,12 @@ def test_report_builder_wires_all_fields():
 
 
 def test_from_keyvalues_skips_blanks_and_comments():
-    rep = AnalogyReport.from_keyvalues("\n# seed=ab\nq=17\n\ndecay_kind=mild\n")
+    rep = report_from_keyvalues("\n# seed=ab\nq=17\n\ndecay_kind=mild\n")
     assert rep.q == 17
     assert rep.decay_kind == "mild"
     assert rep.secret_dim is None
     with pytest.raises(ValueError, match="unknown analogy field"):
-        AnalogyReport.from_keyvalues("bogus=3\n")
+        report_from_keyvalues("bogus=3\n")
 
 
 field_text = st.text(
@@ -310,5 +311,5 @@ opt_text = st.none() | field_text
 @settings(max_examples=200)
 def test_keyvalues_roundtrip_is_lossless(**fields):
     rep = AnalogyReport(**fields)
-    again = AnalogyReport.from_keyvalues(rep.to_keyvalues())
+    again = report_from_keyvalues(rep.to_keyvalues())
     assert again == rep

@@ -217,3 +217,214 @@ SYM_HEADER_REFUSALS = [
 def test_sym_ciphertext_bad_fields_keep_their_text(kind, edit, map2_text, map1_text):
     expected = map1_text if kind == "map1" and map1_text is not None else map2_text
     assert _refusal(edit(SYM_BLOBS[kind])) == expected
+
+
+def _text(reader, data: bytes) -> str | None:
+    """The reader's refusal text for data, or None if it reads data."""
+    try:
+        reader(data)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+# (first prefix length, text) runs over the prefixes of each blob of _blobs:
+# every prefix blob[:k] with k from a run's start up to the next run's is
+# refused with that run's text.  None is the whole blob, which reads, and
+# the last run is the blob plus one zero byte.  The texts were generated by
+# the readers before their layouts were declared as data.
+PREFIX_TEXTS = {
+    "binomial key": [
+        (0, "truncated error key: missing magic"),
+        (4, "truncated error key: missing version"),
+        (5, "truncated error key: missing distribution id"),
+        (6, "truncated error key: missing eta"),
+        (10, "truncated error key: missing scale"),
+        (18, "truncated error key: missing grid size"),
+        (22, "truncated error key: missing seed"),
+        (54, None),
+        (55, "1 trailing bytes after error key"),
+    ],
+    "gaussian key": [
+        (0, "truncated error key: missing magic"),
+        (4, "truncated error key: missing version"),
+        (5, "truncated error key: missing distribution id"),
+        (6, "truncated error key: missing sigma"),
+        (14, "truncated error key: missing scale"),
+        (22, "truncated error key: missing grid size"),
+        (26, "truncated error key: missing seed"),
+        (58, None),
+        (59, "1 trailing bytes after error key"),
+    ],
+    "kem public key": [
+        (0, "truncated KEM public key: missing magic"),
+        (4, "truncated KEM public key: missing version"),
+        (5, "truncated KEM public key: missing parameter id"),
+        (6, "truncated KEM public key: missing kind"),
+        (7, "truncated KEM public key: missing matrix seed"),
+        (39, "truncated KEM public key: missing public matrix"),
+        (131111, None),
+        (131112, "1 trailing bytes after KEM public key"),
+    ],
+    "kem secret key": [
+        (0, "truncated KEM secret key: missing magic"),
+        (4, "truncated KEM secret key: missing version"),
+        (5, "truncated KEM secret key: missing parameter id"),
+        (6, "truncated KEM secret key: missing kind"),
+        (7, "truncated KEM secret key: missing secret matrix"),
+        (65543, None),
+        (65544, "1 trailing bytes after KEM secret key"),
+    ],
+    "kem ciphertext": [
+        (0, "truncated KEM ciphertext: missing magic"),
+        (4, "truncated KEM ciphertext: missing version"),
+        (5, "truncated KEM ciphertext: missing parameter id"),
+        (6, "truncated KEM ciphertext: missing kind"),
+        (7, "truncated KEM ciphertext: missing u component"),
+        (519, "truncated KEM ciphertext: missing v component"),
+        (1031, None),
+        (1032, "1 trailing bytes after KEM ciphertext"),
+    ],
+    "hybrid ciphertext": [
+        (0, "truncated hybrid ciphertext: missing magic"),
+        (4, "truncated hybrid ciphertext: missing version"),
+        (5, "truncated hybrid ciphertext: missing first block length"),
+        (9, "truncated hybrid ciphertext: missing first block"),
+        (1040, "truncated symmetric ciphertext: missing magic"),
+        (1044, "truncated symmetric ciphertext: missing version"),
+        (1045, "truncated symmetric ciphertext: missing grid size"),
+        (1049, "truncated symmetric ciphertext: missing message length"),
+        (1053, "truncated symmetric ciphertext: missing encoding id"),
+        (1054, "truncated symmetric ciphertext: missing nonce"),
+        (1070, "truncated symmetric ciphertext: missing body sample count"),
+        (1074, "truncated symmetric ciphertext: missing body samples"),
+        (1586, None),
+        (1587, "1 trailing bytes after symmetric ciphertext"),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PREFIX_TEXTS))
+def test_prefix_refusals_keep_their_text(name):
+    """Every prefix up to 64 bytes, and one byte either side of every run start."""
+    reader, blob = BLOBS[name]
+    runs = PREFIX_TEXTS[name]
+    assert runs[-1][0] == len(blob) + 1
+    probes = set(range(65)) | {start + d for start, _ in runs for d in (-1, 0, 1)}
+    for k in sorted(p for p in probes if 0 <= p <= len(blob) + 1):
+        data = blob[:k] if k <= len(blob) else blob + b"\x00"
+        expected = [text for start, text in runs if start <= k][-1]
+        assert _text(reader, data) == expected, k
+
+
+def _put(at: int, value: bytes):
+    """Edit that overwrites the bytes of a blob at offset at with value."""
+    return lambda blob: blob[:at] + value + blob[at + len(value) :]
+
+
+def _short(head: bytes):
+    """Edit that replaces a blob with the short blob head."""
+    return lambda blob: head
+
+
+# (label, edit of a valid blob, text) for each header field a reader checks,
+# with the texts generated as PREFIX_TEXTS's were.  "short" blobs end at the
+# bad field, which is refused before the missing fields behind it.
+KEY_REFUSALS = [
+    ("magic", _put(0, b"IPK2"), "bad magic for error key: expected b'IPK1', got b'IPK2'"),
+    ("short magic", _short(b"XXXX\x02"),
+     "bad magic for error key: expected b'IPK1', got b'XXXX'"),
+    ("version 1", _put(4, b"\x01"), "unsupported error key version 1"),
+    ("version 3", _put(4, b"\x03"), "unsupported error key version 3"),
+    ("short version", _short(b"IPK1\x07"), "unsupported error key version 7"),
+    ("distribution id 0", _put(5, b"\x00"), "unknown distribution id 0x00"),
+    ("distribution id 3", _put(5, b"\x03"), "unknown distribution id 0x03"),
+    ("short distribution id", _short(b"IPK1\x02\xff"), "unknown distribution id 0xff"),
+    ("grid size 0, short seed", lambda b: b[:-36] + struct.pack("<I", 0) + b[-32:-1],
+     "grid size must be positive, got 0"),
+]
+KEM_REFUSALS = {
+    "kem public key": [
+        ("magic", _put(0, b"IPQ2"),
+         "bad magic for KEM public key: expected b'IPQ1', got b'IPQ2'"),
+        ("short magic", _short(b"XXXX\x01"),
+         "bad magic for KEM public key: expected b'IPQ1', got b'XXXX'"),
+        ("version", _put(4, b"\x02"), "unsupported KEM public key version 2"),
+        ("short version", _short(b"IPQ1\x07"), "unsupported KEM public key version 7"),
+        ("parameter id 0", _put(5, b"\x00"), "unknown KEM parameter id 0x00"),
+        ("parameter id 2", _put(5, b"\x02"), "unknown KEM parameter id 0x02"),
+        ("short parameter id", _short(b"IPQ1\x01\xff"), "unknown KEM parameter id 0xff"),
+        ("kind 0", _put(6, b"\x00"), "expected a KEM public key file, got kind 0x00"),
+        ("kind 2", _put(6, b"\x02"), "expected a KEM public key file, got kind 0x02"),
+        ("kind 3", _put(6, b"\x03"), "expected a KEM public key file, got kind 0x03"),
+        ("short kind", _short(b"IPQ1\x01\x01\x04"),
+         "expected a KEM public key file, got kind 0x04"),
+    ],
+    "kem secret key": [
+        ("magic", _put(0, b"IPQ2"),
+         "bad magic for KEM secret key: expected b'IPQ1', got b'IPQ2'"),
+        ("short magic", _short(b"XXXX\x01"),
+         "bad magic for KEM secret key: expected b'IPQ1', got b'XXXX'"),
+        ("version", _put(4, b"\x02"), "unsupported KEM secret key version 2"),
+        ("short version", _short(b"IPQ1\x07"), "unsupported KEM secret key version 7"),
+        ("parameter id 0", _put(5, b"\x00"), "unknown KEM parameter id 0x00"),
+        ("parameter id 2", _put(5, b"\x02"), "unknown KEM parameter id 0x02"),
+        ("short parameter id", _short(b"IPQ1\x01\xff"), "unknown KEM parameter id 0xff"),
+        ("kind 0", _put(6, b"\x00"), "expected a KEM secret key file, got kind 0x00"),
+        ("kind 1", _put(6, b"\x01"), "expected a KEM secret key file, got kind 0x01"),
+        ("kind 3", _put(6, b"\x03"), "expected a KEM secret key file, got kind 0x03"),
+        ("short kind", _short(b"IPQ1\x01\x01\x04"),
+         "expected a KEM secret key file, got kind 0x04"),
+    ],
+    "kem ciphertext": [
+        ("magic", _put(0, b"IPQ2"),
+         "bad magic for KEM ciphertext: expected b'IPQ1', got b'IPQ2'"),
+        ("short magic", _short(b"XXXX\x01"),
+         "bad magic for KEM ciphertext: expected b'IPQ1', got b'XXXX'"),
+        ("version", _put(4, b"\x02"), "unsupported KEM ciphertext version 2"),
+        ("short version", _short(b"IPQ1\x07"), "unsupported KEM ciphertext version 7"),
+        ("parameter id 0", _put(5, b"\x00"), "unknown KEM parameter id 0x00"),
+        ("parameter id 2", _put(5, b"\x02"), "unknown KEM parameter id 0x02"),
+        ("short parameter id", _short(b"IPQ1\x01\xff"), "unknown KEM parameter id 0xff"),
+        ("kind 0", _put(6, b"\x00"), "expected a KEM ciphertext file, got kind 0x00"),
+        ("kind 1", _put(6, b"\x01"), "expected a KEM ciphertext file, got kind 0x01"),
+        ("kind 2", _put(6, b"\x02"), "expected a KEM ciphertext file, got kind 0x02"),
+        ("short kind", _short(b"IPQ1\x01\x01\x04"),
+         "expected a KEM ciphertext file, got kind 0x04"),
+    ],
+}
+HYBRID_REFUSALS = [
+    ("magic", _put(0, b"IPH2"),
+     "bad magic for hybrid ciphertext: expected b'IPH1', got b'IPH2'"),
+    ("short magic", _short(b"XXXX\x02"),
+     "bad magic for hybrid ciphertext: expected b'IPH1', got b'XXXX'"),
+    ("version 1", _put(4, b"\x01"), "unsupported hybrid ciphertext version 1"),
+    ("version 3", _put(4, b"\x03"), "unsupported hybrid ciphertext version 3"),
+    ("short version", _short(b"IPH1\x07"), "unsupported hybrid ciphertext version 7"),
+    ("first block length 0", _put(5, struct.pack("<I", 0)),
+     "truncated KEM ciphertext: missing magic"),
+    ("first block length 1030", _put(5, struct.pack("<I", 1030)),
+     "truncated KEM ciphertext: missing v component"),
+    ("first block length 1032", _put(5, struct.pack("<I", 1032)),
+     "1 trailing bytes after KEM ciphertext"),
+    ("first block length 2^32-1", _put(5, struct.pack("<I", 2**32 - 1)),
+     "truncated hybrid ciphertext: missing first block"),
+    ("first block magic", _put(9, b"IPC1"),
+     "bad magic for KEM ciphertext: expected b'IPQ1', got b'IPC1'"),
+]
+FIELD_REFUSALS = (
+    [("binomial key", *case) for case in KEY_REFUSALS]
+    + [("gaussian key", *case) for case in KEY_REFUSALS]
+    + [(name, *case) for name, cases in KEM_REFUSALS.items() for case in cases]
+    + [("hybrid ciphertext", *case) for case in HYBRID_REFUSALS]
+)
+
+
+@pytest.mark.parametrize(
+    "name, edit, text",
+    [(name, edit, text) for name, _, edit, text in FIELD_REFUSALS],
+    ids=[f"{name}-{label}" for name, label, _, _ in FIELD_REFUSALS],
+)
+def test_bad_fields_keep_their_text(name, edit, text):
+    reader, blob = BLOBS[name]
+    assert _text(reader, edit(blob)) == text
