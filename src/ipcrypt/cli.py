@@ -4,6 +4,12 @@ Every randomized subcommand takes a master --seed (hex); sub-streams are
 derived through the XOF with a per-command label, so equal invocations
 produce byte-identical output files.  Exit codes: 0 success, 1 domain
 error (bad key file, undecodable input, infeasible parameters), 2 usage.
+
+Each `_cmd_*` handler is a function of its parsed arguments: it writes
+only the files its flags name and returns its report as text, and `main`
+is the one place that prints to stdout.  Report lines are key=value,
+all made by `_report`: floats print by repr, so they read back exactly,
+bytes print as hex, and a field that is None is left out.
 """
 
 from __future__ import annotations
@@ -83,8 +89,36 @@ def _scheme_from_args(encoding: str, t: int, n: int) -> EncodingScheme:
     return EncodingScheme.map1(t, n, basis=encoding.split("-", 1)[1])
 
 
-def _write_lines(path: str, lines: list[str]) -> None:
-    Path(path).write_text("\n".join(lines) + "\n")
+def _show(value) -> str:
+    """A value as reports and CSV cells print it: floats by repr, bytes as hex.
+
+    numpy float64 scalars are floats too, and print as plain Python floats.
+    """
+    if isinstance(value, float):
+        return repr(float(value))
+    if isinstance(value, bytes):
+        return value.hex()
+    return str(value)
+
+
+def _report(*lines: str, **fields) -> str:
+    """The lines, then a key=value line for each field that is not None."""
+    lines += tuple(f"{key}={_show(value)}" for key, value in fields.items() if value is not None)
+    return "".join(line + "\n" for line in lines)
+
+
+def _csv(comment: str, header: str, rows) -> str:
+    """A `# comment` line, the column header, then one comma-joined line per row."""
+    return _report(f"# {comment}", header, *(",".join(map(_show, row)) for row in rows))
+
+
+def _write(path: str, data: str | bytes, what: str) -> str:
+    """Write data to path and return the report line naming what went where."""
+    if isinstance(data, str):
+        Path(path).write_text(data)
+    else:
+        Path(path).write_bytes(data)
+    return f"wrote {what} to {path}"
 
 
 def _amplification_run(
@@ -97,13 +131,10 @@ def _amplification_run(
     )
 
 
-def _cmd_spectrum(args) -> int:
-    factors = hso.hso_svd(args.n)
-    lines = [f"# singular values of the smoothing operator, n={args.n}", "k,s_k"]
-    lines += [f"{k},{float(s)!r}" for k, s in enumerate(factors.singular_values)]
-    _write_lines(args.out, lines)
-    print(f"wrote {args.n} singular values to {args.out}")
-    return 0
+def _cmd_spectrum(args) -> str:
+    comment = f"singular values of the smoothing operator, n={args.n}"
+    text = _csv(comment, "k,s_k", enumerate(hso.hso_svd(args.n).singular_values))
+    return _report(_write(args.out, text, f"{args.n} singular values"))
 
 
 def _read_spectrum_csv(path: str) -> np.ndarray:
@@ -121,66 +152,41 @@ def _read_spectrum_csv(path: str) -> np.ndarray:
     return np.array([values[k] for k in range(len(values))])
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> str:
     s = _read_spectrum_csv(args.csv)
-    if args.fit_from is not None and args.fit_to is not None:
-        fit_range = (args.fit_from, args.fit_to)
-    elif args.fit_from is None and args.fit_to is None:
-        fit_range = None
-    else:
+    if (args.fit_from is None) != (args.fit_to is None):
         raise ValueError("--from and --to must be given together")
+    fit_range = None if args.fit_from is None else (args.fit_from, args.fit_to)
     result = hso.classify_decay(s, fit_range)
-    print(f"kind={result.kind}")
-    if result.decay_exponent is not None:
-        print(f"decay_exponent={result.decay_exponent!r}")
-    if result.decay_rate is not None:
-        print(f"decay_rate={result.decay_rate!r}")
-    print(f"fit_quality={result.fit_quality!r}")
-    print(f"fit_from={result.fit_range[0]}")
-    print(f"fit_to={result.fit_range[1]}")
-    print(f"low_confidence={result.low_confidence}")
-    return 0
+    return _report(
+        kind=result.kind, decay_exponent=result.decay_exponent, decay_rate=result.decay_rate,
+        fit_quality=result.fit_quality, fit_from=result.fit_range[0], fit_to=result.fit_range[1],
+        low_confidence=result.low_confidence,
+    )
 
 
-def _amplification_lines(report: hso.AmplificationReport, seed: bytes) -> list[str]:
-    return [
-        f"n={report.n}",
-        f"trials={report.trials}",
-        f"noise_scale={report.noise_scale!r}",
-        f"mean_noise_norm={report.noise_norm!r}",
-        f"mean_error_norm={report.naive_error_norm!r}",
-        f"mean_amplification={report.amplification_factor!r}",
-        f"max_amplification={report.max_amplification!r}",
-        f"trials_with_noise={report.trials_with_noise}",
-        f"seed={seed.hex()}",
-    ]
-
-
-def _cmd_amplify(args) -> int:
+def _cmd_amplify(args) -> str:
     report = _amplification_run(args.n, args.sigma, args.trials, args.seed, "amplify")
-    lines = _amplification_lines(report, args.seed)
+    text = _report(
+        n=report.n, trials=report.trials, noise_scale=report.noise_scale,
+        mean_noise_norm=report.noise_norm, mean_error_norm=report.naive_error_norm,
+        mean_amplification=report.amplification_factor,
+        max_amplification=report.max_amplification,
+        trials_with_noise=report.trials_with_noise, seed=args.seed,
+    )
     if args.out:
-        _write_lines(args.out, lines)
-    print("\n".join(lines))
-    return 0
+        _write(args.out, text, "report")
+    return text
 
 
-def _cmd_encode(args) -> int:
+def _cmd_encode(args) -> str:
     scheme = _scheme_from_args(args.encoding, args.msg.t, args.n)
     u = encode(args.msg, scheme)
     if args.out:
-        y = midpoints(scheme.n)
-        lines = [
-            f"# encoded message, encoding={args.encoding} t={args.msg.t} n={scheme.n}",
-            "i,y,value",
-        ]
-        lines += [f"{i},{float(y[i])!r},{float(v)!r}" for i, v in enumerate(u)]
-        _write_lines(args.out, lines)
-    print(f"encoding={args.encoding}")
-    print(f"t={args.msg.t}")
-    print(f"n={scheme.n}")
-    print(f"norm={norm(u)!r}")
-    return 0
+        comment = f"encoded message, encoding={args.encoding} t={args.msg.t} n={scheme.n}"
+        rows = zip(range(scheme.n), midpoints(scheme.n), u)
+        _write(args.out, _csv(comment, "i,y,value", rows), "encoded message")
+    return _report(encoding=args.encoding, t=args.msg.t, n=scheme.n, norm=norm(u))
 
 
 def _error_params_from_args(args) -> ErrorParams:
@@ -191,39 +197,30 @@ def _error_params_from_args(args) -> ErrorParams:
     )
 
 
-def _cmd_keygen_sym(args) -> int:
+def _cmd_keygen_sym(args) -> str:
     params = _error_params_from_args(args)
     key = symmetric.sym_keygen(params, _rng_for(args.seed, "keygen-sym"))
-    Path(args.out).write_bytes(formats.write_error_key(key))
-    print(f"wrote key to {args.out}")
-    print(f"n={params.n}")
-    print(f"distribution={params.distribution}")
-    print(f"scale={params.scale!r}")
-    print(f"seed={args.seed.hex()}")
-    return 0
+    return _report(
+        _write(args.out, formats.write_error_key(key), "key"),
+        n=params.n, distribution=params.distribution, scale=params.scale, seed=args.seed,
+    )
 
 
-def _cmd_encrypt_sym(args) -> int:
+def _cmd_encrypt_sym(args) -> str:
     key = formats.read_error_key(Path(args.key).read_bytes())
     scheme = _scheme_from_args(args.encoding, args.msg.t, key.params.n)
     nonce = args.nonce
     if nonce is None:
         nonce = xof_expand(args.seed + b"/encrypt-sym/nonce", 16)
     ct = symmetric.sym_encrypt(key, args.msg, scheme, nonce)
-    Path(args.out).write_bytes(formats.write_sym_ciphertext(ct))
-    print(f"wrote ciphertext to {args.out}")
-    print(f"t={ct.scheme.t}")
-    print(f"n={ct.scheme.n}")
-    print(f"nonce={nonce.hex()}")
-    return 0
+    wrote = _write(args.out, formats.write_sym_ciphertext(ct), "ciphertext")
+    return _report(wrote, t=ct.scheme.t, n=ct.scheme.n, nonce=nonce)
 
 
-def _cmd_decrypt_sym(args) -> int:
+def _cmd_decrypt_sym(args) -> str:
     key = formats.read_error_key(Path(args.key).read_bytes())
     ct = formats.read_sym_ciphertext(Path(args.infile).read_bytes())
-    msg = symmetric.sym_decrypt(key, ct)
-    print(f"msg={''.join(str(b) for b in msg.bits)}")
-    return 0
+    return _report(msg="".join(map(str, symmetric.sym_decrypt(key, ct).bits)))
 
 
 def _parse_method(text: str):
@@ -240,20 +237,16 @@ def _parse_method(text: str):
         else:
             if np.isfinite(number):
                 return cls(number)
-    raise ValueError(
-        f"method must be naive, tsvd:<k>, or tikhonov:<alpha>, got {text!r}"
-    )
+    raise ValueError(f"method must be naive, tsvd:<k>, or tikhonov:<alpha>, got {text!r}")
 
 
-def _cmd_attack(args) -> int:
+def _cmd_attack(args) -> str:
     method = _parse_method(args.method)
     params = ErrorParams(n=args.n, scale=args.scale, distribution=CENTERED_BINOMIAL, eta=args.eta)
     scheme = _scheme_from_args(args.encoding, args.t, args.n)
     # The exact inverse reads only n; the filters need the singular values.
     factors = hso.build_hso(args.n) if method is None else hso.hso_svd(args.n)
     rows = []
-    accuracies = []
-    residuals = []
     for trial in range(args.trials):
         rng = _trial_rng(args.seed, "attack", trial)
         key = symmetric.sym_keygen(params, rng)
@@ -263,55 +256,46 @@ def _cmd_attack(args) -> int:
             report = attacks.attack_naive(ct, factors, truth=msg)
         else:
             report = attacks.attack_regularized(ct, factors, method, truth=msg)
-        rows.append(f"{trial},{report.method},{report.bit_accuracy!r},{report.residual_norm!r}")
-        accuracies.append(report.bit_accuracy)
-        residuals.append(report.residual_norm)
+        rows.append((trial, report.method, report.bit_accuracy, report.residual_norm))
     if args.out:
-        header = [
-            f"# attack experiment, method={args.method} n={args.n} t={args.t} "
-            f"scale={args.scale!r} eta={args.eta} trials={args.trials} seed={args.seed.hex()}",
-            "trial,method,bit_accuracy,residual",
-        ]
-        _write_lines(args.out, header + rows)
-    print(f"method={args.method}")
-    print(f"trials={args.trials}")
-    print(f"mean_accuracy={float(np.mean(accuracies))!r}")
-    print(f"mean_residual={float(np.mean(residuals))!r}")
-    print(f"seed={args.seed.hex()}")
-    return 0
+        comment = (
+            f"attack experiment, method={args.method} n={args.n} t={args.t} "
+            f"scale={args.scale!r} eta={args.eta} trials={args.trials} seed={args.seed.hex()}"
+        )
+        _write(args.out, _csv(comment, "trial,method,bit_accuracy,residual", rows), "table")
+    return _report(
+        method=args.method, trials=args.trials,
+        mean_accuracy=float(np.mean([row[2] for row in rows])),
+        mean_residual=float(np.mean([row[3] for row in rows])), seed=args.seed,
+    )
 
 
-def _cmd_lwe_demo(args) -> int:
-    params = lwe.LweParams(q=args.q, m=args.m, n=args.n, error_bound=args.ebound)
+def _lwe_params(args) -> lwe.LweParams:
+    return lwe.LweParams(q=args.q, m=args.m, n=args.n, error_bound=args.ebound)
+
+
+def _cmd_lwe_demo(args) -> str:
+    params = _lwe_params(args)
     rows = []
-    unique_count = 0
     for trial in range(args.trials):
-        rng = _trial_rng(args.seed, "lwe-demo", trial)
-        inst = lwe.lwe_gen(params, rng)
+        inst = lwe.lwe_gen(params, _trial_rng(args.seed, "lwe-demo", trial))
         cands = lwe.lwe_brute_force(inst.a_matrix, inst.b, params.q, params.error_bound)
         recovered = tuple(int(x) for x in inst.secret) in cands
-        unique = len(cands) == 1
-        unique_count += int(unique)
-        rows.append(f"{trial},{len(cands)},{int(unique)},{int(recovered)}")
+        rows.append((trial, len(cands), int(len(cands) == 1), int(recovered)))
     if args.out:
-        header = [
-            f"# noisy linear system recovery, q={args.q} m={args.m} n={args.n} "
-            f"ebound={args.ebound} trials={args.trials} seed={args.seed.hex()}",
-            "trial,candidates,unique,recovered",
-        ]
-        _write_lines(args.out, header + rows)
-    print(f"q={args.q}")
-    print(f"m={args.m}")
-    print(f"n={args.n}")
-    print(f"ebound={args.ebound}")
-    print(f"trials={args.trials}")
-    print(f"unique_fraction={unique_count / args.trials!r}")
-    print(f"seed={args.seed.hex()}")
-    return 0
+        comment = (
+            f"noisy linear system recovery, q={args.q} m={args.m} n={args.n} "
+            f"ebound={args.ebound} trials={args.trials} seed={args.seed.hex()}"
+        )
+        _write(args.out, _csv(comment, "trial,candidates,unique,recovered", rows), "table")
+    return _report(
+        q=args.q, m=args.m, n=args.n, ebound=args.ebound, trials=args.trials,
+        unique_fraction=sum(row[2] for row in rows) / args.trials, seed=args.seed,
+    )
 
 
-def _cmd_analogy(args) -> int:
-    params = lwe.LweParams(q=args.q, m=args.m, n=args.n, error_bound=args.ebound)
+def _cmd_analogy(args) -> str:
+    params = _lwe_params(args)
     inst = lwe.lwe_gen(params, _trial_rng(args.seed, "analogy/lwe", 0))
     cands = lwe.lwe_brute_force(inst.a_matrix, inst.b, params.q, params.error_bound)
     if len(cands) == 1:
@@ -322,50 +306,37 @@ def _cmd_analogy(args) -> int:
     if args.lwe_only:
         report = lwe.analogy_report(lwe=params, brute_force_status=status)
     else:
-        factors = hso.hso_svd(args.grid_n)
-        decay = hso.classify_decay(factors.singular_values)
-        amp = _amplification_run(
-            args.grid_n, args.sigma, args.trials, args.seed, "analogy/amplify"
-        )
+        decay = hso.classify_decay(hso.hso_svd(args.grid_n).singular_values)
+        amp = _amplification_run(args.grid_n, args.sigma, args.trials, args.seed, "analogy/amplify")
         report = lwe.analogy_report(
             lwe=params, decay=decay, amplification=amp, brute_force_status=status
         )
 
     text = report.to_text() + "\n" + report.to_keyvalues() + f"# seed={args.seed.hex()}\n"
-    Path(args.out).write_text(text)
-    print(report.to_text(), end="")
-    print(f"wrote report to {args.out}")
-    return 0
+    return report.to_text() + _report(_write(args.out, text, "report"))
 
 
-def _cmd_kem_keygen(args) -> int:
+def _cmd_kem_keygen(args) -> str:
     pair = kem_keygen(DESK_PARAMS, _rng_for(args.seed, "kem-keygen"))
-    Path(args.out_pk).write_bytes(formats.write_kem_public_key(pair.public))
-    Path(args.out_sk).write_bytes(formats.write_kem_secret_key(pair.secret))
-    print(f"wrote public key to {args.out_pk}")
-    print(f"wrote secret key to {args.out_sk}")
-    print(f"seed={args.seed.hex()}")
-    return 0
+    return _report(
+        _write(args.out_pk, formats.write_kem_public_key(pair.public), "public key"),
+        _write(args.out_sk, formats.write_kem_secret_key(pair.secret), "secret key"),
+        seed=args.seed,
+    )
 
 
-def _cmd_pke_encrypt(args) -> int:
+def _cmd_pke_encrypt(args) -> str:
     pk = formats.read_kem_public_key(Path(args.pk).read_bytes())
     scheme = _scheme_from_args(args.encoding, args.msg.t, args.n)
     ct = hybrid.pke_encrypt(pk, args.msg, scheme, _rng_for(args.seed, "pke-encrypt"))
-    Path(args.out).write_bytes(formats.write_hybrid_ciphertext(ct))
-    print(f"wrote hybrid ciphertext to {args.out}")
-    print(f"t={args.msg.t}")
-    print(f"n={args.n}")
-    print(f"seed={args.seed.hex()}")
-    return 0
+    wrote = _write(args.out, formats.write_hybrid_ciphertext(ct), "hybrid ciphertext")
+    return _report(wrote, t=args.msg.t, n=args.n, seed=args.seed)
 
 
-def _cmd_pke_decrypt(args) -> int:
+def _cmd_pke_decrypt(args) -> str:
     sk = formats.read_kem_secret_key(Path(args.sk).read_bytes())
     ct = formats.read_hybrid_ciphertext(Path(args.infile).read_bytes())
-    msg = hybrid.pke_decrypt(sk, ct)
-    print(f"msg={''.join(str(b) for b in msg.bits)}")
-    return 0
+    return _report(msg="".join(map(str, hybrid.pke_decrypt(sk, ct).bits)))
 
 
 def _apply_config(argv: list[str]) -> list[str]:
@@ -376,22 +347,16 @@ def _apply_config(argv: list[str]) -> list[str]:
     keeps the last occurrence).  Keys use flag spelling with dashes or
     underscores; boolean true means a bare switch.
     """
-    path = None
-    rest: list[str] = []
-    i = 0
-    while i < len(argv):
-        token = argv[i]
+    path, rest, tokens = None, [], iter(argv)
+    for token in tokens:
         if token == "--config":
-            if i + 1 >= len(argv):
+            path = next(tokens, None)
+            if path is None:
                 raise ValueError("--config needs a file path")
-            path = argv[i + 1]
-            i += 2
         elif token.startswith("--config="):
             path = token.split("=", 1)[1]
-            i += 1
         else:
             rest.append(token)
-            i += 1
     if path is None:
         return rest
     if not rest or rest[0].startswith("-"):
@@ -401,12 +366,9 @@ def _apply_config(argv: list[str]) -> list[str]:
         raise ValueError(f"config {path} must hold a JSON object")
     flags: list[str] = []
     for key, value in loaded.items():
-        flag = "--" + str(key).replace("_", "-")
-        if isinstance(value, bool):
-            if value:
-                flags.append(flag)
-        else:
-            flags.extend([flag, str(value)])
+        if value is not False:
+            flag = "--" + str(key).replace("_", "-")
+            flags += [flag] if value is True else [flag, str(value)]
     return [rest[0], *flags, *rest[1:]]
 
 
@@ -421,6 +383,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_seed(p):
         p.add_argument("--seed", type=_hex_bytes, default=b"\x00", help="master seed, hex")
+
+    lwe_flags = argparse.ArgumentParser(add_help=False)
+    lwe_flags.add_argument("--q", type=_positive_int, default=17)
+    lwe_flags.add_argument("--m", type=_positive_int, default=3)
+    lwe_flags.add_argument("--n", type=_positive_int, default=12, help="sample count")
+    lwe_flags.add_argument("--ebound", type=int, default=1)
 
     p = sub.add_parser("spectrum", help="singular values of the smoothing operator")
     p.add_argument("--n", type=_positive_int, required=True)
@@ -484,21 +452,17 @@ def build_parser() -> argparse.ArgumentParser:
     add_seed(p)
     p.set_defaults(func=_cmd_attack)
 
-    p = sub.add_parser("lwe-demo", help="brute-force recovery on desk-scale noisy systems")
-    p.add_argument("--q", type=_positive_int, default=17)
-    p.add_argument("--m", type=_positive_int, default=3)
-    p.add_argument("--n", type=_positive_int, default=12, help="sample count")
-    p.add_argument("--ebound", type=int, default=1)
+    p = sub.add_parser(
+        "lwe-demo", parents=[lwe_flags], help="brute-force recovery on desk-scale noisy systems"
+    )
     p.add_argument("--trials", type=_positive_int, default=10)
     p.add_argument("--out", default=None)
     add_seed(p)
     p.set_defaults(func=_cmd_lwe_demo)
 
-    p = sub.add_parser("analogy", help="aspect-by-aspect report linking both settings")
-    p.add_argument("--q", type=_positive_int, default=17)
-    p.add_argument("--m", type=_positive_int, default=3)
-    p.add_argument("--n", type=_positive_int, default=12, help="sample count")
-    p.add_argument("--ebound", type=int, default=1)
+    p = sub.add_parser(
+        "analogy", parents=[lwe_flags], help="aspect-by-aspect report linking both settings"
+    )
     p.add_argument("--grid-n", type=_positive_int, default=symmetric.RECOMMENDED_N)
     p.add_argument("--sigma", type=float, default=0.01)
     p.add_argument("--trials", type=_positive_int, default=20)
@@ -531,21 +495,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        argv = _apply_config(list(argv))
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
+        args = build_parser().parse_args(_apply_config(argv))
+        report = args.func(args)
     except (ValueError, OSError, MemoryError) as exc:
         # A file header can claim a grid too large to factor; a bare
         # MemoryError carries no message, so name the type instead.
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
+    print(report, end="")
+    return 0
 
 
 if __name__ == "__main__":

@@ -348,6 +348,8 @@ def classify_decay(
     s = np.asarray(singular_values, dtype=np.float64)
     if s.ndim != 1 or s.size < 2:
         raise ValueError("need a 1-d array of at least two singular values")
+    if not np.all(np.isfinite(s)):
+        raise ValueError("singular values must be finite")
     if np.any(s <= 0):
         raise ValueError("singular values must be positive")
     if np.any(np.diff(s) > 0):

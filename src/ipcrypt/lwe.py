@@ -51,7 +51,12 @@ def _is_prime(q: int) -> bool:
 
 @dataclass(frozen=True)
 class LweParams:
-    """Modulus q (prime), secret dimension m, sample count n, error bound."""
+    """Modulus q (prime), secret dimension m, sample count n, error bound.
+
+    lwe_gen forms A s + e in int64, whose entries reach m (q - 1)^2 + bound,
+    so parameters where that reaches 2^63 are refused, before q's primality
+    is tested by trial division.
+    """
 
     q: int
     m: int
@@ -59,6 +64,11 @@ class LweParams:
     error_bound: int
 
     def __post_init__(self) -> None:
+        if self.m * (self.q - 1) ** 2 + self.error_bound >= 2**63:
+            raise ValueError(
+                f"m (q - 1)^2 + error bound must be below 2^63 for int64 arithmetic, "
+                f"got q = {self.q}, m = {self.m}, error bound = {self.error_bound}"
+            )
         if not _is_prime(self.q):
             raise ValueError(f"modulus must be prime, got {self.q}")
         if self.m < 1:

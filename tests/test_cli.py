@@ -81,6 +81,7 @@ def test_classify_pipeline_from_spectrum_file(tmp_path, capsys):
     fields = kv(stdout)
     assert fields["kind"] == "mild"
     assert 1.85 <= float(fields["decay_exponent"]) <= 2.15
+    assert "decay_rate" not in fields  # a mild fit has no rate, and None prints no line
     assert fields["fit_from"] == "5"
     assert fields["fit_to"] == "50"
     assert fields["low_confidence"] == "False"
@@ -115,6 +116,19 @@ def test_classify_rejects_gappy_rows(tmp_path, capsys):
     code, _, stderr = run(capsys, "classify", "--csv", str(csv))
     assert code == 1
     assert "do not cover" in stderr
+
+
+@pytest.mark.parametrize("row", ["10,nan", "0,inf"])
+def test_classify_refuses_a_non_finite_spectrum(tmp_path, capsys, row):
+    """A NaN row used to pass every check and print kind=severe decay_rate=nan."""
+    csv = tmp_path / "spec.csv"
+    run(capsys, "spectrum", "--n", "64", "--out", str(csv))
+    k = row.split(",")[0] + ","
+    lines = [row if ln.startswith(k) else ln for ln in csv.read_text().splitlines()]
+    csv.write_text("\n".join(lines) + "\n")
+    assert run(capsys, "classify", "--csv", str(csv)) == (
+        1, "", "error: singular values must be finite\n"
+    )
 
 
 # ---------------------------------------------------------------- amplify
@@ -418,6 +432,15 @@ def test_lwe_demo_refuses_oversized_search(capsys):
     assert "enumeration limit" in stderr
 
 
+def test_lwe_demo_refuses_a_modulus_beyond_int64_before_testing_primality(capsys):
+    code, stdout, stderr = run(capsys, "lwe-demo", "--q", "10000000000000061")
+    assert (code, stdout) == (1, "")
+    assert stderr == (
+        "error: m (q - 1)^2 + error bound must be below 2^63 for int64 arithmetic, "
+        "got q = 10000000000000061, m = 3, error bound = 1\n"
+    )
+
+
 def test_analogy_report_file_parses_back(tmp_path, capsys):
     out = tmp_path / "analogy.txt"
     code, stdout, _ = run(
@@ -521,6 +544,15 @@ def test_config_boolean_becomes_bare_switch(tmp_path, capsys):
     rep = report_from_keyvalues(out.read_text().split("\n\n", 1)[1])
     assert rep.secret_dim == 2
     assert rep.grid_n is None  # --lwe-only took effect
+
+
+def test_config_false_boolean_adds_no_switch(tmp_path, capsys):
+    cfg = tmp_path / "analogy.json"
+    cfg.write_text(json.dumps({"lwe_only": False, "m": 2, "n": 8, "grid_n": 64, "trials": 2}))
+    out = tmp_path / "rep.txt"
+    code, _, _ = run(capsys, "analogy", "--config", str(cfg), "--out", str(out))
+    assert code == 0
+    assert report_from_keyvalues(out.read_text().split("\n\n", 1)[1]).grid_n == 64
 
 
 def test_config_error_paths(tmp_path, capsys):

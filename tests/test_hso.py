@@ -381,6 +381,16 @@ def test_classify_input_validation():
         classify_decay(good, fit_range=(5, 8))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [0, 10, 49])
+def test_classify_refuses_non_finite_singular_values(bad, where):
+    """NaN passes both the positivity and the ordering check, and inf fits to NaN."""
+    s = np.arange(1, 51, dtype=np.float64) ** -2.0
+    s[where] = bad
+    with pytest.raises(ValueError, match="^singular values must be finite$"):
+        classify_decay(s)
+
+
 def test_default_fit_range():
     assert default_fit_range(512) == (5, 50)
     assert default_fit_range(256) == (5, 50)

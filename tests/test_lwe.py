@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ipcrypt import lwe
 from ipcrypt.hso import AmplificationReport, DecayClassification
 from ipcrypt.lwe import (
     ENUMERATION_LIMIT,
@@ -34,6 +35,39 @@ def test_params_validation():
     with pytest.raises(ValueError, match="q/4"):
         LweParams(q=17, m=2, n=4, error_bound=5)  # 5 >= 17/4
     LweParams(q=17, m=2, n=4, error_bound=4)
+
+
+# Largest prime q with 3 (q - 1)^2 < 2^63, and the next prime, where it is not.
+LARGEST_Q_AT_M3 = 1_753_413_037
+NEXT_PRIME = 1_753_413_059
+
+
+def test_params_refuse_moduli_where_int64_products_wrap():
+    """At q = 10^12 + 39, m = 3, lwe_gen's A s wrapped in int64, and its own check agreed."""
+    with pytest.raises(ValueError, match=r"must be below 2\^63 for int64 arithmetic"):
+        LweParams(q=10**12 + 39, m=3, n=3, error_bound=0)
+    with pytest.raises(ValueError, match=r"2\^63"):
+        LweParams(q=NEXT_PRIME, m=3, n=3, error_bound=0)
+
+
+def test_lwe_gen_is_exact_at_the_largest_accepted_modulus():
+    params = LweParams(q=LARGEST_Q_AT_M3, m=3, n=3, error_bound=0)
+    inst = lwe_gen(params, np.random.default_rng(0))
+    a = [[int(x) for x in row] for row in inst.a_matrix]
+    s = [int(x) for x in inst.secret]
+    exact = [sum(x * y for x, y in zip(row, s)) % params.q for row in a]
+    assert [int(x) for x in inst.b] == exact
+
+
+def test_params_refuse_a_huge_modulus_before_trial_division(monkeypatch):
+    """Trial division alone took seconds at q near 10^16; the bound is checked first."""
+
+    def no_trial_division(q):
+        raise AssertionError("primality tested before the int64 bound")
+
+    monkeypatch.setattr(lwe, "_is_prime", no_trial_division)
+    with pytest.raises(ValueError, match=r"got q = 10000000000000061, m = 1, error bound = 0"):
+        LweParams(q=10**16 + 61, m=1, n=1, error_bound=0)
 
 
 # ---------------------------------------------------------------- centering
