@@ -318,11 +318,14 @@ def _cmd_analogy(args) -> str:
 
 def _cmd_kem_keygen(args) -> str:
     pair = kem_keygen(DESK_PARAMS, _rng_for(args.seed, "kem-keygen"))
-    return _report(
-        _write(args.out_pk, formats.write_kem_public_key(pair.public), "public key"),
-        _write(args.out_sk, formats.write_kem_secret_key(pair.secret), "secret key"),
-        seed=args.seed,
-    )
+    secret = formats.write_kem_secret_key(pair.secret)
+    wrote = _write(args.out_pk, formats.write_kem_public_key(pair.public), "public key")
+    try:
+        return _report(wrote, _write(args.out_sk, secret, "secret key"), seed=args.seed)
+    except BaseException:
+        # A public key whose secret key was never written is of no use.
+        Path(args.out_pk).unlink(missing_ok=True)
+        raise
 
 
 def _cmd_pke_encrypt(args) -> str:
@@ -351,12 +354,14 @@ def _apply_config(argv: list[str]) -> list[str]:
     for token in tokens:
         if token == "--config":
             path = next(tokens, None)
-            if path is None:
-                raise ValueError("--config needs a file path")
         elif token.startswith("--config="):
             path = token.split("=", 1)[1]
         else:
             rest.append(token)
+            continue
+        # An empty path would name the working directory.
+        if not path:
+            raise ValueError("--config needs a file path")
     if path is None:
         return rest
     if not rest or rest[0].startswith("-"):

@@ -11,7 +11,7 @@ v = B^T r + e + bit * round(q/2) and decapsulation thresholds
 v - S^T u at q/4.  With these parameters the accumulated noise is
 bounded well inside q/4, so decapsulation never fails.
 
-All four matrix products (A S in keygen, A^T r and B^T r in encapsulation,
+All three matrix products (A S in keygen, r^T [A | B] in encapsulation,
 S^T u in decapsulation) run on float32 BLAS and are exact.  Each sums dim
 terms of absolute value at most (q - 1) * eta, so with
 dim * (q - 1) * eta < 2^24 every product and partial sum is an integer
@@ -22,8 +22,11 @@ send int64 products to BLAS, and at desk scale the float32 route is
 about 12 times faster for a vector times a matrix and over 20 times for
 keygen's matrix product.  The vector products are bound by memory
 traffic, and float32 operands are half the bytes of float64 ones.  The
-key objects hold read-only float32 copies of A, B and S, made on first
-use, so encapsulation and decapsulation convert only the short vectors.
+key objects hold read-only float32 copies of [A | B] and S, made on first
+use, so encapsulation is one product giving u and v side by side.
+Results reduce as x - q * (x // q) (`_reduce`): integer x // q is exactly
+floor(x / q), so this is x % q for every int64 x and q >= 2, and numpy
+divides by a scalar with a multiply and a shift where % divides each value.
 
 Every coin is a bit of one SHAKE-256 squeeze over a 32-byte seed.
 Keygen takes d = rng.bytes(32) and splits SHAKE-256(d) into the matrix
@@ -90,11 +93,17 @@ def _exact_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (np.asarray(x, dtype=np.float32) @ np.asarray(y, dtype=np.float32)).astype(np.int64)
 
 
-def _float_copy(a: np.ndarray) -> np.ndarray:
-    """Read-only float32 copy of an integer matrix, for `_exact_matmul`."""
-    f = a.astype(np.float32)
+def _float_copy(*blocks: np.ndarray) -> np.ndarray:
+    """Read-only float32 copy of integer matrices side by side, for `_exact_matmul`."""
+    f = np.concatenate(blocks, axis=1, dtype=np.float32)
     f.flags.writeable = False
     return f
+
+
+def _reduce(x: np.ndarray, q: int) -> np.ndarray:
+    """x % q, computed in place on a fresh int64 array x (see the module docstring)."""
+    x -= q * (x // q)
+    return x
 
 
 @dataclass(frozen=True)
@@ -143,20 +152,18 @@ class KemPublicKey:
         shape = (self.params.dim, self.params.secret_bits)
         if b.shape != shape:
             raise ValueError(f"public matrix shape {b.shape} != {shape}")
-        if b.min() < 0 or b.max() >= self.params.q:
+        if b.view(np.uint64).max() >= self.params.q:
             raise ValueError("public matrix entries must lie in [0, q)")
         b.flags.writeable = False
         object.__setattr__(self, "b_pub", b)
 
     @cached_property
-    def a_f32(self) -> np.ndarray:
-        """A = expand_matrix(seed_a) as read-only float32, expanded once per key."""
-        return _float_copy(expand_matrix(self.seed_a, self.params))
+    def ab_f32(self) -> np.ndarray:
+        """[expand_matrix(seed_a) | b_pub] as read-only float32, made once per key.
 
-    @cached_property
-    def b_f32(self) -> np.ndarray:
-        """b_pub as read-only float32."""
-        return _float_copy(self.b_pub)
+        BENCH_kem_rotation.json, stage rows `first_use` and `encaps`.
+        """
+        return _float_copy(expand_matrix(self.seed_a, self.params), self.b_pub)
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,9 +213,10 @@ class KemCiphertext:
                 raise ValueError(f"ciphertext component {name} must be 1-d")
             if arr.shape != (size,):
                 raise ValueError(f"ciphertext component {name} shape {arr.shape} != ({size},)")
-            if arr.min() < 0:
-                raise ValueError(f"ciphertext component {name} must be nonnegative")
-            if arr.max() >= p.q:
+            # Negative entries view as uint64 values >= 2^63: one max() tests both ends.
+            if arr.view(np.uint64).max() >= p.q:
+                if arr.min() < 0:
+                    raise ValueError(f"ciphertext component {name} must be nonnegative")
                 raise ValueError(f"ciphertext component {name} entries must lie in [0, q)")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -237,7 +245,8 @@ def expand_matrix(seed: bytes, params: KemParams = DESK_PARAMS) -> np.ndarray:
     and the matrix, depend on the seed alone.  A q above 2^16 would reject
     every word, so it is refused before any squeeze.  Results are cached
     (and frozen) since a public key rebuilt from its file expands the
-    same seed again.
+    same seed again (BENCH_kem_rotation.json, stage row `expand_matrix`).
+    Accepted words reduce as `_reduce` does.
     """
     if params.q > 1 << 16:
         raise ValueError(f"matrix expansion reads 16-bit words and needs q <= 2^16, got {params.q}")
@@ -248,9 +257,10 @@ def expand_matrix(seed: bytes, params: KemParams = DESK_PARAMS) -> np.ndarray:
         words = np.frombuffer(xof_expand(seed, out_len), dtype="<u2")
         accepted = words[words < limit]
         if accepted.size >= need:
-            # Reduce before widening; uint32 because q may be 2^16.
-            a = (accepted[:need] % np.uint32(params.q)).astype(np.int64)
-            a = a.reshape(params.dim, params.dim)
+            # Divide before widening; uint32 because q may be 2^16.
+            kept = accepted[:need].reshape(params.dim, params.dim)
+            a = kept.astype(np.int64)
+            a -= params.q * (kept // np.uint32(params.q))
             a.flags.writeable = False
             return a
         out_len *= 2
@@ -322,7 +332,7 @@ def kem_keygen(params: KemParams = DESK_PARAMS, rng: np.random.Generator | None 
     stream = xof_expand(seed, 32 + _cbd_bytes(2 * count, params.eta))
     seed_a = stream[:32]
     s, e = cbd(stream[32:], 2 * count, params.eta).reshape(2, params.dim, params.secret_bits)
-    b = (_exact_matmul(expand_matrix(seed_a, params), s) + e) % params.q
+    b = _reduce(_exact_matmul(expand_matrix(seed_a, params), s) + e, params.q)
     public = KemPublicKey(params=params, seed_a=seed_a, b_pub=b)
     secret = KemSecretKey(params=params, s=s)
     return KemKeyPair(public=public, secret=secret)
@@ -338,11 +348,11 @@ def kem_encaps(
     stream = xof_expand(seed, m + _cbd_bytes(2 * dim + params.secret_bits, params.eta))
     secret = stream[:m]
     noise = cbd(stream[m:], 2 * dim + params.secret_bits, params.eta)
-    r, e_u, e_v = noise[:dim], noise[dim : 2 * dim], noise[2 * dim :]
     bits = np.unpackbits(np.frombuffer(secret, dtype=np.uint8), bitorder="little")
-    u = (_exact_matmul(r, pk.a_f32) + e_u) % params.q
-    v = (_exact_matmul(r, pk.b_f32) + e_v + params.half_q * bits.astype(np.int64)) % params.q
-    return SharedSecret(secret), KemCiphertext(params=params, u=u, v=v)
+    uv = _exact_matmul(noise[:dim], pk.ab_f32) + noise[dim:]
+    uv[dim:] += params.half_q * bits.astype(np.int64)
+    _reduce(uv, params.q)
+    return SharedSecret(secret), KemCiphertext(params=params, u=uv[:dim], v=uv[dim:])
 
 
 def _threshold(c: np.ndarray, q: int) -> np.ndarray:
@@ -366,6 +376,6 @@ def kem_decaps(sk: KemSecretKey, ct: KemCiphertext) -> SharedSecret:
     params = sk.params
     if ct.params != params:
         raise ValueError(f"ciphertext parameters {ct.params} != key parameters {params}")
-    c = (ct.v - _exact_matmul(ct.u, sk.s_f32)) % params.q
+    c = _reduce(ct.v - _exact_matmul(ct.u, sk.s_f32), params.q)
     return SharedSecret(np.packbits(_threshold(c, params.q), bitorder="little").tobytes())
 

@@ -511,6 +511,14 @@ def test_pke_pipeline_deterministic_files(tmp_path, capsys):
     assert blobs[0] == blobs[1]
 
 
+def test_kem_keygen_leaves_no_public_key_when_the_secret_key_is_not_written(tmp_path, capsys):
+    pk, sk = tmp_path / "k.pk", tmp_path / "nodir" / "k.sk"
+    code, stdout, stderr = run(capsys, "kem-keygen", "--out-pk", str(pk), "--out-sk", str(sk))
+    assert (code, stdout) == (1, "")
+    assert stderr == f"error: [Errno 2] No such file or directory: '{sk}'\n"
+    assert not pk.exists() and not sk.exists()
+
+
 def test_pke_decrypt_wrong_kind_file_is_domain_error(tmp_path, capsys):
     pk, sk = tmp_path / "kem.pk", tmp_path / "kem.sk"
     run(capsys, "kem-keygen", "--out-pk", str(pk), "--out-sk", str(sk))
@@ -569,6 +577,9 @@ def test_config_error_paths(tmp_path, capsys):
     code, _, stderr = run(capsys, "amplify", "--config")
     assert code == 1
     assert "needs a file path" in stderr
+
+    # An empty path is refused, not read as the working directory.
+    assert run(capsys, "amplify", "--config", "") == (1, "", "error: --config needs a file path\n")
 
 
 # ---------------------------------------------------------------- usage errors

@@ -175,7 +175,7 @@ CONFIG_REFUSALS = {
     "amplify --config nope.json": "[Errno 2] No such file or directory: 'nope.json'",
     "amplify --config invalid.json":
         "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
-    "amplify --config=": "[Errno 21] Is a directory: '.'",
+    "amplify --config=": "--config needs a file path",
     "amplify --config dir": "[Errno 21] Is a directory: 'dir'",
     "amplify --config amp.json --config list.json": "config list.json must hold a JSON object",
 }

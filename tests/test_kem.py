@@ -107,6 +107,26 @@ def test_expand_matrix_doubling_path_matches_one_long_squeeze():
         np.testing.assert_array_equal(expand_matrix(seed, params), want)
 
 
+@pytest.mark.parametrize("q", [3329, 1 << 16])
+def test_expand_matrix_reduces_every_word_as_the_remainder(monkeypatch, q):
+    """Fed every 16-bit word in order, the matrix is each accepted word % q.
+
+    At q = 2^16 every word is accepted and the uint32 divisor matters; at
+    3329 the words 0 .. 19 q - 1 are.  The uncached function runs, so the
+    patched stream leaves the cache alone.
+    """
+    params = KemParams(q=q, dim=256, secret_bits=8, eta=1)
+    ramp = np.arange(1 << 16, dtype="<u2").tobytes()
+    monkeypatch.setattr(kem, "xof_expand", lambda data, n: (ramp * (n // len(ramp) + 1))[:n])
+    words = np.frombuffer(ramp * 2, dtype="<u2")
+    accepted = words[words < (1 << 16) // q * q][: 256 * 256]
+    want = (accepted % np.uint32(q)).astype(np.int64).reshape(256, 256)
+    got = expand_matrix.__wrapped__(b"\x09" * 32, params)
+    assert got.dtype == np.int64 and not got.flags.writeable
+    np.testing.assert_array_equal(got, want)
+    assert np.unique(accepted).size == min(q * ((1 << 16) // q), 256 * 256)
+
+
 def test_expand_matrix_rejects_modulus_above_16_bits(monkeypatch):
     """q > 2^16 would reject every 16-bit word; it fails before any matrix squeeze."""
     top = expand_matrix(b"\x04" * 32, KemParams(q=1 << 16, dim=4, secret_bits=8, eta=1))
@@ -253,12 +273,23 @@ def oracle_encaps(pk, seed, sample_poly_cbd):
 # number of bytes.
 ODD = KemParams(q=12289, dim=5, secret_bits=8, eta=1)
 ORACLE_PARAMS = {"small": SMALL, "odd": ODD, "eta3": KemParams(dim=16, secret_bits=16, eta=3),
-                 "desk": DESK_PARAMS}
+                 "dim16": KemParams(q=3329, dim=16, secret_bits=64, eta=2), "desk": DESK_PARAMS}
+
+
+def oracle_decaps(s, u, v, q):
+    """kem_decaps spelled out: bit j is |centered (v - S^T u) mod q| > q/4."""
+    c = (v - u @ s) % q
+    centered = np.where(c > q // 2, c - q, c)
+    return np.packbits(np.abs(centered) > q / 4, bitorder="little").tobytes()
 
 
 @pytest.mark.parametrize("name", list(ORACLE_PARAMS))
 def test_keygen_and_encaps_match_the_shake_oracle(sample_poly_cbd, seed_rng, name):
-    """S, E, r, e_u, e_v and the secret bits are SamplePolyCBD over SHAKE-256 of the seeds."""
+    """S, E, r, e_u, e_v and the secret bits are SamplePolyCBD over SHAKE-256 of the seeds.
+
+    Decapsulation equals the centered-threshold formula on the real
+    ciphertext and on uniform (u, v), where its bits are not the secret's.
+    """
     params = ORACLE_PARAMS[name]
     d, coins = hashlib.sha256(name.encode()).digest(), hashlib.sha256(name.encode() * 2).digest()
     pair = kem_keygen(params, seed_rng(d))
@@ -272,6 +303,14 @@ def test_keygen_and_encaps_match_the_shake_oracle(sample_poly_cbd, seed_rng, nam
     assert shared.data == secret
     np.testing.assert_array_equal(ct.u, u)
     np.testing.assert_array_equal(ct.v, v)
+
+    q = params.q
+    assert kem_decaps(pair.secret, ct).data == oracle_decaps(s, u, v, q)
+    rng = np.random.default_rng(len(name))
+    for _ in range(5):
+        u, v = rng.integers(0, q, size=params.dim), rng.integers(0, q, size=params.secret_bits)
+        got = kem_decaps(pair.secret, KemCiphertext(params=params, u=u, v=v))
+        assert got.data == oracle_decaps(s, u, v, q)
 
 
 def test_keygen_and_encaps_need_only_rng_bytes(seed_rng):
@@ -336,6 +375,45 @@ def test_exact_matmul_is_the_only_matrix_product():
     assert matmuls[0] in list(ast.walk(helper))
 
 
+# ---------------------------------------------------------------- reduction
+
+
+@pytest.mark.parametrize("q", [2, 3, 17, 3329, 65536])
+def test_reduce_equals_the_remainder_over_the_exact_product_range(q):
+    """_reduce(x, q) is x % q wherever a KEM result can lie, ends included.
+
+    With dim as large as KemParams allows at eta = 2, a product plus noise
+    and half_q, or a difference of two residues and a product, stays within
+    dim (q - 1) eta + eta + q of zero.  The check covers both ends, every
+    k q - 1, k q, k q + 1 on a grid of k, and random values between.
+    """
+    eta = 2
+    dim = (2**24 - 1) // ((q - 1) * eta)
+    KemParams(q=q, dim=dim, secret_bits=8, eta=eta)
+    bound = dim * (q - 1) * eta + eta + q
+    ks = np.unique(np.linspace(-bound // q, bound // q, 4097).astype(np.int64))
+    x = np.concatenate([
+        np.arange(-bound, -bound + 1000), np.arange(bound - 1000, bound + 1),
+        (ks[:, None] * q + np.arange(-1, 2)).ravel(),
+        np.random.default_rng(q).integers(-bound, bound + 1, size=100_000),
+    ])
+    x = x[np.abs(x) <= bound]
+    assert x.dtype == np.int64 and x.min() == -bound and x.max() == bound
+    got = x.copy()
+    assert kem._reduce(got, q) is got
+    np.testing.assert_array_equal(got, x % q)
+
+
+def test_no_int64_remainder_is_left_in_the_kem():
+    """Every KEM reduction goes through _reduce or the word reduction: no `%` on arrays."""
+    tree = ast.parse(inspect.getsource(kem))
+    mods = [
+        ast.unparse(node) for node in ast.walk(tree)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
+    ]
+    assert sorted(mods) == ["8 % (2 * eta)", "self.secret_bits % 8"]
+
+
 # ---------------------------------------------------------------- keygen
 
 
@@ -388,22 +466,23 @@ def test_encaps_is_reproducible_from_generator():
 
 
 def test_cached_float_operands_are_read_only_copies():
+    """The public key holds [A | B] and the secret key S, each as one float32 array."""
     pair = kem_keygen(DESK_PARAMS, np.random.default_rng(21))
     pk, sk = pair.public, pair.secret
-    want = (
-        (pk.a_f32, expand_matrix(pk.seed_a, DESK_PARAMS)),
-        (pk.b_f32, pk.b_pub),
-        (sk.s_f32, sk.s),
-    )
+    a = expand_matrix(pk.seed_a, DESK_PARAMS)
+    want = ((pk.ab_f32, np.hstack((a, pk.b_pub))), (sk.s_f32, sk.s))
     for cached, ints in want:
         assert cached.dtype == np.float32
+        assert cached.shape == ints.shape
         assert not cached.flags.writeable
         np.testing.assert_array_equal(cached, ints)
-        assert not np.shares_memory(cached, ints)
         with pytest.raises(ValueError):
             cached[0, 0] = 1.0
+    for ints in (a, pk.b_pub, sk.s):
+        assert not np.shares_memory(pk.ab_f32, ints) and not np.shares_memory(sk.s_f32, ints)
     # One conversion per key: later reads return the same array.
-    assert pk.a_f32 is pk.a_f32 and pk.b_f32 is pk.b_f32 and sk.s_f32 is sk.s_f32
+    assert pk.ab_f32 is pk.ab_f32 and sk.s_f32 is sk.s_f32
+    assert not hasattr(pk, "a_f32") and not hasattr(pk, "b_f32")
 
 
 def test_keys_rebuilt_from_files_encapsulate_and_decapsulate_alike():
@@ -424,10 +503,11 @@ def test_public_keys_sharing_a_matrix_seed_never_share_b():
     pk = pair.public
     other_b = np.random.default_rng(24).integers(0, DESK_PARAMS.q, size=pk.b_pub.shape)
     twin = KemPublicKey(params=DESK_PARAMS, seed_a=pk.seed_a, b_pub=other_b)
-    np.testing.assert_array_equal(twin.a_f32, pk.a_f32)
-    np.testing.assert_array_equal(twin.b_f32, other_b)
-    assert not np.array_equal(twin.b_f32, pk.b_f32)
-    assert not np.shares_memory(twin.b_f32, pk.b_f32)
+    dim = DESK_PARAMS.dim
+    np.testing.assert_array_equal(twin.ab_f32[:, :dim], pk.ab_f32[:, :dim])
+    np.testing.assert_array_equal(twin.ab_f32[:, dim:], other_b)
+    assert not np.array_equal(twin.ab_f32[:, dim:], pk.ab_f32[:, dim:])
+    assert not np.shares_memory(twin.ab_f32, pk.ab_f32)
     # Encapsulating against each key sees its own B.
     _, ct = kem_encaps(twin, np.random.default_rng(0))
     _, ref = kem_encaps(pk, np.random.default_rng(0))
@@ -549,6 +629,49 @@ def test_params_validation_and_half_q():
     ):
         with pytest.raises(ValueError, match="2\\^24"):
             KemParams(q=q, dim=dim, eta=eta)
+
+
+# Texts generated by the parent implementation, which tested min() and
+# max() separately; "both" puts an entry >= q before a negative one.
+PUBLIC_KEY_RANGE_TEXT = "public matrix entries must lie in [0, q)"
+CIPHERTEXT_RANGE_TEXTS = {
+    ("u", "negative"): "ciphertext component u must be nonnegative",
+    ("u", "large"): "ciphertext component u entries must lie in [0, q)",
+    ("u", "both"): "ciphertext component u must be nonnegative",
+    ("v", "negative"): "ciphertext component v must be nonnegative",
+    ("v", "large"): "ciphertext component v entries must lie in [0, q)",
+    ("v", "both"): "ciphertext component v must be nonnegative",
+}
+BAD_ENTRIES = {"negative": {3: -1}, "large": {3: 3329}, "both": {0: 3329, 7: -1}}
+
+
+@pytest.mark.parametrize("case", list(BAD_ENTRIES))
+def test_public_key_range_refusal_text(case):
+    b = np.zeros((256, 256), dtype=np.int64)
+    for i, value in BAD_ENTRIES[case].items():
+        b[i, i] = value
+    with pytest.raises(ValueError) as exc:
+        KemPublicKey(params=DESK_PARAMS, seed_a=bytes(32), b_pub=b)
+    assert str(exc.value) == PUBLIC_KEY_RANGE_TEXT
+
+
+@pytest.mark.parametrize("name,case", list(CIPHERTEXT_RANGE_TEXTS), ids="-".join)
+def test_ciphertext_range_refusal_text(name, case):
+    parts = {"u": np.zeros(256, dtype=np.int64), "v": np.zeros(256, dtype=np.int64)}
+    for i, value in BAD_ENTRIES[case].items():
+        parts[name][i] = value
+    with pytest.raises(ValueError) as exc:
+        KemCiphertext(params=DESK_PARAMS, **parts)
+    assert str(exc.value) == CIPHERTEXT_RANGE_TEXTS[name, case]
+
+
+def test_ciphertext_checks_u_before_v():
+    """With both components out of range, u's text wins, whichever kind each is."""
+    for u_bad, v_bad, text in ((3329, -1, "u entries must lie"), (-1, 3329, "u must be nonneg")):
+        u, v = np.zeros(256, dtype=np.int64), np.zeros(256, dtype=np.int64)
+        u[0], v[0] = u_bad, v_bad
+        with pytest.raises(ValueError, match=text):
+            KemCiphertext(params=DESK_PARAMS, u=u, v=v)
 
 
 def test_public_key_validation():
