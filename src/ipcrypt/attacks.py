@@ -139,14 +139,14 @@ def bit_accuracy(a: Message, b: Message) -> float:
     return agree / a.t
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=5)
 def _filter_factors(method: Tikhonov | Tsvd, factors: hso.SVDFactors) -> np.ndarray:
     """Read-only filter factors of the method on the factors' singular values.
 
     Cached per (method, factors) pair, since an attack campaign applies one
     filter to every ciphertext; an entry keeps its factors alive, so the
-    cache is bounded like hso_svd's.  A method that rejects the factors
-    raises on every call: an exception is not cached.
+    cache is bounded (BENCH_caches.json, row `_filter_factors`).  A method
+    that rejects the factors raises on every call: an exception is not cached.
     """
     phi = method.filter(factors.singular_values)
     phi.flags.writeable = False

@@ -303,14 +303,11 @@ def _cmd_analogy(args) -> str:
     else:
         status = f"{len(cands)} consistent candidates, secret not pinned down"
 
-    if args.lwe_only:
-        report = lwe.analogy_report(lwe=params, brute_force_status=status)
-    else:
+    decay = amp = None
+    if not args.lwe_only:
         decay = hso.classify_decay(hso.hso_svd(args.grid_n).singular_values)
         amp = _amplification_run(args.grid_n, args.sigma, args.trials, args.seed, "analogy/amplify")
-        report = lwe.analogy_report(
-            lwe=params, decay=decay, amplification=amp, brute_force_status=status
-        )
+    report = lwe.analogy_report(params, decay, amp, brute_force_status=status)
 
     text = report.to_text() + "\n" + report.to_keyvalues() + f"# seed={args.seed.hex()}\n"
     return report.to_text() + _report(_write(args.out, text, "report"))

@@ -178,9 +178,9 @@ def map1_capacity(n: int, basis: str) -> int:
     raise ValueError(f"map1 basis must be fourier or haar, got {basis!r}")
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=1)
 def _midpoints(n: int) -> np.ndarray:
-    """Read-only grid.midpoints(n), cached per grid size."""
+    """Read-only grid.midpoints(n), cached (BENCH_caches.json, row `_midpoints`)."""
     y = midpoints(n)
     y.flags.writeable = False
     return y
@@ -234,12 +234,13 @@ def encode_map1(msg: Message, scheme: EncodingScheme) -> np.ndarray:
     return basis_vector(msg.to_int() + 1, scheme)
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=1)
 def _fourier_phase(n: int, count: int) -> np.ndarray:
     """Read-only sqrt(2) e^(-i pi j / n) for j = 1 ... count / 2, cached per (n, count).
 
     The midpoints sit half a cell past the DFT nodes, y = (m + 1/2) / n, so
     rfft bin j times this phase is sqrt(2) sum_m u_m e^(-2 pi i j y_m).
+    BENCH_caches.json, row `_fourier_phase`.
     """
     j = np.arange(1, count // 2 + 1)
     phase = np.sqrt(2.0) * np.exp(-1j * np.pi * j / n)
@@ -247,9 +248,12 @@ def _fourier_phase(n: int, count: int) -> np.ndarray:
     return phase
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=1)
 def _haar_heights(t: int) -> np.ndarray:
-    """Read-only sqrt(2^level) of dyads k - 1 = 2^level + shift, k = 1 ... 2^t - 1, cached per t."""
+    """Read-only sqrt(2^level) of dyads k - 1 = 2^level + shift, k = 1 ... 2^t - 1, cached per t.
+
+    BENCH_caches.json, row `_haar_heights`.
+    """
     heights = np.repeat(
         [math.sqrt(float(1 << level)) for level in range(t)], [1 << level for level in range(t)]
     )

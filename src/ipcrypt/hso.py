@@ -103,6 +103,7 @@ class SVDFactors:
 
     @cached_property
     def left_vectors(self) -> np.ndarray:
+        """The basis, built once per factors object (BENCH_caches.json, row `left_vectors`)."""
         return _kms_basis(self.phases)
 
     @property
@@ -164,9 +165,12 @@ class AmplificationReport:
         return float(np.max(self.amplification_factors))
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=1)
 def build_hso(n: int) -> DiscretizedOperator:
-    """Weights of h * exp(-|y_i - y_j|) on the n-point midpoint grid."""
+    """Weights of h * exp(-|y_i - y_j|) on the n-point midpoint grid.
+
+    Cached for one grid size (BENCH_caches.json, row `build_hso`).
+    """
     if n < 1:
         raise ValueError(f"operator needs n >= 1, got {n}")
     y = midpoints(n)
@@ -234,7 +238,7 @@ def _kms_basis(phases: np.ndarray) -> np.ndarray:
     return basis
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=1)
 def hso_svd(n: int) -> SVDFactors:
     """Cached singular system of the n-point operator, in closed form.
 
@@ -248,13 +252,13 @@ def hso_svd(n: int) -> SVDFactors:
     64 vectorized bisection steps shrink that bracket below rounding.  Both
     1 - rho terms come from expm1, and 1 - rho cos theta is summed as
     (1 - rho) + 2 rho sin^2(theta / 2), so nothing cancels when rho and
-    cos theta are near 1.  The values cost O(n); the basis is built from
-    the phases on the first use of left_vectors.
+    cos theta are near 1.  rho and h (1 - rho^2) are the constants build_hso
+    keeps, which also refuses n < 1.  The values cost O(n); the basis is
+    built from the phases on the first use of left_vectors.  Cached for one
+    grid size (BENCH_caches.json, row `hso_svd`).
     """
-    if n < 1:
-        raise ValueError(f"operator needs n >= 1, got {n}")
-    h = 1.0 / n
-    rho, one_minus_rho = np.exp(-h), -np.expm1(-h)
+    op = build_hso(n)
+    rho, one_minus_rho = op.rho, -np.expm1(-1.0 / n)
 
     def phase(theta: np.ndarray) -> np.ndarray:
         return np.arctan2(rho * np.sin(theta), one_minus_rho + 2.0 * rho * np.sin(0.5 * theta) ** 2)
@@ -268,7 +272,7 @@ def hso_svd(n: int) -> SVDFactors:
         hi = np.where(above, mid, hi)
         lo = np.where(above, lo, mid)
     theta = 0.5 * (lo + hi)
-    s = h * -np.expm1(-2.0 * h) / (one_minus_rho**2 + 4.0 * rho * np.sin(0.5 * theta) ** 2)
+    s = op.scale / (one_minus_rho**2 + 4.0 * rho * np.sin(0.5 * theta) ** 2)
     phases = phase(theta)
     s.flags.writeable = False
     phases.flags.writeable = False

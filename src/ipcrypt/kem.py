@@ -161,7 +161,8 @@ class KemPublicKey:
     def ab_f32(self) -> np.ndarray:
         """[expand_matrix(seed_a) | b_pub] as read-only float32, made once per key.
 
-        BENCH_kem_rotation.json, stage rows `first_use` and `encaps`.
+        BENCH_kem_rotation.json, stage rows `first_use` and `encaps`;
+        BENCH_caches.json, row `ab_f32`.
         """
         return _float_copy(expand_matrix(self.seed_a, self.params), self.b_pub)
 
@@ -183,7 +184,7 @@ class KemSecretKey:
 
     @cached_property
     def s_f32(self) -> np.ndarray:
-        """s as read-only float32."""
+        """s as read-only float32, made once per key (BENCH_caches.json, row `s_f32`)."""
         return _float_copy(self.s)
 
 
@@ -231,7 +232,7 @@ class SharedSecret:
             raise ValueError("shared secret must not be empty")
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=1)
 def expand_matrix(seed: bytes, params: KemParams = DESK_PARAMS) -> np.ndarray:
     """Uniform dim x dim matrix mod q from the XOF stream over seed.
 
@@ -243,10 +244,11 @@ def expand_matrix(seed: bytes, params: KemParams = DESK_PARAMS) -> np.ndarray:
     the squeeze length doubles until enough words survive; a shorter
     squeeze is a prefix of a longer one, so the first need accepted words,
     and the matrix, depend on the seed alone.  A q above 2^16 would reject
-    every word, so it is refused before any squeeze.  Results are cached
-    (and frozen) since a public key rebuilt from its file expands the
-    same seed again (BENCH_kem_rotation.json, stage row `expand_matrix`).
-    Accepted words reduce as `_reduce` does.
+    every word, so it is refused before any squeeze.  Results are frozen
+    and the last one is cached, which a public key rebuilt from its file
+    right after keygen reads (BENCH_kem_rotation.json, stage row
+    `expand_matrix`; BENCH_caches.json, row `expand_matrix`).  Accepted
+    words reduce as `_reduce` does.
     """
     if params.q > 1 << 16:
         raise ValueError(f"matrix expansion reads 16-bit words and needs q <= 2^16, got {params.q}")
@@ -280,14 +282,15 @@ def _cbd_planes(coins: np.ndarray, count: int, eta: int) -> np.ndarray:
     return (planes[:eta] - planes[eta:]).sum(axis=0, dtype=np.int16)
 
 
-@lru_cache(maxsize=3)
+@lru_cache(maxsize=1)
 def _cbd_table(eta: int) -> np.ndarray:
     """Read-only table of 256 entries, one per byte, for an eta with 2 eta | 8.
 
     A byte holds 4 / eta whole values, and entry b packs byte b's values
     as that many int16 lanes in one unsigned word, so viewing the words
     of table.take(bytes) as int16 gives the draw in order.  The entries
-    are the bit-plane draw of the bytes 0, 1, ..., 255.
+    are the bit-plane draw of the bytes 0, 1, ..., 255 (BENCH_caches.json,
+    row `_cbd_table`).
     """
     lanes = 4 // eta
     table = _cbd_planes(np.arange(256, dtype=np.uint8), 256 * lanes, eta)

@@ -5,14 +5,14 @@ An instance is b = A s + e mod q with uniform A and s and small e.  At
 desk scale the secret is recoverable by enumerating Z_q^m and testing
 whether the residual stays inside the error bound; the enumeration is
 chunked and refuses search spaces beyond ENUMERATION_LIMIT.  The report
-at the bottom lines up both worlds aspect by aspect: dimension, data,
-solution recovery, and the role of noise.
+at the bottom lines up both worlds aspect by aspect, as the table
+_ASPECTS declares them: Dimension, Data, Solution and Noise.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, fields
-from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -166,16 +166,52 @@ def lwe_brute_force(
     return found
 
 
+# The dictionary, one row per aspect: (aspect, finite-dimensional cell,
+# operator cell).  A cell names report fields in braces, and {law} is the
+# decay law; AnalogyReport.rows fills the templates.
+_ASPECTS = (
+    ("Dimension", "secret space Z_{q}^{secret_dim}", "function space on [0,1], grid n = {grid_n}"),
+    (
+        "Data",
+        "{num_samples} noisy samples b = A s + e mod {q}",
+        "smoothed samples, {decay_kind} singular decay ({law})",
+    ),
+    (
+        "Solution",
+        "enumeration: {brute_force_status}",
+        "naive inversion amplifies noise x{amplification_mean:.3g} (mean)",
+    ),
+    ("Noise", "integer error bounded by {error_bound}", "grid error at scale {noise_scale:g}"),
+)
+
+
+def _fill(template: str, values: dict) -> str:
+    """The template filled from values, or "missing" when a field it names is None."""
+    if any(values[name] is None for name in re.findall(r"\{(\w+)", template)):
+        return _MISSING
+    return template.format_map(values)
+
+
+def _show(value) -> str:
+    """None as "missing", floats (numpy ones too) by repr, anything else by str."""
+    if value is None:
+        return _MISSING
+    if isinstance(value, float):
+        return repr(float(value))
+    return str(value)
+
+
 @dataclass(frozen=True)
 class AnalogyReport:
     """Aspect-by-aspect dictionary between the two problem families.
 
     Every field is optional; absent halves render as explicit "missing"
     markers so a report never silently invents numbers.  All fields are
-    primitives, and to_keyvalues writes them losslessly, in declaration
-    order (ints, floats, then strs), reading each field's type from its
-    annotation; the library never parses a report back, and the tests'
-    parser round-trips it.
+    primitives, and to_keyvalues writes them losslessly, one key=value
+    line per field in declaration order (ints, floats, then strs): None
+    as "missing", a float by repr, anything else by str.  The library
+    never parses a report back; the tests' parser reads each value by
+    its field's annotation.
     """
 
     q: int | None = None
@@ -193,67 +229,17 @@ class AnalogyReport:
     brute_force_status: str | None = None
     decay_kind: str | None = None
 
-    @classmethod
-    def _field_types(cls) -> dict[str, type]:
-        """Field name to its type without None, in declaration order."""
-        hints = get_type_hints(cls)
-        return {f.name: get_args(hints[f.name])[0] for f in fields(cls)}
+    def _decay_law(self) -> str:
+        if self.decay_exponent is not None:
+            return f"exponent {self.decay_exponent:.3g}"
+        if self.decay_rate is not None:
+            return f"rate {self.decay_rate:.3g}"
+        return "law unknown"
 
     def rows(self) -> list[tuple[str, str, str]]:
-        """(label, finite-dimensional cell, operator cell) for the table."""
-        if self.q is not None and self.secret_dim is not None:
-            dim_fin = f"secret space Z_{self.q}^{self.secret_dim}"
-        else:
-            dim_fin = _MISSING
-        dim_op = (
-            f"function space on [0,1], grid n = {self.grid_n}"
-            if self.grid_n is not None
-            else _MISSING
-        )
-
-        if self.num_samples is not None and self.q is not None:
-            data_fin = f"{self.num_samples} noisy samples b = A s + e mod {self.q}"
-        else:
-            data_fin = _MISSING
-        if self.decay_kind is not None:
-            if self.decay_exponent is not None:
-                law = f"exponent {self.decay_exponent:.3g}"
-            elif self.decay_rate is not None:
-                law = f"rate {self.decay_rate:.3g}"
-            else:
-                law = "law unknown"
-            data_op = f"smoothed samples, {self.decay_kind} singular decay ({law})"
-        else:
-            data_op = _MISSING
-
-        sol_fin = (
-            f"enumeration: {self.brute_force_status}"
-            if self.brute_force_status is not None
-            else _MISSING
-        )
-        sol_op = (
-            f"naive inversion amplifies noise x{self.amplification_mean:.3g} (mean)"
-            if self.amplification_mean is not None
-            else _MISSING
-        )
-
-        noise_fin = (
-            f"integer error bounded by {self.error_bound}"
-            if self.error_bound is not None
-            else _MISSING
-        )
-        noise_op = (
-            f"grid error at scale {self.noise_scale:g}"
-            if self.noise_scale is not None
-            else _MISSING
-        )
-
-        return [
-            ("Dimension", dim_fin, dim_op),
-            ("Data", data_fin, data_op),
-            ("Solution", sol_fin, sol_op),
-            ("Noise", noise_fin, noise_op),
-        ]
+        """(label, finite-dimensional cell, operator cell) for the table, from _ASPECTS."""
+        values = {**vars(self), "law": self._decay_law()}
+        return [(aspect, _fill(fin, values), _fill(op, values)) for aspect, fin, op in _ASPECTS]
 
     def to_text(self) -> str:
         rows = [("aspect", "finite-dimensional", "operator"), *self.rows()]
@@ -265,18 +251,8 @@ class AnalogyReport:
         return "\n".join(lines) + "\n"
 
     def to_keyvalues(self) -> str:
-        """One key=value line per field; None renders as "missing"."""
-        lines = []
-        for name, kind in self._field_types().items():
-            value = getattr(self, name)
-            if value is None:
-                text = _MISSING
-            elif kind is float:
-                text = repr(float(value))
-            else:
-                text = str(value)
-            lines.append(f"{name}={text}")
-        return "\n".join(lines) + "\n"
+        """One key=value line per field, formatted as the class docstring says."""
+        return "".join(f"{f.name}={_show(getattr(self, f.name))}\n" for f in fields(self))
 
 
 def analogy_report(

@@ -117,14 +117,15 @@ class ErrorKey:
             raise ValueError(f"key seed must be 32 bytes, got {len(self.seed)}")
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=1)
 def _point_table(
     distribution: str, eta: int, sigma: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Support, probabilities, cdf and entropy of one point draw, read-only.
 
     The cdf is the table derive_error looks Gaussian draws up in; the
-    probabilities are its steps, and the entropy is theirs.
+    probabilities are its steps, and the entropy is theirs.  Cached
+    (BENCH_caches.json, row `_point_table`).
     """
     if distribution == CENTERED_BINOMIAL:
         support = np.arange(-eta, eta + 1)
@@ -145,13 +146,13 @@ def _point_table(
     return support, probs, cdf, entropy
 
 
-@lru_cache(maxsize=16, typed=True)
+@lru_cache(maxsize=1, typed=True)
 def _scaled_cbd_table(eta: int, scale: float) -> np.ndarray:
     """Read-only (256, 4 / eta) table, row b the draws of coin byte b times scale.
 
     Its entries are the products scale * k that scaling a `kem.cbd` draw
     makes, of the same types: the cache is typed, so a scale of another
-    type gets a table of its own.
+    type gets a table of its own (BENCH_caches.json, row `_scaled_cbd_table`).
     """
     table = scale * _cbd_table(eta).view(np.int16).reshape(256, 4 // eta)
     table.flags.writeable = False

@@ -42,12 +42,12 @@ RECOMMENDED_N = 256
 RECOMMENDED_SCALE = 0.5
 
 
-@lru_cache
+@lru_cache(maxsize=1)
 def recommended_error_params(n: int = RECOMMENDED_N, scale: float = RECOMMENDED_SCALE) -> ErrorParams:
     """Default working point: centered binomial eta = 2 at half-integer scale.
 
-    Cached: ErrorParams is frozen, so each (n, scale) is built and
-    validated once.
+    Cached, since ErrorParams is frozen and its validation computes an
+    entropy (BENCH_caches.json, row `recommended_error_params`).
     """
     return ErrorParams(n=n, scale=scale, distribution=CENTERED_BINOMIAL, eta=2)
 

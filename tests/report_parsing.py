@@ -4,6 +4,9 @@ The library writes reports and never reads one back; the tests parse
 them to check that the lines are lossless and that the CLI wrote them.
 """
 
+from dataclasses import fields
+from typing import get_args, get_type_hints
+
 from ipcrypt.lwe import _MISSING, AnalogyReport
 
 
@@ -13,7 +16,9 @@ def report_from_keyvalues(text: str) -> AnalogyReport:
     Blank lines and lines starting with "#" are skipped, and an unknown
     field name raises ValueError.
     """
-    types = AnalogyReport._field_types()
+    hints = get_type_hints(AnalogyReport)
+    # Each field is annotated "T | None"; the value parses as T.
+    types = {f.name: get_args(hints[f.name])[0] for f in fields(AnalogyReport)}
     kwargs = {}
     for line in text.splitlines():
         line = line.strip()

@@ -127,6 +127,25 @@ def test_expand_matrix_reduces_every_word_as_the_remainder(monkeypatch, q):
     assert np.unique(accepted).size == min(q * ((1 << 16) // q), 256 * 256)
 
 
+def test_expand_matrix_cache_hits_once_per_key_rotation_and_holds_one_matrix():
+    """A rotation is keygen, then the public key read back from IPQ1 and used.
+
+    The read-back key expands the seed keygen just expanded, and no other
+    call repeats a seed, so the cache hits once per rotation and needs to
+    hold only the last matrix.
+    """
+    rng = np.random.default_rng(24)
+    before = expand_matrix.cache_info()
+    for _ in range(40):
+        pair = kem_keygen(DESK_PARAMS, rng)
+        public = read_kem_public_key(write_kem_public_key(pair.public))
+        kem_encaps(public, rng)
+    after = expand_matrix.cache_info()
+    assert after.hits - before.hits == 40
+    assert after.misses - before.misses == 40
+    assert after.currsize <= 1
+
+
 def test_expand_matrix_rejects_modulus_above_16_bits(monkeypatch):
     """q > 2^16 would reject every 16-bit word; it fails before any matrix squeeze."""
     top = expand_matrix(b"\x04" * 32, KemParams(q=1 << 16, dim=4, secret_bits=8, eta=1))

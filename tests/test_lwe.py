@@ -347,3 +347,154 @@ def test_keyvalues_roundtrip_is_lossless(**fields):
     rep = AnalogyReport(**fields)
     again = report_from_keyvalues(rep.to_keyvalues())
     assert again == rep
+
+
+# ---------------------------------------------------------------- pinned report texts
+
+# Each text below was printed by the parent of the table-driven report and is
+# committed unchanged.  Constructed reports read no BLAS, so the bytes are the
+# same on every host.
+PINNED_REPORTS = {
+    "all_fields_decay_by_exponent": (
+        AnalogyReport(
+            q=17,
+            secret_dim=3,
+            num_samples=12,
+            error_bound=1,
+            grid_n=256,
+            amplification_trials=10,
+            decay_exponent=1.9987654321,
+            decay_rate=0.0123456,
+            decay_fit_quality=0.99991,
+            amplification_mean=80123.456789,
+            amplification_max=91234.5,
+            noise_scale=0.01,
+            brute_force_status="unique witness among 1 consistent candidate(s)",
+            decay_kind="mild",
+        ),
+        """\
+aspect     finite-dimensional                                           operator
+Dimension  secret space Z_17^3                                          function space on [0,1], grid n = 256
+Data       12 noisy samples b = A s + e mod 17                          smoothed samples, mild singular decay (exponent 2)
+Solution   enumeration: unique witness among 1 consistent candidate(s)  naive inversion amplifies noise x8.01e+04 (mean)
+Noise      integer error bounded by 1                                   grid error at scale 0.01
+""",
+        """\
+q=17
+secret_dim=3
+num_samples=12
+error_bound=1
+grid_n=256
+amplification_trials=10
+decay_exponent=1.9987654321
+decay_rate=0.0123456
+decay_fit_quality=0.99991
+amplification_mean=80123.456789
+amplification_max=91234.5
+noise_scale=0.01
+brute_force_status=unique witness among 1 consistent candidate(s)
+decay_kind=mild
+""",
+    ),
+    "decay_by_rate": (
+        AnalogyReport(
+            grid_n=64,
+            amplification_trials=3,
+            decay_rate=0.73456,
+            decay_fit_quality=0.5,
+            amplification_mean=1.5e-07,
+            amplification_max=2.0,
+            noise_scale=1e-12,
+            decay_kind="severe",
+        ),
+        """\
+aspect     finite-dimensional  operator
+Dimension  missing             function space on [0,1], grid n = 64
+Data       missing             smoothed samples, severe singular decay (rate 0.735)
+Solution   missing             naive inversion amplifies noise x1.5e-07 (mean)
+Noise      missing             grid error at scale 1e-12
+""",
+        """\
+q=missing
+secret_dim=missing
+num_samples=missing
+error_bound=missing
+grid_n=64
+amplification_trials=3
+decay_exponent=missing
+decay_rate=0.73456
+decay_fit_quality=0.5
+amplification_mean=1.5e-07
+amplification_max=2.0
+noise_scale=1e-12
+brute_force_status=missing
+decay_kind=severe
+""",
+    ),
+    "decay_law_unknown": (
+        AnalogyReport(q=101, secret_dim=2, decay_kind="mild", noise_scale=0.25),
+        """\
+aspect     finite-dimensional    operator
+Dimension  secret space Z_101^2  missing
+Data       missing               smoothed samples, mild singular decay (law unknown)
+Solution   missing               missing
+Noise      missing               grid error at scale 0.25
+""",
+        """\
+q=101
+secret_dim=2
+num_samples=missing
+error_bound=missing
+grid_n=missing
+amplification_trials=missing
+decay_exponent=missing
+decay_rate=missing
+decay_fit_quality=missing
+amplification_mean=missing
+amplification_max=missing
+noise_scale=0.25
+brute_force_status=missing
+decay_kind=mild
+""",
+    ),
+    "lwe_half_only": (
+        AnalogyReport(
+            q=17,
+            secret_dim=3,
+            num_samples=12,
+            error_bound=1,
+            brute_force_status="3 consistent candidates, secret not pinned down",
+        ),
+        """\
+aspect     finite-dimensional                                            operator
+Dimension  secret space Z_17^3                                           missing
+Data       12 noisy samples b = A s + e mod 17                           missing
+Solution   enumeration: 3 consistent candidates, secret not pinned down  missing
+Noise      integer error bounded by 1                                    missing
+""",
+        """\
+q=17
+secret_dim=3
+num_samples=12
+error_bound=1
+grid_n=missing
+amplification_trials=missing
+decay_exponent=missing
+decay_rate=missing
+decay_fit_quality=missing
+amplification_mean=missing
+amplification_max=missing
+noise_scale=missing
+brute_force_status=3 consistent candidates, secret not pinned down
+decay_kind=missing
+""",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_REPORTS)
+def test_report_texts_are_pinned(name):
+    rep, text, keyvalues = PINNED_REPORTS[name]
+    assert rep.to_text() == text
+    assert rep.to_keyvalues() == keyvalues
+    assert report_from_keyvalues(keyvalues) == rep
