@@ -32,8 +32,12 @@ short array, then trailing bytes.  So the IPC1 reader refuses a bad id,
 t or body count before it reads the body, which it takes as one float64
 view of the bytes past the header.  KEM keys and ciphertexts carry their
 parameter set: the writers label it with its registered id (and refuse a
-set that has none), and the readers pass the set the id names to the
-object, which checks its arrays against it.
+set that has none), and the readers check the arrays against the set
+the id names.  The secret key reader passes its bytes to the checked
+constructor, which keeps an int64 copy.  The public key and ciphertext
+readers check the range on the file's u16 words, with one max, and wrap
+a single int64 widening of them with no second pass; a word out of range
+goes to the checked constructor, which refuses it with its own text.
 """
 
 from __future__ import annotations
@@ -237,6 +241,8 @@ def read_kem_public_key(data: bytes) -> KemPublicKey:
     b = _KEM_PUBLIC.array(data, _KEM_PUBLIC.size, _U16, count, "public matrix")
     _KEM_PUBLIC.done(data, _KEM_PUBLIC.size + _U16.itemsize * count)
     b = b.reshape(params.dim, params.secret_bits)
+    if b.max() < params.q:
+        return KemPublicKey._of_matrix(params, fields[4], b.astype(np.int64))
     return KemPublicKey(params=params, seed_a=fields[4], b_pub=b)
 
 
@@ -260,12 +266,14 @@ def write_kem_ciphertext(ct: KemCiphertext) -> bytes:
 
 def read_kem_ciphertext(data: bytes) -> KemCiphertext:
     params, _ = _read_kem_header(_KEM_CIPHERTEXT, data, _KIND_CIPHERTEXT)
-    at = _KEM_CIPHERTEXT.size
-    u = _KEM_CIPHERTEXT.array(data, at, _U16, params.dim, "u component")
-    at += _U16.itemsize * params.dim
-    v = _KEM_CIPHERTEXT.array(data, at, _U16, params.secret_bits, "v component")
-    _KEM_CIPHERTEXT.done(data, at + _U16.itemsize * params.secret_bits)
-    return KemCiphertext(params=params, u=u, v=v)
+    dim, at = params.dim, _KEM_CIPHERTEXT.size
+    if len(data) < at + _U16.itemsize * dim:
+        raise _KEM_CIPHERTEXT.missing("u component")
+    uv = _KEM_CIPHERTEXT.array(data, at, _U16, dim + params.secret_bits, "v component")
+    _KEM_CIPHERTEXT.done(data, at + _U16.itemsize * uv.size)
+    if uv.max() < params.q:
+        return KemCiphertext._of_uv(params, uv.astype(np.int64))
+    return KemCiphertext(params=params, u=uv[:dim], v=uv[dim:])
 
 
 def write_hybrid_ciphertext(ct: HybridCiphertext) -> bytes:

@@ -7,10 +7,13 @@ inversion) lives in this geometry, so norms here approximate their
 continuum counterparts to O(h^2).
 
 The library computes on plain float64 arrays of samples.  GridFunction
-is the validated form of such an array: 1-d, nonempty, finite and
+is the validated form of such an array: 1-d, nonempty, real, finite and
 frozen.  It is the type of a ciphertext body, where samples may arrive
-from outside the program; this module has no byte layout of its own
-(the ciphertext file reader in `formats` builds the body).
+from outside the program.  The constructor checks outside samples and
+keeps a read-only copy; encryption, whose fresh body holds those
+properties by construction, wraps it as it is (`GridFunction._of_samples`).
+This module has no byte layout of its own (the ciphertext file reader in
+`formats` builds the body through the constructor).
 """
 
 from __future__ import annotations
@@ -31,13 +34,16 @@ __all__ = [
 class GridFunction:
     """Real-valued function sampled at the n midpoints of [0,1].
 
-    values is a read-only float64 copy of the samples, checked 1-d,
-    nonempty and finite; h = 1/n is the quadrature weight.
+    values is a read-only float64 array of the samples, 1-d, nonempty,
+    real and finite: the constructor checks them and keeps a copy, and
+    `_of_samples` wraps a fresh array; h = 1/n is the quadrature weight.
     """
 
     values: np.ndarray
 
     def __post_init__(self) -> None:
+        if np.iscomplexobj(self.values):
+            raise ValueError("grid function samples must be real, got complex")
         arr = np.array(self.values, dtype=np.float64)
         if arr.ndim != 1:
             raise ValueError(f"grid function must be 1-d, got shape {arr.shape}")
@@ -48,6 +54,17 @@ class GridFunction:
             raise ValueError(f"non-finite sample at index {int(np.argmin(finite))}")
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
+
+    @classmethod
+    def _of_samples(cls, values: np.ndarray) -> "GridFunction":
+        """GridFunction of a fresh 1-d, nonempty, finite float64 array, with no copy and no check.
+
+        sym_encrypt builds its body so from a checked key and message.
+        """
+        values.flags.writeable = False
+        u = object.__new__(cls)
+        object.__setattr__(u, "values", values)
+        return u
 
     @property
     def n(self) -> int:

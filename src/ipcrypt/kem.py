@@ -28,6 +28,14 @@ Results reduce as x - q * (x // q) (`_reduce`): integer x // q is exactly
 floor(x / q), so this is x % q for every int64 x and q >= 2, and numpy
 divides by a scalar with a multiply and a shift where % divides each value.
 
+Keys and ciphertexts are checked once, where they enter the program.
+Their public constructors refuse arrays of the wrong shape, with
+non-integer entries or with entries out of range, and keep read-only
+int64 copies.  Keygen and encapsulation build their arrays in range and
+wrap them as they are, with no copy and no second check (the `_of_*`
+classmethods); so does the IPQ1 reader, once it has checked the file's
+words.
+
 Every coin is a bit of one SHAKE-256 squeeze over a 32-byte seed.
 Keygen takes d = rng.bytes(32) and splits SHAKE-256(d) into the matrix
 seed (32 bytes) and one `cbd` draw of 2 dim secret_bits values: S, then
@@ -100,6 +108,12 @@ def _float_copy(*blocks: np.ndarray) -> np.ndarray:
     return f
 
 
+def _refuse_non_integer(arr: np.ndarray, what: str) -> None:
+    """Refuse an array that casting to int64 would truncate (floats, NaN, complex, bool)."""
+    if arr.dtype.kind not in "iu":
+        raise ValueError(f"{what} must be integers")
+
+
 def _reduce(x: np.ndarray, q: int) -> np.ndarray:
     """x % q, computed in place on a fresh int64 array x (see the module docstring)."""
     x -= q * (x // q)
@@ -148,14 +162,29 @@ class KemPublicKey:
     def __post_init__(self) -> None:
         if len(self.seed_a) != 32:
             raise ValueError(f"matrix seed must be 32 bytes, got {len(self.seed_a)}")
-        b = np.array(self.b_pub, dtype=np.int64)
+        b = np.asarray(self.b_pub)
         shape = (self.params.dim, self.params.secret_bits)
         if b.shape != shape:
             raise ValueError(f"public matrix shape {b.shape} != {shape}")
+        _refuse_non_integer(b, "public matrix entries")
+        b = np.array(b, dtype=np.int64)
         if b.view(np.uint64).max() >= self.params.q:
             raise ValueError("public matrix entries must lie in [0, q)")
         b.flags.writeable = False
         object.__setattr__(self, "b_pub", b)
+
+    @classmethod
+    def _of_matrix(cls, params: KemParams, seed_a: bytes, b: np.ndarray) -> "KemPublicKey":
+        """Public key of a fresh int64 matrix b in [0, q), with no copy and no check.
+
+        Keygen reduces b mod q; the IPQ1 reader checks its words first.
+        """
+        b.flags.writeable = False
+        pk = object.__new__(cls)
+        object.__setattr__(pk, "params", params)
+        object.__setattr__(pk, "seed_a", seed_a)
+        object.__setattr__(pk, "b_pub", b)
+        return pk
 
     @cached_property
     def ab_f32(self) -> np.ndarray:
@@ -173,14 +202,25 @@ class KemSecretKey:
     s: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        s = np.array(self.s, dtype=np.int64)
+        s = np.asarray(self.s)
         shape = (self.params.dim, self.params.secret_bits)
         if s.shape != shape:
             raise ValueError(f"secret matrix shape {s.shape} != {shape}")
+        _refuse_non_integer(s, "secret entries")
+        s = np.array(s, dtype=np.int64)
         if s.min() < -self.params.eta or s.max() > self.params.eta:
             raise ValueError("secret entries must be bounded by eta")
         s.flags.writeable = False
         object.__setattr__(self, "s", s)
+
+    @classmethod
+    def _of_matrix(cls, params: KemParams, s: np.ndarray) -> "KemSecretKey":
+        """Secret key of a fresh int64 matrix s of `cbd` draws, bounded by eta by construction."""
+        s.flags.writeable = False
+        sk = object.__new__(cls)
+        object.__setattr__(sk, "params", params)
+        object.__setattr__(sk, "s", s)
+        return sk
 
     @cached_property
     def s_f32(self) -> np.ndarray:
@@ -196,10 +236,12 @@ class KemKeyPair:
 
 @dataclass(frozen=True, eq=False)
 class KemCiphertext:
-    """The (u, v) pair of one parameter set, checked once on construction.
+    """The (u, v) pair of one parameter set, checked once where it enters.
 
-    u has shape (dim,) and v (secret_bits,), both with entries in [0, q)
-    of params; the arrays are read-only int64 copies.
+    u has shape (dim,) and v (secret_bits,), both with integer entries in
+    [0, q) of params, held as read-only int64.  The constructor checks
+    outside arrays and keeps copies; encapsulation and the IPQ1 reader
+    build their pair in range and wrap it as it is (`_of_uv`).
     """
 
     params: KemParams
@@ -209,11 +251,13 @@ class KemCiphertext:
     def __post_init__(self) -> None:
         p = self.params
         for name, size in (("u", p.dim), ("v", p.secret_bits)):
-            arr = np.array(getattr(self, name), dtype=np.int64)
+            arr = np.asarray(getattr(self, name))
             if arr.ndim != 1:
                 raise ValueError(f"ciphertext component {name} must be 1-d")
             if arr.shape != (size,):
                 raise ValueError(f"ciphertext component {name} shape {arr.shape} != ({size},)")
+            _refuse_non_integer(arr, f"ciphertext component {name} entries")
+            arr = np.array(arr, dtype=np.int64)
             # Negative entries view as uint64 values >= 2^63: one max() tests both ends.
             if arr.view(np.uint64).max() >= p.q:
                 if arr.min() < 0:
@@ -221,6 +265,19 @@ class KemCiphertext:
                 raise ValueError(f"ciphertext component {name} entries must lie in [0, q)")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+
+    @classmethod
+    def _of_uv(cls, params: KemParams, uv: np.ndarray) -> "KemCiphertext":
+        """Ciphertext of a fresh int64 u || v whose entries lie in [0, q) by construction.
+
+        u and v become read-only views of uv, with no copy and no check.
+        """
+        uv.flags.writeable = False
+        ct = object.__new__(cls)
+        object.__setattr__(ct, "params", params)
+        object.__setattr__(ct, "u", uv[: params.dim])
+        object.__setattr__(ct, "v", uv[params.dim :])
+        return ct
 
 
 @dataclass(frozen=True)
@@ -336,8 +393,8 @@ def kem_keygen(params: KemParams = DESK_PARAMS, rng: np.random.Generator | None 
     seed_a = stream[:32]
     s, e = cbd(stream[32:], 2 * count, params.eta).reshape(2, params.dim, params.secret_bits)
     b = _reduce(_exact_matmul(expand_matrix(seed_a, params), s) + e, params.q)
-    public = KemPublicKey(params=params, seed_a=seed_a, b_pub=b)
-    secret = KemSecretKey(params=params, s=s)
+    public = KemPublicKey._of_matrix(params, seed_a, b)
+    secret = KemSecretKey._of_matrix(params, s.astype(np.int64))
     return KemKeyPair(public=public, secret=secret)
 
 
@@ -355,7 +412,7 @@ def kem_encaps(
     uv = _exact_matmul(noise[:dim], pk.ab_f32) + noise[dim:]
     uv[dim:] += params.half_q * bits.astype(np.int64)
     _reduce(uv, params.q)
-    return SharedSecret(secret), KemCiphertext(params=params, u=uv[:dim], v=uv[dim:])
+    return SharedSecret(secret), KemCiphertext._of_uv(params, uv)
 
 
 def _threshold(c: np.ndarray, q: int) -> np.ndarray:
@@ -372,9 +429,9 @@ def _threshold(c: np.ndarray, q: int) -> np.ndarray:
 def kem_decaps(sk: KemSecretKey, ct: KemCiphertext) -> SharedSecret:
     """Threshold v - S^T u at q/4 to recover the encapsulated bits.
 
-    The ciphertext checked its shapes and range against its own
-    parameter set when it was built; only a set other than the key's is
-    refused here.
+    The ciphertext's shapes and range against its own parameter set
+    were checked where it entered, or hold by construction; only a set
+    other than the key's is refused here.
     """
     params = sk.params
     if ct.params != params:

@@ -67,7 +67,8 @@ class ErrorParams:
 
     The binomial reads eta and the Gaussian sigma; the parameter the
     distribution does not read must keep its default (eta = 2, sigma =
-    1.0), since a key file stores only the one that is read.
+    1.0), since a key file stores only the one that is read.  scale
+    times the largest draw must be finite, so every error sample is.
     """
 
     n: int
@@ -97,7 +98,13 @@ class ErrorParams:
                 )
         else:
             raise ValueError(f"unknown distribution {self.distribution!r}")
-        total = self.n * entropy_bits(self)
+        support, _, _, entropy = _point_table(self.distribution, self.eta, self.sigma)
+        # Every error sample scale * k is then finite, and so is every
+        # ciphertext body, which sym_encrypt wraps without a check.
+        largest = int(support[-1])
+        if not math.isfinite(self.scale * largest):
+            raise ValueError(f"scale {self.scale} times the largest draw {largest} is not finite")
+        total = self.n * entropy
         if total < ENTROPY_FLOOR_BITS:
             raise ValueError(
                 f"error space entropy {total:.1f} bits is below the "

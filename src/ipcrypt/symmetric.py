@@ -7,10 +7,12 @@ anyone without the key.  The key holder regenerates E from (key, nonce),
 subtracts it, applies the exact inverse of the operator, and decodes.
 That inverse is tridiagonal, so decryption costs O(n) time and memory
 and builds no singular vectors.  Every step computes on plain float64
-arrays; the ciphertext body alone is a validated GridFunction, built
-once by sym_encrypt (or by the file reader).  A ciphertext carries the
-EncodingScheme it was made with, so decryption and the attacks decode
-with that object and never rebuild it.
+arrays; the ciphertext body alone is a GridFunction, checked where
+samples arrive from outside (the file reader) and wrapped as it is by
+sym_encrypt, whose fresh body is finite by construction (see
+`noise.ErrorParams`).  A ciphertext carries the EncodingScheme it was
+made with, so decryption and the attacks decode with that object and
+never rebuild it.
 
 Nonces exist so one key can encrypt many messages: reusing a nonce
 reuses the error, and the difference of two such ciphertexts leaks the
@@ -84,7 +86,7 @@ def sym_encrypt(
         raise ValueError(f"scheme grid {scheme.n} != key grid {key.params.n}")
     smoothed = hso.apply_operator(hso.build_hso(scheme.n), encode(msg, scheme))
     smoothed += derive_error(key, nonce)
-    return SymCiphertext(scheme=scheme, nonce=bytes(nonce), body=GridFunction(smoothed))
+    return SymCiphertext(scheme=scheme, nonce=bytes(nonce), body=GridFunction._of_samples(smoothed))
 
 
 def sym_decrypt(key: ErrorKey, ct: SymCiphertext) -> Message:

@@ -5,6 +5,7 @@ test_formats.py.
 """
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -73,6 +74,16 @@ def test_grid_function_names_the_first_non_finite_index(bad, index):
     values[-1] = bad
     with pytest.raises(ValueError, match=f"^non-finite sample at index {index}$"):
         GridFunction(values)
+
+
+def test_grid_function_refuses_complex_samples():
+    """Casting would drop the imaginary part (with a ComplexWarning); refuse instead."""
+    for values in (np.array([1 + 2j, 2]), [1.0, 2j], np.zeros(4, dtype=np.complex64)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as exc:
+                GridFunction(values)
+        assert str(exc.value) == "grid function samples must be real, got complex"
 
 
 def test_grid_function_rejects_multidimensional():

@@ -3,6 +3,7 @@
 import ast
 import hashlib
 import inspect
+import warnings
 
 import numpy as np
 import pytest
@@ -691,6 +692,54 @@ def test_ciphertext_checks_u_before_v():
         u[0], v[0] = u_bad, v_bad
         with pytest.raises(ValueError, match=text):
             KemCiphertext(params=DESK_PARAMS, u=u, v=v)
+
+
+NON_INTEGER_ENTRIES = {
+    "float": lambda shape: np.full(shape, 1.9),
+    "nan": lambda shape: np.full(shape, np.nan),
+    "complex": lambda shape: np.ones(shape, dtype=np.complex128),
+    "bool": lambda shape: np.ones(shape, dtype=bool),
+}
+
+
+@pytest.mark.parametrize("kind", list(NON_INTEGER_ENTRIES))
+def test_constructors_refuse_non_integer_entries(kind):
+    """Casting to int64 would truncate 3.9 to 3 (and NaN with a warning); refuse instead."""
+    make = NON_INTEGER_ENTRIES[kind]
+    zeros = np.zeros(256, dtype=np.int64)
+    cases = (
+        (lambda: KemCiphertext(params=DESK_PARAMS, u=make(256), v=zeros),
+         "ciphertext component u entries must be integers"),
+        (lambda: KemCiphertext(params=DESK_PARAMS, u=zeros, v=make(256)),
+         "ciphertext component v entries must be integers"),
+        (lambda: KemPublicKey(params=SMALL, seed_a=bytes(32), b_pub=make((8, 8))),
+         "public matrix entries must be integers"),
+        (lambda: KemSecretKey(params=SMALL, s=make((8, 8))), "secret entries must be integers"),
+    )
+    for build, text in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as exc:
+                build()
+        assert str(exc.value) == text
+
+
+def test_constructors_accept_every_integer_dtype():
+    for dtype in (np.int8, np.uint8, np.int16, np.uint16, np.int32, np.uint64):
+        ct = KemCiphertext(params=SMALL, u=np.arange(8, dtype=dtype), v=np.ones(8, dtype=dtype))
+        assert ct.u.dtype == ct.v.dtype == np.int64
+        pk = KemPublicKey(params=SMALL, seed_a=bytes(32), b_pub=np.ones((8, 8), dtype=dtype))
+        sk = KemSecretKey(params=SMALL, s=np.ones((8, 8), dtype=dtype))
+        assert pk.b_pub.dtype == sk.s.dtype == np.int64
+
+
+def test_shape_is_checked_before_the_entries_are_integers():
+    with pytest.raises(ValueError, match="1-d"):
+        KemCiphertext(params=SMALL, u=np.full((2, 4), 0.5), v=np.zeros(8, dtype=np.int64))
+    with pytest.raises(ValueError, match="shape"):
+        KemCiphertext(params=SMALL, u=np.full(7, 0.5), v=np.zeros(8, dtype=np.int64))
+    with pytest.raises(ValueError, match="shape"):
+        KemSecretKey(params=SMALL, s=np.full((4, 8), 0.5))
 
 
 def test_public_key_validation():

@@ -88,6 +88,20 @@ def test_error_params_validation():
             dg_params(sigma=sigma)
 
 
+def test_error_params_refuse_a_scale_whose_errors_overflow():
+    """Every error sample, and so every body sym_encrypt wraps unchecked, is finite."""
+    for build, text in (
+        (lambda: cb_params(scale=1e308), "scale 1e+308 times the largest draw 2 is not finite"),
+        (lambda: dg_params(scale=1e307, sigma=4.0), "scale 1e+307 times the largest draw 24 is not finite"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == text
+    largest = float(np.finfo(np.float64).max) / 2
+    key = ErrorKey(seed=bytes(32), params=cb_params(scale=largest))
+    assert np.isfinite(derive_error(key, bytes(16))).all()
+
+
 # ---------------------------------------------------------------- sampling
 
 

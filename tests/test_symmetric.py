@@ -190,8 +190,9 @@ def test_large_grid_round_trip_is_linear_in_memory(monkeypatch, scheme):
 def test_round_trip_builds_one_body_per_crossing(monkeypatch):
     """GridFunction is built only where samples cross the trust boundary.
 
-    A file round trip builds the encrypted body and the body read back;
-    the attacks invert an existing body on plain arrays and build none.
+    A file round trip builds the encrypted body (unchecked) and the body
+    read back (checked); the attacks invert an existing body on plain
+    arrays and build none.  Both constructors are counted.
     """
     rng = np.random.default_rng(17)
     key = fresh_key(rng)
@@ -199,13 +200,18 @@ def test_round_trip_builds_one_body_per_crossing(monkeypatch):
     msg = Message.random(32, rng)
     factors = hso.hso_svd(256)
     built = []
-    original = GridFunction.__post_init__
+    checked, unchecked = GridFunction.__post_init__, GridFunction._of_samples
 
-    def counted(self):
+    def counted_checked(self):
         built.append(self)
-        original(self)
+        checked(self)
 
-    monkeypatch.setattr(GridFunction, "__post_init__", counted)
+    def counted_unchecked(cls, values):
+        built.append(values)
+        return unchecked(values)
+
+    monkeypatch.setattr(GridFunction, "__post_init__", counted_checked)
+    monkeypatch.setattr(GridFunction, "_of_samples", classmethod(counted_unchecked))
     ct = sym_encrypt(key, msg, scheme, rng.bytes(16))
     assert sym_decrypt(key, read_sym_ciphertext(write_sym_ciphertext(ct))) == msg
     assert len(built) == 2
