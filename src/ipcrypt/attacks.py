@@ -9,12 +9,14 @@ by 1/s_k across the spectrum, swamps most of the message.  It does not
 reduce decoding to coin flipping: at the recommended parameters
 (n = 256, t = 32, scale 0.5, eta = 2) the naive attack reads about 59.5%
 of the bits (the mean over 20000 trials of `ipcrypt attack`), against the
-50% of a guess.  The regularized methods only change phi:
-truncated SVD keeps 1/s on the k largest modes, Tikhonov uses
-s / (s^2 + alpha), and both go through hso.filtered_inverse.  They trade
-amplification for bias and do recover low-frequency structure when the
-noise is small, which is exactly the scale/cutoff trade-off the
-experiments chart.
+50% of a guess.  The regularized methods only change phi, and neither
+builds the n x n basis: truncated SVD keeps 1/s on the k largest modes,
+through hso.filtered_inverse on the k leading singular vectors alone,
+in O(nk); Tikhonov uses s / (s^2 + alpha) on every mode, through
+hso.tikhonov_inverse_apply, one complex tridiagonal solve in O(n) that
+reads only n.  They trade amplification for bias and do recover
+low-frequency structure when the noise is small, which is exactly the
+scale/cutoff trade-off the experiments chart.
 
 Two structural leaks are also implemented: nonce reuse, where the
 difference of two ciphertexts cancels the error exactly, and a
@@ -147,15 +149,23 @@ def _filter_factors(method: Tikhonov | Tsvd, factors: hso.SVDFactors) -> np.ndar
     filter to every ciphertext; an entry keeps its factors alive, so the
     cache is bounded (BENCH_caches.json, row `_filter_factors`).  A method
     that rejects the factors raises on every call: an exception is not cached.
+    attack_regularized reads it for TSVD; Tikhonov's O(n) solve needs no
+    filter factors.
     """
     phi = method.filter(factors.singular_values)
     phi.flags.writeable = False
     return phi
 
 
-def tikhonov_apply(factors: hso.SVDFactors, v: np.ndarray, alpha: float) -> np.ndarray:
-    """Filtered inversion sum_k s_k/(s_k^2 + alpha) <v, u_k> u_k of the samples v."""
-    return hso.filtered_inverse(factors, v, _filter_factors(Tikhonov(alpha), factors))
+def tikhonov_apply(
+    factors: hso.SVDFactors | hso.DiscretizedOperator, v: np.ndarray, alpha: float
+) -> np.ndarray:
+    """Filtered inversion sum_k s_k/(s_k^2 + alpha) <v, u_k> u_k of the samples v.
+
+    The O(n) solve reads only the grid size factors.n, so the operator
+    serves as well as its singular system.
+    """
+    return hso.tikhonov_inverse_apply(hso.build_hso(factors.n), v, alpha)
 
 
 def _attack(
@@ -166,9 +176,9 @@ def _attack(
 ) -> AttackReport:
     """Invert the ciphertext body, decode it, and score against truth.
 
-    invert is hso.naive_inverse_apply or hso.filtered_inverse; both
-    reject a body on another grid than the operator or the factors before
-    any other work.
+    invert is hso.naive_inverse_apply, hso.filtered_inverse or
+    hso.tikhonov_inverse_apply; each rejects a body on another grid than
+    the operator or the factors before any other work.
     """
     scheme = ct.scheme
     inverted = invert(ct.body.values)
@@ -201,13 +211,24 @@ def attack_naive(
 
 def attack_regularized(
     ct: SymCiphertext,
-    factors: hso.SVDFactors,
+    factors: hso.SVDFactors | hso.DiscretizedOperator,
     method: Tikhonov | Tsvd,
     truth: Message | None = None,
 ) -> AttackReport:
-    """Invert with the method's stabilizing filter instead of the exact inverse."""
-    if not isinstance(method, (Tikhonov, Tsvd)):
+    """Invert with the method's stabilizing filter instead of the exact inverse.
+
+    Tikhonov reads only the grid size factors.n, through the cached
+    operator, so the operator serves as well as its singular system;
+    truncated SVD needs the singular system.
+    """
+    if isinstance(method, Tikhonov):
+        op, alpha = hso.build_hso(factors.n), method.alpha
+        return _attack(ct, method.label, lambda v: hso.tikhonov_inverse_apply(op, v, alpha), truth)
+    if not isinstance(method, Tsvd):
         raise ValueError(f"unknown regularization method {method!r}")
+    if not isinstance(factors, hso.SVDFactors):
+        got = type(factors).__name__
+        raise TypeError(f"{method.label} needs the singular system (hso.hso_svd), got {got}")
     phi = _filter_factors(method, factors)
     return _attack(ct, method.label, lambda v: hso.filtered_inverse(factors, v, phi), truth)
 

@@ -244,8 +244,8 @@ def _cmd_attack(args) -> str:
     method = _parse_method(args.method)
     params = ErrorParams(n=args.n, scale=args.scale, distribution=CENTERED_BINOMIAL, eta=args.eta)
     scheme = _scheme_from_args(args.encoding, args.t, args.n)
-    # The exact inverse reads only n; the filters need the singular values.
-    factors = hso.build_hso(args.n) if method is None else hso.hso_svd(args.n)
+    # The exact and Tikhonov inverses read only n; TSVD needs the singular values.
+    factors = hso.hso_svd(args.n) if isinstance(method, attacks.Tsvd) else hso.build_hso(args.n)
     rows = []
     for trial in range(args.trials):
         rng = _trial_rng(args.seed, "attack", trial)

@@ -8,11 +8,12 @@ arrays.  The kernel separates, exp(-|y_i - y_j|) = exp(-y_i) exp(y_j)
 for j <= i, so A u is two cumulative sums over the weights exp(+-y), in
 O(n) time and memory; the dense n x n matrix is built only on demand,
 for the oracle tests.  The inverse of a KMS matrix is tridiagonal, so the
-exact inverse is also applied in O(n), with no singular vectors.  The
-singular system has the classical KMS closed form (Kac, Murdock & Szegő
-1953): the values cost O(n) and the orthonormal basis O(n^2), with no
-eigensolver; only the regularized filters (TSVD, Tikhonov) build that
-basis.  The singular values follow the inverse
+exact inverse is also applied in O(n), with no singular vectors, and so
+is the Tikhonov filter, as one complex tridiagonal solve.  The singular
+system has the classical KMS closed form (Kac, Murdock & Szegő 1953):
+the values cost O(n), and any K of the orthonormal columns O(nK), with
+no eigensolver; truncated SVD builds only the K columns it keeps, and no
+inversion builds the whole basis.  The singular values follow the inverse
 square law s_k ~ 2 / (k pi)^2 (modes indexed from 0, largest first),
 which is the mild polynomial decay regime; inverting the operator
 amplifies noise at frequency k by 1/s_k, and the experiment below
@@ -39,6 +40,7 @@ __all__ = [
     "hso_svd",
     "filtered_inverse",
     "naive_inverse_apply",
+    "tikhonov_inverse_apply",
     "default_fit_range",
     "classify_decay",
     "noise_amplification_experiment",
@@ -54,6 +56,9 @@ _FIT_TIE_GAP = 0.01
 _BISECTION_STEPS = 64
 # Elements per column block of the temporaries in _kms_basis.
 _BASIS_BLOCK_ELEMENTS = 1 << 18
+# Largest growth |z|^-k, as a natural log, inside one block of a Tikhonov
+# sweep: 2^200, which leaves a factor 2^824 of float64 range for the samples.
+_SWEEP_LOG_GROWTH = 200 * math.log(2.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,11 +92,11 @@ class SVDFactors:
 
     The operator is symmetric positive definite, so left and right vectors
     coincide.  The orthonormal basis is O(n^2) memory and is built from the
-    phases only on the first access to left_vectors, which only the
-    regularized filters in filtered_inverse make; the values alone never
-    allocate it, and the exact inverse (naive_inverse_apply) reads no
-    factors at all.  right_vectors is an alias of the same array, kept for
-    the generic A = U diag(s) V^T shape.
+    phases on the first access to left_vectors, which no library path
+    makes: it serves the oracle tests.  filtered_inverse builds only the
+    leading columns its filter touches, and the exact and Tikhonov
+    inverses read no factors at all.  right_vectors is an alias of the
+    same array, kept for the generic A = U diag(s) V^T shape.
     """
 
     singular_values: np.ndarray
@@ -103,8 +108,12 @@ class SVDFactors:
 
     @cached_property
     def left_vectors(self) -> np.ndarray:
-        """The basis, built once per factors object (BENCH_caches.json, row `left_vectors`)."""
-        return _kms_basis(self.phases)
+        """The basis, built once per factors object, for the oracle tests.
+
+        No attack, CLI or script path builds it (BENCH_structured_filters.json,
+        row `left_vectors`).
+        """
+        return _kms_basis(self.phases, self.n)
 
     @property
     def right_vectors(self) -> np.ndarray:
@@ -213,23 +222,25 @@ def apply_operator(op: DiscretizedOperator, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _kms_basis(phases: np.ndarray) -> np.ndarray:
+def _kms_basis(phases: np.ndarray, n: int) -> np.ndarray:
     """Orthonormal columns u_jk proportional to sin(j theta_k + phi_k).
 
-    With (n + 1) theta_k = k pi - 2 phi_k the argument is
+    One n-sample column per phase, for the leading phases.size modes of
+    the n-point operator, in O(n phases.size).  With
+    (n + 1) theta_k = k pi - 2 phi_k the argument is
     pi (j k mod 2(n + 1)) / (n + 1) - (2j - n - 1) phi_k / (n + 1); the
     integer part is reduced exactly, so the angle stays in (-pi/2, 5 pi/2)
     and carries no rounding from large j k.  Columns are built in blocks
     to bound the temporaries.
     """
-    n = phases.size
+    modes = phases.size
     j = np.arange(1, n + 1)
     offset = 2 * j - n - 1.0
     step = np.pi / (n + 1)
     block = max(1, _BASIS_BLOCK_ELEMENTS // n)
-    basis = np.empty((n, n))
-    for k0 in range(0, n, block):
-        k = np.arange(k0 + 1, min(k0 + block, n) + 1)
+    basis = np.empty((n, modes))
+    for k0 in range(0, modes, block):
+        k = np.arange(k0 + 1, min(k0 + block, modes) + 1)
         turns = np.multiply.outer(j, k) % (2 * (n + 1))
         shift = np.multiply.outer(offset, phases[k - 1] / (n + 1))
         np.sin(step * turns - shift, out=basis[:, k0 : k0 + k.size])
@@ -253,9 +264,9 @@ def hso_svd(n: int) -> SVDFactors:
     1 - rho terms come from expm1, and 1 - rho cos theta is summed as
     (1 - rho) + 2 rho sin^2(theta / 2), so nothing cancels when rho and
     cos theta are near 1.  rho and h (1 - rho^2) are the constants build_hso
-    keeps, which also refuses n < 1.  The values cost O(n); the basis is
-    built from the phases on the first use of left_vectors.  Cached for one
-    grid size (BENCH_caches.json, row `hso_svd`).
+    keeps, which also refuses n < 1.  The values cost O(n); basis columns
+    are built from the phases only when filtered_inverse or left_vectors
+    asks.  Cached for one grid size (BENCH_caches.json, row `hso_svd`).
     """
     op = build_hso(n)
     rho, one_minus_rho = op.rho, -np.expm1(-1.0 / n)
@@ -279,17 +290,28 @@ def hso_svd(n: int) -> SVDFactors:
     return SVDFactors(singular_values=s, phases=phases)
 
 
+@lru_cache(maxsize=5)
+def _leading_basis(factors: SVDFactors, k: int) -> np.ndarray:
+    """The k leading basis columns, n x k, built in O(nk) from the phases.
+
+    Cached per (factors, k), since an attack campaign truncates every
+    ciphertext at one cutoff; an entry keeps its factors alive, so the
+    cache is bounded (BENCH_structured_filters.json, row `_leading_basis`).
+    """
+    return _kms_basis(factors.phases[:k], factors.n)
+
+
 def filtered_inverse(factors: SVDFactors, v: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Spectral filter sum_{k < phi.size} phi_k <v, u_k> u_k of the n samples v.
 
-    TSVD and Tikhonov differ only in the filter factors phi (1/s on the
-    leading modes, s / (s^2 + alpha)); only the phi.size leading modes are
-    touched, so a short filter stays cheap.  The full filter 1/s is the
-    exact inverse, which naive_inverse_apply applies without the basis.
+    Only the phi.size leading columns are built and touched, so the
+    truncated SVD filter (1/s on the K leading modes) costs O(nK).  The
+    filters that act on every mode have O(n) forms that need no basis:
+    naive_inverse_apply (1/s) and tikhonov_inverse_apply (s / (s^2 + alpha)).
     """
     if v.shape != (factors.n,):
         raise ValueError(f"grid size mismatch: {v.shape} vs {(factors.n,)}")
-    u = factors.left_vectors[:, : phi.size]
+    u = _leading_basis(factors, phi.size)
     return u @ (phi * (u.T @ v))
 
 
@@ -316,6 +338,143 @@ def naive_inverse_apply(op: DiscretizedOperator, v: np.ndarray) -> np.ndarray:
     out[:-1] -= rho_v[1:]
     out /= op.scale
     return out
+
+
+@dataclass(frozen=True, eq=False)
+class _TikhonovSystem:
+    """Constants of the Tikhonov solve on one grid for one alpha, O(n) memory.
+
+    z is the root of z + 1/z = sigma with |z| < 1 (see
+    tikhonov_inverse_apply).  A sweep runs in blocks of `block` samples,
+    with inv_powers = z^-k for k < block and powers = z^k for k <= block.
+    When one block spans the grid, cross = gain z^(n - 1 - 2m) for m < n
+    joins the two sweeps; otherwise it is None and the sweeps run blocked.
+    The solution is indexed last sample first: homogeneous holds the rows
+    z^(n - 1 - m) and z^m, and boundary maps the first and last samples of
+    gain times the particular solution to their weights.  rhs_inverse says
+    whether the solve runs on T v (else on v), and the result is the real
+    part of gain times the solution.
+    """
+
+    block: int
+    inv_powers: np.ndarray
+    powers: np.ndarray
+    cross: np.ndarray | None
+    homogeneous: np.ndarray
+    boundary: tuple[complex, complex, complex, complex]
+    rhs_inverse: bool
+    gain: complex
+
+
+@lru_cache(maxsize=4)
+def _tikhonov_system(n: int, alpha: float) -> _TikhonovSystem:
+    """The root z, its powers and the boundary fix, for n >= 2.
+
+    sigma - 2 = (1 - rho)^2 / rho + i tau is summed without cancellation,
+    and z = 2 / (sigma + sqrt(sigma - 2) sqrt(sigma + 2)) takes the larger
+    denominator; the textbook (sigma - sqrt(sigma^2 - 4)) / 2 cancels when
+    tau is large.  A block is the whole grid when |z|^-n <= 2^200, else
+    the longest run with |z|^-block <= 2^200; then |z|^block < 2^-100, so
+    a block's carry from two blocks back is below 2^-200 and is dropped.
+    Cached per (n, alpha), since an attack campaign applies one alpha to
+    every ciphertext (BENCH_structured_filters.json, row `_tikhonov_system`).
+    """
+    op = build_hso(n)
+    rho, sqrt_alpha = op.rho, math.sqrt(alpha)
+    tau = op.scale / (sqrt_alpha * rho)
+    sigma_minus_2 = complex(math.expm1(-1.0 / n) ** 2 / rho, tau)
+    z = complex(2.0 / (sigma_minus_2 + 2.0 + np.sqrt(sigma_minus_2) * np.sqrt(sigma_minus_2 + 4.0)))
+    log_z = complex(np.log(z))
+    if n * -log_z.real <= _SWEEP_LOG_GROWTH:
+        block = n
+    else:
+        block = max(1, int(_SWEEP_LOG_GROWTH / -log_z.real))
+    rhs_inverse = alpha * n * n < 1.0
+    gain = 1j * tau * z if rhs_inverse else tau * z / sqrt_alpha
+    k = np.arange(block + 1)
+    powers = np.exp(k * log_z)
+    inv_powers = np.exp(-k[:-1] * log_z)
+    m = np.arange(n)
+    cross = gain * np.exp((n - 1 - 2 * m) * log_z) if block == n else None
+    homogeneous = np.exp(np.stack((n - 1 - m, m)) * log_z)
+    for array in (powers, inv_powers, cross, homogeneous):
+        if array is not None:
+            array.flags.writeable = False
+    near = 1.0 / z - rho
+    far = complex(homogeneous[0, 0]) * (z - rho)
+    det = near * near - far * far
+    boundary = (-near * (z - rho) / det, -far * rho / det, far * (z - rho) / det, near * rho / det)
+    return _TikhonovSystem(
+        block, inv_powers, powers, cross, homogeneous, boundary, rhs_inverse, gain
+    )
+
+
+def _sweep(x: np.ndarray, system: _TikhonovSystem) -> np.ndarray:
+    """y_i = sum_{j <= i} z^(i - j) x_j, the recurrence y_i = z y_(i-1) + x_i, in blocks.
+
+    The zero-padded samples are summed as rows of `block`, each row one
+    scaled cumulative sum z^k cumsum(z^-k x_k); every row after the first
+    then adds z^(k + 1) times the last value of the row before, carried
+    one row back (see _tikhonov_system).
+    """
+    n, size = x.size, system.block
+    y = np.zeros((-(-n // size), size), dtype=complex)
+    y.reshape(-1)[:n] = x
+    y *= system.inv_powers
+    np.add.accumulate(y, axis=1, out=y)
+    y *= system.powers[:-1]
+    ends = y[:-1, -1]
+    carry = ends.copy()
+    carry[1:] += system.powers[-1] * ends[:-1]
+    y[1:] += np.multiply.outer(carry, system.powers[1:])
+    return y.reshape(-1)[:n]
+
+
+def tikhonov_inverse_apply(op: DiscretizedOperator, v: np.ndarray, alpha: float) -> np.ndarray:
+    """Tikhonov filter sum_k s_k / (s_k^2 + alpha) <v, u_k> u_k of the n samples v, in O(n).
+
+    With T = A^-1 tridiagonal (see naive_inverse_apply) the filter is
+    x = T (I + alpha T^2)^-1 v, and I + alpha T^2 = (I - i b T)(I + i b T)
+    with b = sqrt(alpha), so for real v
+    x = Im[(I - i b T)^-1 v] / b = Re[(I - i b T)^-1 T v].
+    I - i b T is -(i b rho / c) times tridiag(-1, sigma, -1) with rho
+    taken off both corner entries, c = h (1 - rho^2),
+    sigma = (1 + rho^2) / rho + i tau and tau = c / (b rho).  With
+    z + 1/z = sigma and |z| < 1 the constant-coefficient part factors into
+    two first-order recurrences, run forward and then backward as scaled
+    cumulative sums: y_i = z^i cumsum(z^-j x_j), then the same on y
+    reversed, where z^(n - 1 - 2m) takes the first sum's z^i and the
+    second's z^-m in one product.  Two homogeneous solutions z^i and
+    z^(n - 1 - i) then fix the first and last rows.  Tiny alpha, where
+    z^-n would overflow, sweeps in blocks (_sweep).  The Im form loses
+    digits when b is small and the Re form when b is large, so the solve
+    runs on v when alpha n^2 >= 1 and on T v below.  Against the
+    closed-form basis filter the result agrees to a relative 1e-9 in the
+    max norm for alpha from 1e-300 to 1e30 and n up to 2048.  At n = 1,
+    A = [1].
+    """
+    n = op.n
+    if v.shape != (n,):
+        raise ValueError(f"grid size mismatch: {v.shape} vs {(n,)}")
+    if not (alpha > 0 and math.isfinite(alpha)):
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
+    if n == 1:
+        return v / (1.0 + alpha)
+    system = _tikhonov_system(n, alpha)
+    rhs = naive_inverse_apply(op, v) if system.rhs_inverse else v
+    if system.cross is None:
+        p = _sweep(_sweep(rhs, system)[::-1], system) * system.gain
+    else:
+        p = rhs * system.inv_powers
+        np.add.accumulate(p, out=p)
+        p = p[::-1] * system.cross
+        np.add.accumulate(p, out=p)
+        p *= system.powers[:-1]
+    # p is gain times the particular solution, last sample first.
+    first, last = complex(p[-1]), complex(p[0])
+    b00, b01, b10, b11 = system.boundary
+    p += np.array((b00 * first + b01 * last, b10 * first + b11 * last)) @ system.homogeneous
+    return p.real[::-1].copy()
 
 
 def default_fit_range(n: int) -> tuple[int, int]:

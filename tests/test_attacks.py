@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ipcrypt import hso
 from ipcrypt.attacks import (
     AttackReport,
     KnownPlaintextReport,
@@ -203,6 +204,49 @@ def test_regularized_labels_and_validation():
         attack_regularized(ct, factors, "tsvd")
     with pytest.raises(ValueError, match="grid"):
         attack_regularized(ct, hso_svd(128), Tsvd(k=8))
+
+
+def test_regularized_attacks_never_build_the_basis(monkeypatch):
+    """TSVD(8) builds its 8 leading columns and Tikhonov no column at all.
+
+    At n = 2048 the whole basis would be 32 MiB; this mirrors
+    test_naive_attack_never_computes_the_singular_system in test_cli.py.
+    """
+    n = 2048
+    factors = hso_svd.__wrapped__(n)
+    built = []
+    kms_basis = hso._kms_basis
+
+    def counted(phases, size):
+        built.append((phases.size, size))
+        return kms_basis(phases, size)
+
+    monkeypatch.setattr(hso, "_kms_basis", counted)
+    rng = np.random.default_rng(11)
+    key = sym_keygen(recommended_error_params(n=n), rng)
+    msg = Message.random(64, rng)
+    ct = sym_encrypt(key, msg, EncodingScheme.map2(64, n), rng.bytes(16))
+    for method in (Tsvd(8), Tikhonov(1e-4)):
+        assert attack_regularized(ct, factors, method, truth=msg).method == method.label
+    assert "left_vectors" not in vars(factors)
+    assert built == [(8, n)]
+
+
+def test_tikhonov_reads_only_the_grid_size():
+    """The operator serves Tikhonov as well as the factors; TSVD refuses it."""
+    rng = np.random.default_rng(12)
+    key = fresh_key(rng)
+    msg = Message.random(8, rng)
+    ct = sym_encrypt(key, msg, SCHEME, rng.bytes(16))
+    by_factors = attack_regularized(ct, hso_svd(256), Tikhonov(1e-4), truth=msg)
+    assert attack_regularized(ct, build_hso(256), Tikhonov(1e-4), truth=msg) == by_factors
+    np.testing.assert_array_equal(
+        tikhonov_apply(build_hso(256), ct.body.values, 1e-4),
+        tikhonov_apply(hso_svd(256), ct.body.values, 1e-4),
+    )
+    refusal = r"^tsvd:8 needs the singular system \(hso.hso_svd\), got DiscretizedOperator$"
+    with pytest.raises(TypeError, match=refusal):
+        attack_regularized(ct, build_hso(256), Tsvd(8))
 
 
 def test_truncated_inversion_beats_naive_at_small_noise():

@@ -4,6 +4,7 @@ import json
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -383,6 +384,28 @@ def test_naive_attack_never_computes_the_singular_system(capsys):
     before = hso_svd.cache_info()
     code, _, _ = run(capsys, "attack", "--method", "naive", "--trials", "2", "--n", "96", "--t", "8")
     assert code == 0
+    assert hso_svd.cache_info() == before
+
+
+def test_tikhonov_attack_on_a_fine_grid_is_linear_in_memory(capsys):
+    """n = 16384 would need a 2 GiB basis; the Tikhonov solve reads only n.
+
+    The tracemalloc peak stays under 64 * 8n bytes, and the run leaves
+    the hso_svd cache untouched.
+    """
+    n = 16384
+    before = hso_svd.cache_info()
+    tracemalloc.start()
+    try:
+        code, stdout, _ = run(
+            capsys, "attack", "--method", "tikhonov:1e-4", "--n", str(n), "--trials", "2"
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert kv(stdout)["method"] == "tikhonov:1e-4"
+    assert peak <= 64 * 8 * n
     assert hso_svd.cache_info() == before
 
 

@@ -16,6 +16,8 @@ from ipcrypt.hso import (
     MILD,
     SEVERE,
     DiscretizedOperator,
+    _kms_basis,
+    _tikhonov_system,
     apply_operator,
     build_hso,
     classify_decay,
@@ -24,6 +26,7 @@ from ipcrypt.hso import (
     hso_svd,
     naive_inverse_apply,
     noise_amplification_experiment,
+    tikhonov_inverse_apply,
 )
 
 
@@ -327,6 +330,91 @@ def test_worst_direction_amplifies_by_inverse_smallest_mode():
     assert blowup == pytest.approx(1.0 / s_min, rel=1e-6)
 
 
+# ---------------------------------------------------------------- tikhonov inversion
+
+TIKHONOV_ALPHAS = (1e-14, 1e-10, 1e-4, 1.0, 1e9)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 64, 256, 1024, 2048])
+def test_tikhonov_solve_matches_the_closed_form_basis_filter(n):
+    """The O(n) solve equals sum_k s_k / (s_k^2 + alpha) <v, u_k> u_k to a relative 1e-9.
+
+    The closed-form basis is checked against LAPACK above.  Alpha 1e-300
+    and 1e30 probe both ends of the solve's choice between its two forms.
+    """
+    factors = hso_svd.__wrapped__(n)
+    s, u = factors.singular_values, factors.left_vectors
+    op = build_hso(n)
+    rng = np.random.default_rng(n)
+    for v in (rng.standard_normal(n), smooth_profile(n) + 1.0):
+        for alpha in TIKHONOV_ALPHAS + (1e-300, 1e30):
+            expected = u @ ((s / (s * s + alpha)) * (u.T @ v))
+            got = tikhonov_inverse_apply(op, v, alpha)
+            assert np.abs(got - expected).max() <= 1e-9 * np.abs(expected).max(), alpha
+
+
+@pytest.mark.parametrize("n", [256, 2048, 16384])
+def test_tiny_alpha_splits_the_tikhonov_sweeps_into_blocks(n):
+    """At alpha = 1e-14, |z|^-n exceeds the 2^200 a block may grow by.
+
+    So the oracles above and below cover the blocked sweeps.
+    """
+    assert _tikhonov_system(n, 1e-14).block < n
+
+
+def test_tikhonov_solve_at_n16384_satisfies_the_normal_equations():
+    """(A^2 + alpha I) x = A v at a size whose basis would take 2 GiB.
+
+    A is applied twice through apply_operator, and the residual is
+    measured against the largest term.  The eight leading singular
+    vectors, built alone in O(8n), are each scaled by s / (s^2 + alpha);
+    that check skips alpha <= 1e-10, where the rounding of T v alone
+    (about 1e-7 of it on the first mode) sets the error.
+    """
+    n = 16384
+    op = build_hso(n)
+    factors = hso_svd.__wrapped__(n)
+    leading, s = _kms_basis(factors.phases[:8], n), factors.singular_values[:8]
+    rng = np.random.default_rng(n)
+    for alpha in TIKHONOV_ALPHAS:
+        for v in (rng.standard_normal(n), smooth_profile(n)):
+            x = tikhonov_inverse_apply(op, v, alpha)
+            av = apply_operator(op, v)
+            residual = apply_operator(op, apply_operator(op, x)) + alpha * x - av
+            largest = np.abs(av).max() + (1.0 + alpha) * np.abs(x).max()
+            assert np.abs(residual).max() <= 1e-11 * largest, alpha
+        if alpha <= 1e-10:
+            continue
+        gains = s / (s * s + alpha)
+        for k in range(8):
+            u = leading[:, k]
+            x = tikhonov_inverse_apply(op, u, alpha)
+            assert np.abs(x - gains[k] * u).max() <= 1e-9 * gains[k] * np.abs(u).max()
+
+
+def test_tikhonov_solve_validation():
+    op = build_hso(16)
+    for alpha in (0.0, -1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match=f"^alpha must be positive and finite, got {alpha}$"):
+            tikhonov_inverse_apply(op, np.zeros(16), alpha)
+    for wrong in (8, 17):
+        with pytest.raises(ValueError, match="mismatch"):
+            tikhonov_inverse_apply(op, np.zeros(wrong), 0.1)
+
+
+def test_truncated_filter_builds_only_its_leading_columns():
+    """filtered_inverse on K modes builds the K leading columns, the same as the basis's."""
+    n, k = 512, 8
+    factors = hso_svd.__wrapped__(n)
+    v = np.random.default_rng(9).standard_normal(n)
+    phi = Tsvd(k).filter(factors.singular_values)
+    got = filtered_inverse(factors, v, phi)
+    assert "left_vectors" not in vars(factors)
+    u = factors.left_vectors[:, :k]
+    np.testing.assert_allclose(got, u @ (phi * (u.T @ v)), rtol=0, atol=1e-12 * np.abs(got).max())
+    np.testing.assert_array_equal(_kms_basis(factors.phases[:k], n), u)
+
+
 # ---------------------------------------------------------------- classification
 
 
@@ -365,6 +453,26 @@ def test_classify_narrow_window_flags_low_confidence():
     res = classify_decay(s, fit_range=(5, 9))
     assert res.kind == MILD
     assert res.low_confidence
+
+
+def test_classify_near_tie_keeps_the_mild_label_with_low_confidence():
+    """Both sides of the 0.01 R^2 gap when the severe fit leads.
+
+    s_k = k^-2 e^(-b k) over the window [5, 50]: at b = 0.1 the severe
+    fit's R^2 leads by about 0.003, which keeps the mild label and flags
+    low confidence; at b = 0.13 it leads by about 0.014 and wins.
+    """
+    k = np.arange(1, 51, dtype=np.float64)
+    window = k[4:]
+    for b, gap_range, kind in ((0.1, (0.0, 0.01), MILD), (0.13, (0.01, 0.02), SEVERE)):
+        s = np.concatenate([[1.0], k**-2.0 * np.exp(-b * k)])
+        log_s = np.log(s[5:])
+        gap = np.corrcoef(window, log_s)[0, 1] ** 2 - np.corrcoef(np.log(window), log_s)[0, 1] ** 2
+        assert gap_range[0] < gap < gap_range[1]
+        res = classify_decay(s, fit_range=(5, 50))
+        assert res.kind == kind
+        assert res.low_confidence == (kind == MILD)
+        assert (res.decay_exponent is None) == (kind == SEVERE)
 
 
 def test_classify_input_validation():

@@ -675,6 +675,51 @@ def test_public_key_range_refusal_text(case):
     assert str(exc.value) == PUBLIC_KEY_RANGE_TEXT
 
 
+def test_public_key_word_q_is_refused_and_q_minus_1_accepted():
+    """The last accepted and the first refused IPQ1 word.
+
+    Both go through the reader's fast path and through the checked constructor.
+    """
+    q = DESK_PARAMS.q
+    zeros = np.zeros((DESK_PARAMS.dim, DESK_PARAMS.secret_bits), dtype=np.int64)
+    pk = KemPublicKey(params=DESK_PARAMS, seed_a=bytes(32), b_pub=zeros)
+    blob = bytearray(write_kem_public_key(pk))
+    first_word = len(blob) - 2 * zeros.size + 2 * 5
+    for word in (q - 1, q):
+        blob[first_word : first_word + 2] = word.to_bytes(2, "little")
+        b = zeros.copy()
+        b[0, 5] = word
+        if word < q:
+            assert read_kem_public_key(bytes(blob)).b_pub[0, 5] == word
+            assert KemPublicKey(params=DESK_PARAMS, seed_a=bytes(32), b_pub=b).b_pub[0, 5] == word
+            continue
+        with pytest.raises(ValueError) as exc:
+            read_kem_public_key(bytes(blob))
+        assert str(exc.value) == PUBLIC_KEY_RANGE_TEXT
+        with pytest.raises(ValueError) as exc:
+            KemPublicKey(params=DESK_PARAMS, seed_a=bytes(32), b_pub=b)
+        assert str(exc.value) == PUBLIC_KEY_RANGE_TEXT
+
+
+def test_secret_entry_minus_eta_is_accepted_and_minus_eta_minus_1_refused():
+    """Both sides of the lower bound, through the IPQ1 reader and the constructor."""
+    eta = DESK_PARAMS.eta
+    zeros = np.zeros((DESK_PARAMS.dim, DESK_PARAMS.secret_bits), dtype=np.int64)
+    blob = bytearray(write_kem_secret_key(KemSecretKey(params=DESK_PARAMS, s=zeros)))
+    for entry in (-eta, -eta - 1):
+        blob[-1:] = entry.to_bytes(1, "little", signed=True)
+        s = zeros.copy()
+        s[-1, -1] = entry
+        if entry >= -eta:
+            assert read_kem_secret_key(bytes(blob)).s[-1, -1] == entry
+            assert KemSecretKey(params=DESK_PARAMS, s=s).s[-1, -1] == entry
+            continue
+        with pytest.raises(ValueError, match="^secret entries must be bounded by eta$"):
+            read_kem_secret_key(bytes(blob))
+        with pytest.raises(ValueError, match="^secret entries must be bounded by eta$"):
+            KemSecretKey(params=DESK_PARAMS, s=s)
+
+
 @pytest.mark.parametrize("name,case", list(CIPHERTEXT_RANGE_TEXTS), ids="-".join)
 def test_ciphertext_range_refusal_text(name, case):
     parts = {"u": np.zeros(256, dtype=np.int64), "v": np.zeros(256, dtype=np.int64)}
