@@ -166,14 +166,25 @@ def _cmd_classify(args) -> str:
 
 
 def _cmd_amplify(args) -> str:
-    report = _amplification_run(args.n, args.sigma, args.trials, args.seed, "amplify")
-    text = _report(
-        n=report.n, trials=report.trials, noise_scale=report.noise_scale,
-        mean_noise_norm=report.noise_norm, mean_error_norm=report.naive_error_norm,
-        mean_amplification=report.amplification_factor,
-        max_amplification=report.max_amplification,
-        trials_with_noise=report.trials_with_noise, seed=args.seed,
-    )
+    """One report block per --n, in the given order.
+
+    A block after the first adds its mean amplification over the previous
+    block's, unless that is 0 (no trial had noise): about 4 per doubling
+    of n, since s_min ~ n^-2.
+    """
+    blocks, previous = [], None
+    for n in args.n:
+        report = _amplification_run(n, args.sigma, args.trials, args.seed, "amplify")
+        blocks.append(_report(
+            n=report.n, trials=report.trials, noise_scale=report.noise_scale,
+            mean_noise_norm=report.noise_norm, mean_error_norm=report.naive_error_norm,
+            mean_amplification=report.amplification_factor,
+            ratio_to_previous=report.amplification_factor / previous if previous else None,
+            max_amplification=report.max_amplification,
+            trials_with_noise=report.trials_with_noise, seed=args.seed,
+        ))
+        previous = report.amplification_factor
+    text = "".join(blocks)
     if args.out:
         _write(args.out, text, "report")
     return text
@@ -241,32 +252,42 @@ def _parse_method(text: str):
 
 
 def _cmd_attack(args) -> str:
-    method = _parse_method(args.method)
+    """Every --method on each trial's ciphertext; one report block per method.
+
+    Rows are trial-major, so method i's rows are rows[i::len(methods)].
+    """
+    methods = [_parse_method(text) for text in args.method]
     params = ErrorParams(n=args.n, scale=args.scale, distribution=CENTERED_BINOMIAL, eta=args.eta)
     scheme = _scheme_from_args(args.encoding, args.t, args.n)
     # The exact and Tikhonov inverses read only n; TSVD needs the singular values.
-    factors = hso.hso_svd(args.n) if isinstance(method, attacks.Tsvd) else hso.build_hso(args.n)
+    tsvd = any(isinstance(method, attacks.Tsvd) for method in methods)
+    factors = hso.hso_svd(args.n) if tsvd else hso.build_hso(args.n)
     rows = []
     for trial in range(args.trials):
         rng = _trial_rng(args.seed, "attack", trial)
         key = symmetric.sym_keygen(params, rng)
         msg = Message.random(args.t, rng)
         ct = symmetric.sym_encrypt(key, msg, scheme, rng.bytes(16))
-        if method is None:
-            report = attacks.attack_naive(ct, factors, truth=msg)
-        else:
-            report = attacks.attack_regularized(ct, factors, method, truth=msg)
-        rows.append((trial, report.method, report.bit_accuracy, report.residual_norm))
+        for method in methods:
+            if method is None:
+                report = attacks.attack_naive(ct, factors, truth=msg)
+            else:
+                report = attacks.attack_regularized(ct, factors, method, truth=msg)
+            rows.append((trial, report.method, report.bit_accuracy, report.residual_norm))
     if args.out:
         comment = (
-            f"attack experiment, method={args.method} n={args.n} t={args.t} "
+            f"attack experiment, method={' '.join(args.method)} n={args.n} t={args.t} "
             f"scale={args.scale!r} eta={args.eta} trials={args.trials} seed={args.seed.hex()}"
         )
         _write(args.out, _csv(comment, "trial,method,bit_accuracy,residual", rows), "table")
-    return _report(
-        method=args.method, trials=args.trials,
-        mean_accuracy=float(np.mean([row[2] for row in rows])),
-        mean_residual=float(np.mean([row[3] for row in rows])), seed=args.seed,
+    return "".join(
+        _report(
+            method=text, trials=args.trials,
+            mean_accuracy=float(np.mean([row[2] for row in rows[i :: len(methods)]])),
+            mean_residual=float(np.mean([row[3] for row in rows[i :: len(methods)]])),
+            seed=args.seed,
+        )
+        for i, text in enumerate(args.method)
     )
 
 
@@ -345,7 +366,8 @@ def _apply_config(argv: list[str]) -> list[str]:
     Config entries become flags inserted right after the subcommand, so
     anything given explicitly on the command line still wins (argparse
     keeps the last occurrence).  Keys use flag spelling with dashes or
-    underscores; boolean true means a bare switch.
+    underscores; boolean true means a bare switch, false and null leave
+    the flag at its default, and a list gives the flag several values.
     """
     path, rest, tokens = None, [], iter(argv)
     for token in tokens:
@@ -368,9 +390,13 @@ def _apply_config(argv: list[str]) -> list[str]:
         raise ValueError(f"config {path} must hold a JSON object")
     flags: list[str] = []
     for key, value in loaded.items():
-        if value is not False:
-            flag = "--" + str(key).replace("_", "-")
-            flags += [flag] if value is True else [flag, str(value)]
+        if value is None or value is False:
+            continue
+        flag = "--" + str(key).replace("_", "-")
+        if value is True:
+            flags.append(flag)
+        else:
+            flags += [flag, *map(str, value if isinstance(value, list) else [value])]
     return [rest[0], *flags, *rest[1:]]
 
 
@@ -404,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("amplify", help="noise amplification under naive inversion")
-    p.add_argument("--n", type=_positive_int, required=True)
+    p.add_argument("--n", type=_positive_int, nargs="+", required=True)
     p.add_argument("--sigma", type=float, required=True)
     p.add_argument("--trials", type=_positive_int, default=20)
     p.add_argument("--out", default=None)
@@ -443,7 +469,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_decrypt_sym)
 
     p = sub.add_parser("attack", help="attack experiments against fresh ciphertexts")
-    p.add_argument("--method", default="naive", help="naive, tsvd:<k>, or tikhonov:<alpha>")
+    p.add_argument(
+        "--method", nargs="+", default=["naive"], help="naive, tsvd:<k>, or tikhonov:<alpha>"
+    )
     p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--n", type=_positive_int, default=symmetric.RECOMMENDED_N)
     p.add_argument("--t", type=_positive_int, default=32)

@@ -110,7 +110,7 @@ class SVDFactors:
     def left_vectors(self) -> np.ndarray:
         """The basis, built once per factors object, for the oracle tests.
 
-        No attack, CLI or script path builds it (BENCH_structured_filters.json,
+        No attack or CLI path builds it (BENCH_structured_filters.json,
         row `left_vectors`).
         """
         return _kms_basis(self.phases, self.n)

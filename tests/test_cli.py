@@ -41,6 +41,20 @@ def kv(stdout):
     return out
 
 
+def blocks(stdout, first_key):
+    """Split key=value stdout into one ordered dict per report block.
+
+    A block starts at each line whose key is first_key.
+    """
+    out = []
+    for line in stdout.splitlines():
+        key, _, value = line.partition("=")
+        if key == first_key:
+            out.append({})
+        out[-1][key] = value
+    return out
+
+
 # ---------------------------------------------------------------- spectrum / classify
 
 
@@ -154,6 +168,59 @@ def test_amplify_stdout_file_and_determinism(tmp_path, capsys):
         "--out", str(out), "--seed", "ab",
     )
     assert out.read_bytes() == first
+
+
+AMPLIFY_KEYS = [
+    "n", "trials", "noise_scale", "mean_noise_norm", "mean_error_norm",
+    "mean_amplification", "max_amplification", "trials_with_noise", "seed",
+]
+
+
+def test_amplify_single_n_prints_the_nine_keys_in_order(capsys):
+    code, stdout, _ = run(capsys, "amplify", "--n", "64", "--sigma", "0.01", "--trials", "3")
+    assert code == 0
+    (block,) = blocks(stdout, "n")
+    assert list(block) == AMPLIFY_KEYS
+
+
+def test_amplify_ratio_per_doubling_is_about_four(capsys):
+    """Criterion 2's x4 band through the CLI: s_min ~ n^-2, so each doubling
+    multiplies the mean amplification by about 4.  Only keys and the band are
+    pinned; the floats go through BLAS dot products and vary by host.
+    """
+    code, stdout, _ = run(
+        capsys, "amplify", "--n", "256", "512", "--sigma", "0.01", "--trials", "100"
+    )
+    assert code == 0
+    first, second = blocks(stdout, "n")
+    assert list(first) == AMPLIFY_KEYS
+    assert (first["n"], second["n"]) == ("256", "512")
+    assert list(second) == AMPLIFY_KEYS[:6] + ["ratio_to_previous"] + AMPLIFY_KEYS[6:]
+    ratio = float(second["ratio_to_previous"])
+    assert ratio == float(second["mean_amplification"]) / float(first["mean_amplification"])
+    assert 2.8 <= ratio <= 5.2
+
+
+def test_amplify_several_n_are_the_single_runs_plus_ratios(tmp_path, capsys):
+    out = tmp_path / "amp.txt"
+    code, stdout, _ = run(
+        capsys, "amplify", "--n", "64", "32", "--sigma", "0.01", "--trials", "3",
+        "--out", str(out),
+    )
+    assert code == 0
+    assert out.read_text() == stdout
+    singles = [
+        run(capsys, "amplify", "--n", n, "--sigma", "0.01", "--trials", "3")[1]
+        for n in ("64", "32")
+    ]
+    ratio_line = next(line for line in stdout.splitlines() if line.startswith("ratio_to_previous="))
+    assert stdout.replace(ratio_line + "\n", "") == "".join(singles)
+
+
+def test_amplify_without_noise_prints_no_ratio(capsys):
+    code, stdout, _ = run(capsys, "amplify", "--n", "64", "128", "--sigma", "0", "--trials", "2")
+    assert code == 0
+    assert [list(block) for block in blocks(stdout, "n")] == [AMPLIFY_KEYS, AMPLIFY_KEYS]
 
 
 def test_amplify_rejects_non_finite_sigma(capsys):
@@ -422,6 +489,40 @@ def test_attack_truncated_inversion_beats_naive_at_small_scale(capsys):
     assert "tsvd:8" in kv(tsvd_out)["method"]
 
 
+def test_attack_several_methods_are_the_single_runs_on_the_same_ciphertexts(tmp_path, capsys):
+    methods = ("naive", "tsvd:8", "tikhonov:1e-4")
+    common = ("--trials", "4", "--n", "64", "--t", "8", "--seed", "03")
+    code, stdout, _ = run(
+        capsys, "attack", "--method", *methods, *common, "--out", str(tmp_path / "all.csv")
+    )
+    assert code == 0
+    lines = (tmp_path / "all.csv").read_text().splitlines()
+    assert lines[0].startswith("# attack experiment, method=naive tsvd:8 tikhonov:1e-4 n=64 ")
+    assert lines[1] == "trial,method,bit_accuracy,residual"
+    rows = lines[2:]
+    assert [row.split(",")[0] for row in rows] == [str(t) for t in range(4) for _ in methods]
+
+    single_stdouts = []
+    for i, method in enumerate(methods):
+        out = tmp_path / f"{i}.csv"
+        single_stdouts.append(
+            run(capsys, "attack", "--method", method, *common, "--out", str(out))[1]
+        )
+        assert out.read_text().splitlines()[2:] == rows[i :: len(methods)]
+    assert stdout == "".join(single_stdouts)
+
+
+def test_attack_without_tsvd_never_computes_the_singular_system(capsys):
+    before = hso_svd.cache_info()
+    code, stdout, _ = run(
+        capsys, "attack", "--method", "naive", "tikhonov:1e-4", "--trials", "2", "--n", "96",
+        "--t", "8",
+    )
+    assert code == 0
+    assert [block["method"] for block in blocks(stdout, "method")] == ["naive", "tikhonov:1e-4"]
+    assert hso_svd.cache_info() == before
+
+
 def test_attack_rejects_bad_method(capsys):
     for method in ("qr", "tsvd:abc", "tikhonov:x", "tikhonov:inf"):
         code, _, stderr = run(capsys, "attack", "--method", method, "--trials", "2", "--n", "64")
@@ -584,6 +685,38 @@ def test_config_false_boolean_adds_no_switch(tmp_path, capsys):
     code, _, _ = run(capsys, "analogy", "--config", str(cfg), "--out", str(out))
     assert code == 0
     assert report_from_keyvalues(out.read_text().split("\n\n", 1)[1]).grid_n == 64
+
+
+def test_config_null_leaves_the_flag_at_its_default(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "amp.json"
+    cfg.write_text(json.dumps({"n": 64, "sigma": 0.01, "trials": 2, "out": None}))
+    code, stdout, _ = run(capsys, "amplify", "--config", str(cfg))
+    assert code == 0
+    assert [path.name for path in tmp_path.iterdir()] == ["amp.json"]
+    assert not stdout.startswith("wrote")
+
+
+def test_config_list_gives_a_flag_several_values(tmp_path, capsys):
+    cfg = tmp_path / "amp.json"
+    cfg.write_text(json.dumps({"n": [64, 32], "sigma": 0.01, "trials": 2}))
+    code, stdout, _ = run(capsys, "amplify", "--config", str(cfg))
+    assert code == 0
+    assert [block["n"] for block in blocks(stdout, "n")] == ["64", "32"]
+
+    cfg.write_text(json.dumps({"method": ["naive", "tsvd:4"], "n": 64, "t": 8, "trials": 2}))
+    code, stdout, _ = run(capsys, "attack", "--config", str(cfg))
+    assert code == 0
+    assert [block["method"] for block in blocks(stdout, "method")] == ["naive", "tsvd:4"]
+
+
+def test_config_list_on_a_single_valued_flag_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "amp.json"
+    cfg.write_text(json.dumps({"n": 64, "sigma": [0.01, 0.1], "trials": 2}))
+    with pytest.raises(SystemExit) as exc:
+        main(["amplify", "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: 0.1" in capsys.readouterr().err
 
 
 def test_config_error_paths(tmp_path, capsys):

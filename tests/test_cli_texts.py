@@ -141,6 +141,8 @@ REFUSALS = {
         "bad magic for symmetric ciphertext: expected b'IPC1', got b'IPK1'",
     "attack --method qr --trials 2 --n 64":
         "method must be naive, tsvd:<k>, or tikhonov:<alpha>, got 'qr'",
+    "attack --method naive qr --trials 2 --n 64":
+        "method must be naive, tsvd:<k>, or tikhonov:<alpha>, got 'qr'",
     "attack --method tsvd:abc --trials 2 --n 64":
         "method must be naive, tsvd:<k>, or tikhonov:<alpha>, got 'tsvd:abc'",
     "attack --method tikhonov:inf --trials 2 --n 64":

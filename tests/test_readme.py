@@ -1,6 +1,8 @@
-"""The README names what the code has: every subcommand, every script."""
+"""The README names what the code has: every subcommand, every script,
+and only command lines that the CLI parses."""
 
 import re
+import shlex
 from pathlib import Path
 
 from ipcrypt.cli import build_parser
@@ -25,3 +27,16 @@ def test_experiments_block_names_exactly_the_scripts_the_tests_run():
     named = re.findall(r"python3 scripts/(\S+\.py)", section("Experiments"))
     on_disk = [path.name for path in (ROOT / "scripts").glob("*.py")]
     assert sorted(named) == sorted(on_disk) == sorted(SCRIPTS)
+
+
+def test_every_readme_command_line_parses():
+    text = (ROOT / "README.md").read_text()
+    lines = [
+        line
+        for block in re.findall(r"```sh\n(.*?)```", text, flags=re.DOTALL)
+        for line in block.splitlines()
+        if line.startswith("ipcrypt ")
+    ]
+    assert len(lines) >= 10
+    for line in lines:
+        build_parser().parse_args(shlex.split(line, comments=True)[1:])

@@ -19,14 +19,6 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # script -> (arguments for a tiny run, a line its table must contain)
 SCRIPTS = {
-    "amplification_scan.py": (["--n", "64", "128", "--trials", "3"], "1/(2 s_min)"),
-    "regularization_sweep.py": (
-        [
-            "--n", "64", "--t", "8", "--trials", "2", "--levels", "4", "--scales", "0.1",
-            "--alphas", "1e-4",
-        ],
-        "scale 0.1",
-    ),
     "kem_noise_margin.py": (["--encaps", "2", "--keys", "1"], "bits kem_decaps got wrong: 0"),
 }
 
