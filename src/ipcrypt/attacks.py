@@ -72,9 +72,6 @@ class Tikhonov:
     def label(self) -> str:
         return f"tikhonov:{self.alpha:g}"
 
-    def filter(self, s: np.ndarray) -> np.ndarray:
-        return s / (s * s + self.alpha)
-
 
 @dataclass(frozen=True)
 class Tsvd:
@@ -142,15 +139,13 @@ def bit_accuracy(a: Message, b: Message) -> float:
 
 
 @lru_cache(maxsize=5)
-def _filter_factors(method: Tikhonov | Tsvd, factors: hso.SVDFactors) -> np.ndarray:
-    """Read-only filter factors of the method on the factors' singular values.
+def _filter_factors(method: Tsvd, factors: hso.SVDFactors) -> np.ndarray:
+    """Read-only TSVD filter factors on the factors' singular values.
 
     Cached per (method, factors) pair, since an attack campaign applies one
     filter to every ciphertext; an entry keeps its factors alive, so the
-    cache is bounded (BENCH_caches.json, row `_filter_factors`).  A method
-    that rejects the factors raises on every call: an exception is not cached.
-    attack_regularized reads it for TSVD; Tikhonov's O(n) solve needs no
-    filter factors.
+    cache is bounded (BENCH_caches.json, row `_filter_factors`).  A cutoff
+    that exceeds the modes raises on every call: an exception is not cached.
     """
     phi = method.filter(factors.singular_values)
     phi.flags.writeable = False

@@ -367,7 +367,8 @@ def _apply_config(argv: list[str]) -> list[str]:
     anything given explicitly on the command line still wins (argparse
     keeps the last occurrence).  Keys use flag spelling with dashes or
     underscores; boolean true means a bare switch, false and null leave
-    the flag at its default, and a list gives the flag several values.
+    the flag at its default, and a list of scalars gives the flag several
+    values.  An object, or a list holding an object or a list, is refused.
     """
     path, rest, tokens = None, [], iter(argv)
     for token in tokens:
@@ -393,10 +394,13 @@ def _apply_config(argv: list[str]) -> list[str]:
         if value is None or value is False:
             continue
         flag = "--" + str(key).replace("_", "-")
+        values = value if isinstance(value, list) else [value]
+        if any(isinstance(v, (dict, list)) for v in values):
+            raise ValueError(f"config key {key!r} must be a scalar or a list of scalars")
         if value is True:
             flags.append(flag)
         else:
-            flags += [flag, *map(str, value if isinstance(value, list) else [value])]
+            flags += [flag, *map(str, values)]
     return [rest[0], *flags, *rest[1:]]
 
 

@@ -8,8 +8,8 @@ words are rejected (see `expand_matrix`).  The secret is a
 matrix of 256 small columns, one per shared-secret bit, which keeps the
 ciphertext a single (u, v) vector pair: encapsulation hides each bit in
 v = B^T r + e + bit * round(q/2) and decapsulation thresholds
-v - S^T u at q/4.  With these parameters the accumulated noise is
-bounded well inside q/4, so decapsulation never fails.
+v - S^T u at q/4.  With these parameters a decapsulated bit is wrong
+with probability at most 2^-735.15, computed exactly by `failure_log2`.
 
 All three matrix products (A S in keygen, r^T [A | B] in encapsulation,
 S^T u in decapsulation) run on float32 BLAS and are exact.  Each sums dim
@@ -57,6 +57,7 @@ setting.
 from __future__ import annotations
 
 import hashlib
+import math
 import operator
 import os
 from dataclasses import dataclass, field
@@ -78,6 +79,7 @@ __all__ = [
     "kem_keygen",
     "kem_encaps",
     "kem_decaps",
+    "failure_log2",
 ]
 
 
@@ -439,3 +441,34 @@ def kem_decaps(sk: KemSecretKey, ct: KemCiphertext) -> SharedSecret:
     c = _reduce(ct.v - _exact_matmul(ct.u, sk.s_f32), params.q)
     return SharedSecret(np.packbits(_threshold(c, params.q), bitorder="little").tobytes())
 
+
+def failure_log2(params: KemParams = DESK_PARAMS) -> float:
+    """log2 of the exact chance that one decapsulated bit is wrong, for the worse bit value.
+
+    Bit j of v - S^T u is sum_i r_i E_ij - sum_i e_u,i S_ij + e_v,j + bit * half_q: 2 dim
+    independent products of two cbd(eta) draws plus one cbd(eta) draw.  Their law is the
+    product law raised to the 2 dim-fold convolution power by squaring, convolved once
+    with cbd(eta), as Kyber's designers compute it (Bos et al., EuroS&P 2018).  Each
+    support point plus bit * half_q is reduced mod q and read by `_threshold`, the
+    decoder itself.  At DESK_PARAMS this gives 2^-736.08 for bit 0 and 2^-735.15 for
+    bit 1, so by the union bound a whole encapsulation fails with probability at most
+    secret_bits * 2^-735.15 = 2^-727.15.  A mass that underflows float64 gives -inf.
+    """
+    eta, q = params.eta, params.q
+    k = np.arange(-eta, eta + 1)
+    cbd_law = np.array([math.comb(2 * eta, eta + i) for i in k]) / 4.0**eta
+    product = np.zeros(2 * eta * eta + 1)
+    np.add.at(product, np.multiply.outer(k, k) + eta * eta, np.outer(cbd_law, cbd_law))
+    law, power = np.ones(1), 2 * params.dim
+    while power:
+        if power & 1:
+            law = np.convolve(law, product)
+        power >>= 1
+        if power:
+            product = np.convolve(product, product)
+    law = np.convolve(law, cbd_law)
+    noise = np.arange(law.size) - law.size // 2
+    worst = max(
+        math.fsum(law[_threshold(_reduce(noise + b * params.half_q, q), q) != b]) for b in (0, 1)
+    )
+    return math.log2(worst) if worst > 0 else -math.inf

@@ -95,14 +95,14 @@ def test_tikhonov_matches_filter_formula(method):
 def test_filter_factors_are_cached_read_only_and_never_returned():
     factors = hso_svd(64)
     v = np.random.default_rng(4).standard_normal(64)
-    for method in (Tsvd(k=8), Tikhonov(alpha=1e-4)):
-        phi = _filter_factors(method, factors)
-        assert _filter_factors(method, factors) is phi
-        assert not phi.flags.writeable
-        assert np.array_equal(phi, method.filter(factors.singular_values))
-    out = tikhonov_apply(factors, v, 1e-4)
+    method = Tsvd(k=8)
+    phi = _filter_factors(method, factors)
+    assert _filter_factors(method, factors) is phi
+    assert not phi.flags.writeable
+    assert np.array_equal(phi, method.filter(factors.singular_values))
+    out = filtered_inverse(factors, v, phi)
     assert out.flags.writeable
-    assert not np.shares_memory(out, _filter_factors(Tikhonov(alpha=1e-4), factors))
+    assert not np.shares_memory(out, phi)
     ct = SymCiphertext(scheme=SCHEME_64, nonce=bytes(16), body=GridFunction(v))
     for _ in range(2):  # a rejection is not cached
         with pytest.raises(ValueError, match="^cutoff 65 exceeds 64 modes$"):

@@ -738,6 +738,18 @@ def test_config_error_paths(tmp_path, capsys):
     assert run(capsys, "amplify", "--config", "") == (1, "", "error: --config needs a file path\n")
 
 
+@pytest.mark.parametrize("value", [{"a": 1}, [64, {"a": 1}], [64, [128]]])
+def test_config_refuses_a_nested_value_and_writes_nothing(tmp_path, monkeypatch, capsys, value):
+    """An object is not a file name: nothing is written, and the key is named."""
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "nested.json"
+    cfg.write_text(json.dumps({"n": 64, "sigma": 0.01, "trials": 2, "out": value}))
+    code, stdout, stderr = run(capsys, "amplify", "--config", str(cfg))
+    assert (code, stdout) == (1, "")
+    assert stderr == "error: config key 'out' must be a scalar or a list of scalars\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["nested.json"]
+
+
 # ---------------------------------------------------------------- usage errors
 
 

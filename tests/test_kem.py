@@ -3,7 +3,10 @@
 import ast
 import hashlib
 import inspect
+import itertools
+import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,6 +29,7 @@ from ipcrypt.kem import (
     KemSecretKey,
     cbd,
     expand_matrix,
+    failure_log2,
     kem_decaps,
     kem_encaps,
     kem_keygen,
@@ -797,3 +801,54 @@ def test_public_key_validation():
     with pytest.raises(ValueError, match="eta"):
         KemSecretKey(params=SMALL, s=np.full((8, 8), 2))
 
+
+# ---------------------------------------------------------------- exact failure probability
+
+
+def test_failure_log2_at_the_desk_set():
+    assert failure_log2() == failure_log2(DESK_PARAMS)
+    assert abs(failure_log2(DESK_PARAMS) + 735.1485) < 1e-3
+    # |noise| <= 3 never reaches q/4, so no mass fails at all.
+    assert failure_log2(KemParams(q=3329, dim=1, secret_bits=8, eta=1)) == -math.inf
+
+
+@pytest.mark.parametrize("q", [7, 12, 13])
+def test_failure_log2_matches_an_exact_enumeration(q):
+    """Every draw of r, E, e_u, S and e_v for one bit at dim = 2, eta = 1.
+
+    A cbd(1) value x comes from comb(2, 1 + x) of its 4 coin pairs, so the
+    nine draws weigh all 4^9 coin combinations exactly; a bit decodes as 1
+    where the residue lies farther than q/4 from 0.
+    """
+    params = KemParams(q=q, dim=2, secret_bits=8, eta=1)
+    wrong = [0, 0]
+    for r0, r1, e0, e1, u0, u1, s0, s1, ev in itertools.product((-1, 0, 1), repeat=9):
+        coins = math.prod(math.comb(2, 1 + x) for x in (r0, r1, e0, e1, u0, u1, s0, s1, ev))
+        noise = r0 * e0 + r1 * e1 - u0 * s0 - u1 * s1 + ev
+        for bit in (0, 1):
+            c = (noise + bit * params.half_q) % q
+            wrong[bit] += coins * ((4 * min(c, q - c) > q) != bit)
+    exact = Fraction(max(wrong), 4**9)
+    assert abs(Fraction(2 ** failure_log2(params)) - exact) <= exact * Fraction(1, 10**12)
+
+
+def test_toy_set_failure_rate_lies_in_the_computed_band():
+    """At q = 97 about one bit in 29 decodes wrong, bit 1 (the worse value) included.
+
+    Bits under one key are correlated, so the key changes every 4 encapsulations.
+    """
+    toy = KemParams(q=97, dim=64, secret_bits=64, eta=2)
+    p = 2 ** failure_log2(toy)
+    rng = np.random.default_rng(0)
+    ones = wrong = 0
+    for _ in range(500):
+        pair = kem_keygen(toy, rng)
+        for _ in range(4):
+            secret, ct = kem_encaps(pair.public, rng)
+            sent, got = (
+                np.unpackbits(np.frombuffer(s.data, dtype=np.uint8))
+                for s in (secret, kem_decaps(pair.secret, ct))
+            )
+            ones += int(sent.sum())
+            wrong += int(np.count_nonzero(got[sent == 1] == 0))
+    assert abs(wrong - ones * p) <= 4 * math.sqrt(ones * p * (1 - p))

@@ -1,12 +1,14 @@
-"""The README names what the code has: every subcommand, every script,
-and only command lines that the CLI parses."""
+"""The README names what the code has: every subcommand, only command
+lines that the CLI parses, and Python one-liners that run."""
 
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 from ipcrypt.cli import build_parser
-from test_scripts import SCRIPTS
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -23,20 +25,29 @@ def test_cli_table_names_exactly_the_registered_subcommands():
     assert sorted(named) == sorted(subparsers.choices)
 
 
-def test_experiments_block_names_exactly_the_scripts_the_tests_run():
-    named = re.findall(r"python3 scripts/(\S+\.py)", section("Experiments"))
-    on_disk = [path.name for path in (ROOT / "scripts").glob("*.py")]
-    assert sorted(named) == sorted(on_disk) == sorted(SCRIPTS)
-
-
-def test_every_readme_command_line_parses():
+def sh_lines(prefix: str) -> list[str]:
     text = (ROOT / "README.md").read_text()
-    lines = [
+    return [
         line
         for block in re.findall(r"```sh\n(.*?)```", text, flags=re.DOTALL)
         for line in block.splitlines()
-        if line.startswith("ipcrypt ")
+        if line.startswith(prefix)
     ]
+
+
+def test_every_readme_command_line_parses():
+    lines = sh_lines("ipcrypt ")
     assert len(lines) >= 10
     for line in lines:
         build_parser().parse_args(shlex.split(line, comments=True)[1:])
+
+
+def test_every_readme_python_one_liner_runs():
+    """Each `python3 -c` line runs as written, in a fresh interpreter on the checkout."""
+    lines = sh_lines("python3 -c ")
+    assert lines
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for line in lines:
+        argv = [sys.executable, *shlex.split(line, comments=True)[1:]]
+        proc = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, (line, proc.stderr)
