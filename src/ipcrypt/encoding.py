@@ -24,6 +24,7 @@ tests.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -51,6 +52,9 @@ __all__ = [
 MAP1_FOURIER_ID = 0x01
 MAP1_HAAR_ID = 0x02
 MAP2_ID = 0x03
+
+# Maps the digits of a binary numeral to the bit values 0 and 1.
+_BINARY_DIGITS = bytes.maketrans(b"01", b"\0\1")
 
 
 @dataclass(frozen=True)
@@ -85,7 +89,7 @@ class Message:
             raise ValueError(f"bit length must be positive, got {t}")
         if not 0 <= value < (1 << t):
             raise ValueError(f"value {value} does not fit in {t} bits")
-        return cls._of_bits(tuple((value >> (t - 1 - i)) & 1 for i in range(t)))
+        return cls._of_bits(tuple(format(value, f"0{t}b").encode().translate(_BINARY_DIGITS)))
 
     @classmethod
     def random(cls, t: int, rng: np.random.Generator) -> "Message":
@@ -117,10 +121,20 @@ class EncodingScheme:
     def __post_init__(self) -> None:
         if self.kind not in ("map1", "map2"):
             raise ValueError(f"unknown encoding kind {self.kind!r}")
+        # A float t or n would pass every check below and fail only when a
+        # writer packs it, and the cached from_encoding_id must not meet one.
+        if not isinstance(self.t, numbers.Integral):
+            raise TypeError(f"message length must be an integer, got {self.t!r}")
         if self.t < 1:
             raise ValueError(f"message length must be positive, got {self.t}")
+        if not isinstance(self.n, numbers.Integral):
+            raise TypeError(f"grid size must be an integer, got {self.n!r}")
         if self.n < 1:
             raise ValueError(f"grid size must be positive, got {self.n}")
+        # Kept as plain ints, as a header's fields are (a numpy integer has
+        # no bit_length for the capacity check).
+        object.__setattr__(self, "t", int(self.t))
+        object.__setattr__(self, "n", int(self.n))
         if self.kind == "map1":
             if self.basis not in ("fourier", "haar"):
                 raise ValueError(f"map1 basis must be fourier or haar, got {self.basis!r}")
@@ -153,7 +167,17 @@ class EncodingScheme:
         return MAP1_FOURIER_ID if self.basis == "fourier" else MAP1_HAAR_ID
 
     @classmethod
+    @lru_cache(maxsize=3, typed=True)
     def from_encoding_id(cls, encoding_id: int, t: int, n: int) -> "EncodingScheme":
+        """The scheme an IPC1 header names, cached per (id, t, n) and argument types.
+
+        A scheme is frozen, so every reader of one header shares one.  A
+        miss validates as the constructors do, and a refusal is not
+        cached; the cache is typed, so a float t or n never meets the
+        entry of its integer and is refused.  Three entries hold the
+        three schemes a mixed stream alternates (BENCH_sym_fixed_cost.json,
+        row `from_encoding_id`).
+        """
         if encoding_id == MAP1_FOURIER_ID:
             return cls.map1(t, n, basis="fourier")
         if encoding_id == MAP1_HAAR_ID:
@@ -305,8 +329,13 @@ def decode_map1(u: np.ndarray, scheme: EncodingScheme) -> Message:
 def encode_map2(msg: Message, scheme: EncodingScheme) -> np.ndarray:
     if msg.t != scheme.t:
         raise ValueError(f"message length {msg.t} != scheme t = {scheme.t}")
-    cells = scheme.n // scheme.t
-    return np.array(msg.bits, dtype=np.float64).repeat(cells)
+    bits = np.frombuffer(bytes(msg.bits), dtype=np.uint8)
+    return bits.repeat(scheme.n // scheme.t).astype(np.float64)
+
+
+def _map2_cell_sums(u: np.ndarray, scheme: EncodingScheme) -> np.ndarray:
+    """Pairwise sum of the n samples u over each of the t map2 cells."""
+    return np.add.reduce(u.reshape(scheme.t, -1), axis=1)
 
 
 def map2_cell_means(u: np.ndarray, scheme: EncodingScheme) -> np.ndarray:
@@ -315,16 +344,25 @@ def map2_cell_means(u: np.ndarray, scheme: EncodingScheme) -> np.ndarray:
     The same pairwise sum and division that `.mean(axis=1)` makes, without
     its wrapper.
     """
-    cells = scheme.n // scheme.t
-    return np.add.reduce(u.reshape(scheme.t, cells), axis=1) / cells
+    return _map2_cell_sums(u, scheme) / (scheme.n // scheme.t)
 
 
 def decode_map2(u: np.ndarray, scheme: EncodingScheme) -> Message:
-    """Per-subinterval mean thresholded at 1/2."""
+    """Per-subinterval mean thresholded at 1/2.
+
+    A cell's sum s is compared with c/2 for its c samples, which decides
+    as the mean does: fl(s/c) >= 1/2 exactly when s >= c/2, for every
+    double s (nan and infinities too) and integer c < 2^53, where c/2 is
+    exact.  If s >= c/2 then s/c >= 1/2, and rounding keeps it there.
+    Say c/2 lies in [2^e, 2^(e+1)): the doubles just below it are spaced
+    2^(e-52), or 2^(e-53) when c/2 = 2^e, and either is at least c 2^-54.
+    So s < c/2 gives s/c <= 1/2 - 2^-54, the double just below 1/2, which
+    rounding to nearest does not carry up to 1/2.
+    """
     if u.shape != (scheme.n,):
         raise ValueError(f"grid size mismatch: {u.shape} vs {(scheme.n,)}")
-    above = map2_cell_means(u, scheme) >= 0.5
-    return Message._of_bits(tuple(above.view(np.uint8).tolist()))
+    above = _map2_cell_sums(u, scheme) >= 0.5 * (scheme.n // scheme.t)
+    return Message._of_bits(tuple(above.tobytes()))
 
 
 def encode(msg: Message, scheme: EncodingScheme) -> np.ndarray:

@@ -30,10 +30,14 @@ first fault in layout order: a wrong magic or version, an end before a
 field it checks (named by the first field it misses), a bad value, a
 short array, then trailing bytes.  So the IPC1 reader refuses a bad id,
 t or body count before it reads the body, which it takes as one float64
-view of the bytes past the header.  KEM keys and ciphertexts carry their
-parameter set: the writers label it with its registered id (and refuse a
-set that has none), and the readers check the arrays against the set
-the id names.  The secret key reader passes its bytes to the checked
+view of the bytes past the header.  The scheme comes from the cached
+`EncodingScheme.from_encoding_id`, which validates each header it has
+not seen; the body goes through the checked GridFunction constructor,
+whose finiteness check is one dot product; and with every part checked,
+the reader assembles the ciphertext unchecked (`SymCiphertext._of_parts`).
+KEM keys and ciphertexts carry their parameter set: the writers label
+it with its registered id (and refuse a set that has none), and the
+readers check the arrays against the set the id names.  The secret key reader passes its bytes to the checked
 constructor, which keeps an int64 copy.  The public key and ciphertext
 readers check the range on the file's u16 words, with one max, and wrap
 a single int64 widening of them with no second pass; a word out of range
@@ -206,7 +210,7 @@ def read_sym_ciphertext(data: bytes) -> SymCiphertext:
         raise ValueError(f"body grid size {count} != header n = {n}")
     body = GridFunction(_SYM.array(data, _SYM.size, _F64, n, "body samples"))
     _SYM.done(data, _SYM.size + _F64.itemsize * n)
-    return SymCiphertext(scheme=scheme, nonce=nonce, body=body)
+    return SymCiphertext._of_parts(scheme, nonce, body)
 
 
 def _param_id(params: KemParams) -> int:

@@ -10,8 +10,11 @@ The library computes on plain float64 arrays of samples.  GridFunction
 is the validated form of such an array: 1-d, nonempty, real, finite and
 frozen.  It is the type of a ciphertext body, where samples may arrive
 from outside the program.  The constructor checks outside samples and
-keeps a read-only copy; encryption, whose fresh body holds those
-properties by construction, wraps it as it is (`GridFunction._of_samples`).
+keeps a read-only copy.  Its finiteness check is one dot product of the
+samples with themselves, and only a body whose dot is not finite gets
+the element-wise pass that accepts it or names its first non-finite
+index.  Encryption, whose fresh body holds those properties by
+construction, wraps it as it is (`GridFunction._of_samples`).
 This module has no byte layout of its own (the ciphertext file reader in
 `formats` builds the body through the constructor).
 """
@@ -49,9 +52,15 @@ class GridFunction:
             raise ValueError(f"grid function must be 1-d, got shape {arr.shape}")
         if arr.size == 0:
             raise ValueError("grid function must not be empty")
-        finite = np.isfinite(arr)
-        if not np.logical_and.reduce(finite):
-            raise ValueError(f"non-finite sample at index {int(np.argmin(finite))}")
+        # Finite samples have a finite sum of squares, or one that overflows
+        # to +inf; a nan or an infinity makes it nan or +inf.  So a finite
+        # dot accepts the samples whatever order BLAS sums in, and only a
+        # body that fails it pays for the pass that finds the index.  vdot,
+        # unlike dot, warns of no overflow in a body it then accepts.
+        if not math.isfinite(np.vdot(arr, arr)):
+            finite = np.isfinite(arr)
+            if not np.logical_and.reduce(finite):
+                raise ValueError(f"non-finite sample at index {int(np.argmin(finite))}")
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 

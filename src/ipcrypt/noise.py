@@ -120,8 +120,23 @@ class ErrorKey:
     params: ErrorParams
 
     def __post_init__(self) -> None:
-        if len(self.seed) != 32:
-            raise ValueError(f"key seed must be 32 bytes, got {len(self.seed)}")
+        object.__setattr__(self, "seed", _fixed_bytes(self.seed, 32, "key seed"))
+
+
+def _fixed_bytes(value, size: int, what: str) -> bytes:
+    """value as bytes of length size: a bytes object as it is, any other buffer copied.
+
+    A copy keeps a frozen object's field from changing with a mutable
+    buffer it was given; what is not a buffer is refused.
+    """
+    if type(value) is not bytes:
+        try:
+            value = bytes(memoryview(value))
+        except TypeError:
+            raise TypeError(f"{what} must be bytes, got {type(value).__name__}") from None
+    if len(value) != size:
+        raise ValueError(f"{what} must be {size} bytes, got {len(value)}")
+    return value
 
 
 @lru_cache(maxsize=1)

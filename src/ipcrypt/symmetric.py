@@ -12,7 +12,9 @@ samples arrive from outside (the file reader) and wrapped as it is by
 sym_encrypt, whose fresh body is finite by construction (see
 `noise.ErrorParams`).  A ciphertext carries the EncodingScheme it was
 made with, so decryption and the attacks decode with that object and
-never rebuild it.
+never rebuild it.  The public SymCiphertext constructor checks its
+parts; sym_encrypt and the file reader, whose parts are checked or
+built to fit, assemble the ciphertext with `SymCiphertext._of_parts`.
 
 Nonces exist so one key can encrypt many messages: reusing a nonce
 reuses the error, and the difference of two such ciphertexts leaks the
@@ -28,6 +30,7 @@ from . import hso
 from .encoding import EncodingScheme, Message, decode, encode
 from .grid import GridFunction
 from .noise import NONCE_BYTES, CENTERED_BINOMIAL, ErrorKey, ErrorParams, derive_error
+from .noise import _fixed_bytes
 from .noise import keygen as sym_keygen
 
 __all__ = [
@@ -60,7 +63,8 @@ class SymCiphertext:
     the nonce its error was derived from, and the grid body.
 
     The scheme holds the grid size n, the message length t and the
-    encoding id; the constructor checks that the body has n samples.
+    encoding id; the constructor checks that the body has n samples and
+    keeps the nonce as bytes, refusing what is not a 16-byte buffer.
     """
 
     scheme: EncodingScheme
@@ -70,8 +74,21 @@ class SymCiphertext:
     def __post_init__(self) -> None:
         if self.body.n != self.scheme.n:
             raise ValueError(f"body grid size {self.body.n} != header n = {self.scheme.n}")
-        if len(self.nonce) != NONCE_BYTES:
-            raise ValueError(f"nonce must be {NONCE_BYTES} bytes, got {len(self.nonce)}")
+        object.__setattr__(self, "nonce", _fixed_bytes(self.nonce, NONCE_BYTES, "nonce"))
+
+    @classmethod
+    def _of_parts(cls, scheme: EncodingScheme, nonce: bytes, body: GridFunction) -> "SymCiphertext":
+        """SymCiphertext of a body of scheme.n samples and a 16-byte bytes nonce, with no check.
+
+        sym_encrypt builds its body on scheme.n and checks its nonce as
+        the constructor does; read_sym_ciphertext checks the body count
+        against the header's n and reads a 16-byte nonce field.
+        """
+        ct = object.__new__(cls)
+        object.__setattr__(ct, "scheme", scheme)
+        object.__setattr__(ct, "nonce", nonce)
+        object.__setattr__(ct, "body", body)
+        return ct
 
 
 def sym_encrypt(
@@ -85,8 +102,9 @@ def sym_encrypt(
     if scheme.n != key.params.n:
         raise ValueError(f"scheme grid {scheme.n} != key grid {key.params.n}")
     smoothed = hso.apply_operator(hso.build_hso(scheme.n), encode(msg, scheme))
+    nonce = _fixed_bytes(nonce, NONCE_BYTES, "nonce")
     smoothed += derive_error(key, nonce)
-    return SymCiphertext(scheme=scheme, nonce=bytes(nonce), body=GridFunction._of_samples(smoothed))
+    return SymCiphertext._of_parts(scheme, nonce, GridFunction._of_samples(smoothed))
 
 
 def sym_decrypt(key: ErrorKey, ct: SymCiphertext) -> Message:

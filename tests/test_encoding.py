@@ -139,6 +139,38 @@ def test_scheme_validation():
         EncodingScheme.from_encoding_id(0x7F, 4, 64)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda t, n: EncodingScheme.map2(t, n),
+        lambda t, n: EncodingScheme.map1(t, n, basis="haar"),
+        lambda t, n: EncodingScheme.from_encoding_id(MAP2_ID, t, n),
+        lambda t, n: EncodingScheme.from_encoding_id(MAP1_FOURIER_ID, t, n),
+    ],
+    ids=["map2", "map1", "map2 id", "map1 id"],
+)
+def test_scheme_refuses_non_integer_t_and_n(build):
+    """A float t or n would pass the range checks and die in the IPC1 writer's struct."""
+    assert build(np.int64(4), np.int64(64)) == build(4, 64)
+    with pytest.raises(TypeError, match=r"^message length must be an integer, got 4\.0$"):
+        build(4.0, 64)
+    with pytest.raises(TypeError, match=r"^grid size must be an integer, got 64\.0$"):
+        build(4, 64.0)
+    with pytest.raises(TypeError, match=r"^message length must be an integer, got '4'$"):
+        build("4", 64)
+
+
+def test_from_encoding_id_shares_one_scheme_per_header_and_caches_no_refusal():
+    first = EncodingScheme.from_encoding_id(MAP2_ID, 32, 256)
+    assert EncodingScheme.from_encoding_id(MAP2_ID, 32, 256) is first
+    assert first == EncodingScheme.map2(32, 256)
+    for _ in range(2):
+        with pytest.raises(TypeError, match="message length must be an integer"):
+            EncodingScheme.from_encoding_id(MAP2_ID, 32.0, 256)
+        with pytest.raises(ValueError, match="t \\| n"):
+            EncodingScheme.from_encoding_id(MAP2_ID, 7, 256)
+
+
 # ---------------------------------------------------------------- capacities
 
 
@@ -433,6 +465,31 @@ def test_map2_cell_means_equal_numpy_mean_exactly(n):
             expected = u.reshape(t, -1).mean(axis=1)
             assert np.array_equal(map2_cell_means(u, scheme), expected)
             assert decode_map2(u, scheme).bits == tuple((expected >= 0.5).tolist())
+
+
+@pytest.mark.parametrize("cells", [1, 2, 3, 5, 7, 8, 96, 1000, 4097])
+def test_decode_map2_near_ties_agree_with_the_cell_means(cells):
+    """Cell sums a few ulps either side of c/2 decode as their means threshold at 1/2."""
+    half = 0.5 * cells
+    sums = [half]
+    for direction in (np.inf, -np.inf):
+        s = half
+        for _ in range(4):
+            s = np.nextafter(s, direction)
+            sums.append(s)
+    t = len(sums)
+    scheme = EncodingScheme.map2(t, t * cells)
+    rng = np.random.default_rng(cells)
+    # Each sum stands alone in its cell's first sample, so the cell sum is it exactly;
+    # the second profile spreads each sum over the cell and lets rounding pick the sum.
+    lone = np.zeros((t, cells))
+    lone[:, 0] = sums
+    spread = np.repeat(np.array(sums)[:, None] / cells, cells, axis=1)
+    spread += 1e-16 * rng.standard_normal((t, cells))
+    for u in (lone.ravel(), spread.ravel()):
+        expected = tuple((map2_cell_means(u, scheme) >= 0.5).tolist())
+        assert decode_map2(u, scheme).bits == expected
+    assert decode_map2(lone.ravel(), scheme).bits == (1, 1, 1, 1, 1, 0, 0, 0, 0)
 
 
 def test_map2_length_mismatch():

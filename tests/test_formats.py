@@ -187,6 +187,25 @@ def test_sym_ciphertext_body_rejects_truncation_trailing_and_zero_size():
         read_sym_ciphertext(zero)
 
 
+@pytest.mark.parametrize("big", [1e200, 1.7e308])
+def test_sym_ciphertext_reader_accepts_finite_samples_whose_squares_overflow(big):
+    values = [big, -big, 0.5, -big]
+    again = read_sym_ciphertext(write_sym_ciphertext(body_ct(values)))
+    assert np.array_equal(again.body.values, values)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("index", [0, 3, 6])
+@pytest.mark.parametrize("rest", [1.0, 1.7e308])
+def test_sym_ciphertext_reader_names_a_non_finite_sample(bad, index, rest):
+    """A non-finite body sample is refused with its index, first, middle or last."""
+    blob = write_sym_ciphertext(body_ct(np.full(7, rest)))
+    at = 34 + 8 * index
+    forged = blob[:at] + struct.pack("<d", bad) + blob[at + 8 :]
+    with pytest.raises(ValueError, match=f"^non-finite sample at index {index}$"):
+        read_sym_ciphertext(forged)
+
+
 def test_sym_ciphertext_huge_header_n_is_refused_before_reading_the_body():
     """A short file claiming n = 2^31 fails as truncated without a 16 GiB buffer."""
     blob = write_sym_ciphertext(body_ct([1.0, 2.0]))

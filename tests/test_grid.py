@@ -76,6 +76,28 @@ def test_grid_function_names_the_first_non_finite_index(bad, index):
         GridFunction(values)
 
 
+@pytest.mark.parametrize("big", [1e200, 1.7e308])
+def test_grid_function_accepts_finite_samples_whose_squares_overflow(big):
+    """The sum of squares overflows to +inf, yet every sample is finite."""
+    values = np.array([big, -big, 0.0, 1.0, -big])
+    u = GridFunction(values)
+    assert np.array_equal(u.values, values)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("rest", [1.0, 1.7e308])
+def test_grid_function_refuses_non_finite_at_any_index(bad, where, rest):
+    """Among ordinary samples and among samples whose squares overflow alike."""
+    n = 257
+    index = {"first": 0, "middle": n // 2, "last": n - 1}[where]
+    values = np.full(n, rest)
+    values[1::2] *= -1
+    values[index] = bad
+    with pytest.raises(ValueError, match=f"^non-finite sample at index {index}$"):
+        GridFunction(values)
+
+
 def test_grid_function_refuses_complex_samples():
     """Casting would drop the imaginary part (with a ComplexWarning); refuse instead."""
     for values in (np.array([1 + 2j, 2]), [1.0, 2j], np.zeros(4, dtype=np.complex64)):

@@ -170,6 +170,23 @@ def test_key_validates_seed_length():
         ErrorKey(seed=b"\x00" * 16, params=cb_params())
 
 
+@pytest.mark.parametrize("seed", ["k" * 32, [0] * 32, None, 32])
+def test_key_refuses_a_seed_that_is_not_bytes(seed):
+    with pytest.raises(TypeError, match=f"^key seed must be bytes, got {type(seed).__name__}$"):
+        ErrorKey(seed=seed, params=cb_params())
+
+
+def test_key_keeps_its_own_bytes_of_a_mutable_seed():
+    """A frozen key's errors do not change with the buffer it was given."""
+    buffer = bytearray(range(32))
+    key = ErrorKey(seed=buffer, params=cb_params())
+    assert type(key.seed) is bytes and key.seed == bytes(range(32))
+    before = derive_error(key, bytes(NONCE_BYTES))
+    buffer[0] ^= 0xFF
+    assert np.array_equal(derive_error(key, bytes(NONCE_BYTES)), before)
+    assert ErrorKey(seed=memoryview(bytes(range(32))), params=cb_params()) == key
+
+
 # ---------------------------------------------------------------- derivation
 
 

@@ -224,10 +224,11 @@ def test_round_trip_builds_one_body_per_crossing(monkeypatch):
 
 
 def test_ciphertext_carries_its_scheme_and_nothing_rebuilds_it(monkeypatch):
-    """Only the file reader builds an EncodingScheme, from the header.
+    """Only the file reader builds an EncodingScheme, from the header, at most once.
 
     Encryption stores the caller's scheme in the ciphertext; decryption
-    and the attacks decode with that object.
+    and the attacks decode with that object.  The reader's schemes are
+    cached per header, so a second read of the same header builds none.
     """
     rng = np.random.default_rng(18)
     key = fresh_key(rng)
@@ -244,14 +245,36 @@ def test_ciphertext_carries_its_scheme_and_nothing_rebuilds_it(monkeypatch):
     monkeypatch.setattr(EncodingScheme, "__post_init__", counted)
     ct = sym_encrypt(key, msg, scheme, rng.bytes(16))
     assert ct.scheme is scheme
-    parsed = read_sym_ciphertext(write_sym_ciphertext(ct))
+    blob = write_sym_ciphertext(ct)
+    parsed = read_sym_ciphertext(blob)
     assert sym_decrypt(key, parsed) == msg
-    assert len(built) == 1 and built[0] is parsed.scheme
+    assert parsed.scheme == scheme
+    assert len(built) <= 1 and all(b is parsed.scheme for b in built)
     built.clear()
+    assert read_sym_ciphertext(blob).scheme is parsed.scheme
+    assert built == []
     attack_naive(ct, factors, truth=msg)
     attack_regularized(ct, factors, Tsvd(8), truth=msg)
     attack_regularized(ct, factors, Tikhonov(1e-4), truth=msg)
     assert built == []
+
+
+def test_ciphertext_keeps_its_own_bytes_of_a_mutable_nonce():
+    rng = np.random.default_rng(19)
+    key = fresh_key(rng)
+    scheme = EncodingScheme.map2(32, 256)
+    msg = Message.random(32, rng)
+    body = sym_encrypt(key, msg, scheme, bytes(16)).body
+    buffer = bytearray(16)
+    ct = SymCiphertext(scheme=scheme, nonce=buffer, body=body)
+    buffer[0] = 1
+    assert type(ct.nonce) is bytes and ct.nonce == bytes(16)
+    assert sym_decrypt(key, ct) == msg
+    encrypted = sym_encrypt(key, msg, scheme, buffer)
+    assert type(encrypted.nonce) is bytes and encrypted.nonce == bytes(buffer)
+    with pytest.raises(TypeError, match="^nonce must be bytes, got str$"):
+        sym_encrypt(key, msg, scheme, "n" * 16)
+
 
 def test_exact_inverse_paths_never_compute_the_singular_system():
     """Attack and experiment paths that need only n never call hso_svd.
@@ -301,6 +324,10 @@ def test_ciphertext_header_validation():
         SymCiphertext(scheme=EncodingScheme.map2(8, 32), nonce=b"\x00" * 16, body=body)
     with pytest.raises(ValueError, match="nonce"):
         SymCiphertext(scheme=EncodingScheme.map2(8, 64), nonce=b"\x00" * 4, body=body)
+    with pytest.raises(TypeError, match="^nonce must be bytes, got str$"):
+        SymCiphertext(scheme=EncodingScheme.map2(8, 64), nonce="n" * 16, body=body)
+    with pytest.raises(TypeError, match="^nonce must be bytes, got list$"):
+        SymCiphertext(scheme=EncodingScheme.map2(8, 64), nonce=[0] * 16, body=body)
     # The header's (id, t, n) is checked where the scheme is built from it.
     with pytest.raises(ValueError, match="t \\| n"):
         EncodingScheme.from_encoding_id(0x03, 7, 64)
