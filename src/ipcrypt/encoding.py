@@ -87,6 +87,8 @@ class Message:
     def from_int(cls, value: int, t: int) -> "Message":
         if t < 1:
             raise ValueError(f"bit length must be positive, got {t}")
+        if type(value) is not int and not isinstance(value, numbers.Integral):
+            raise TypeError(f"message value must be an integer, got {value!r}")
         if not 0 <= value < (1 << t):
             raise ValueError(f"value {value} does not fit in {t} bits")
         return cls._of_bits(tuple(format(value, f"0{t}b").encode().translate(_BINARY_DIGITS)))
@@ -167,16 +169,18 @@ class EncodingScheme:
         return MAP1_FOURIER_ID if self.basis == "fourier" else MAP1_HAAR_ID
 
     @classmethod
-    @lru_cache(maxsize=3, typed=True)
+    @lru_cache(maxsize=8, typed=True)
     def from_encoding_id(cls, encoding_id: int, t: int, n: int) -> "EncodingScheme":
         """The scheme an IPC1 header names, cached per (id, t, n) and argument types.
 
         A scheme is frozen, so every reader of one header shares one.  A
         miss validates as the constructors do, and a refusal is not
         cached; the cache is typed, so a float t or n never meets the
-        entry of its integer and is refused.  Three entries hold the
-        three schemes a mixed stream alternates (BENCH_sym_fixed_cost.json,
-        row `from_encoding_id`).
+        entry of its integer and is refused.  Eight entries bound what
+        headers from outside can pin; the sym-n256 workload alternates
+        three schemes, and every size from three up keeps all its hits
+        (BENCH_sym_fixed_cost.json, row `from_encoding_id`).  A stream
+        that cycles through more than eight schemes gets no hits.
         """
         if encoding_id == MAP1_FOURIER_ID:
             return cls.map1(t, n, basis="fourier")

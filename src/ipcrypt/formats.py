@@ -33,15 +33,16 @@ t or body count before it reads the body, which it takes as one float64
 view of the bytes past the header.  The scheme comes from the cached
 `EncodingScheme.from_encoding_id`, which validates each header it has
 not seen; the body goes through the checked GridFunction constructor,
-whose finiteness check is one dot product; and with every part checked,
-the reader assembles the ciphertext unchecked (`SymCiphertext._of_parts`).
+whose finiteness check is one dot product; and the SymCiphertext
+constructor checks the body against the scheme and keeps the nonce.
 KEM keys and ciphertexts carry their parameter set: the writers label
 it with its registered id (and refuse a set that has none), and the
-readers check the arrays against the set the id names.  The secret key reader passes its bytes to the checked
-constructor, which keeps an int64 copy.  The public key and ciphertext
-readers check the range on the file's u16 words, with one max, and wrap
-a single int64 widening of them with no second pass; a word out of range
-goes to the checked constructor, which refuses it with its own text.
+readers check the arrays against the set the id names.  The secret key
+reader passes its bytes to the checked constructor, which keeps an
+int64 copy.  The public key and ciphertext readers check the range on
+the file's u16 words, with one max, and wrap a single int64 widening of
+them with no second pass; a word out of range goes to the checked
+constructor, which refuses it with its own text.
 """
 
 from __future__ import annotations
@@ -210,7 +211,7 @@ def read_sym_ciphertext(data: bytes) -> SymCiphertext:
         raise ValueError(f"body grid size {count} != header n = {n}")
     body = GridFunction(_SYM.array(data, _SYM.size, _F64, n, "body samples"))
     _SYM.done(data, _SYM.size + _F64.itemsize * n)
-    return SymCiphertext._of_parts(scheme, nonce, body)
+    return SymCiphertext(scheme=scheme, nonce=nonce, body=body)
 
 
 def _param_id(params: KemParams) -> int:

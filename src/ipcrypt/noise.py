@@ -124,16 +124,20 @@ class ErrorKey:
 
 
 def _fixed_bytes(value, size: int, what: str) -> bytes:
-    """value as bytes of length size: a bytes object as it is, any other buffer copied.
+    """value as bytes of length size: a bytes object as it is, any other byte buffer copied.
 
     A copy keeps a frozen object's field from changing with a mutable
-    buffer it was given; what is not a buffer is refused.
+    buffer it was given.  What is not a flat buffer of single bytes (a
+    str, a list, a float64 array) is refused, so that size counts items.
     """
     if type(value) is not bytes:
         try:
-            value = bytes(memoryview(value))
+            view = memoryview(value)
         except TypeError:
-            raise TypeError(f"{what} must be bytes, got {type(value).__name__}") from None
+            view = None
+        if view is None or view.itemsize != 1 or view.ndim != 1:
+            raise TypeError(f"{what} must be bytes, got {type(value).__name__}")
+        value = view.tobytes()
     if len(value) != size:
         raise ValueError(f"{what} must be {size} bytes, got {len(value)}")
     return value

@@ -12,9 +12,7 @@ samples arrive from outside (the file reader) and wrapped as it is by
 sym_encrypt, whose fresh body is finite by construction (see
 `noise.ErrorParams`).  A ciphertext carries the EncodingScheme it was
 made with, so decryption and the attacks decode with that object and
-never rebuild it.  The public SymCiphertext constructor checks its
-parts; sym_encrypt and the file reader, whose parts are checked or
-built to fit, assemble the ciphertext with `SymCiphertext._of_parts`.
+never rebuild it.
 
 Nonces exist so one key can encrypt many messages: reusing a nonce
 reuses the error, and the difference of two such ciphertexts leaks the
@@ -76,20 +74,6 @@ class SymCiphertext:
             raise ValueError(f"body grid size {self.body.n} != header n = {self.scheme.n}")
         object.__setattr__(self, "nonce", _fixed_bytes(self.nonce, NONCE_BYTES, "nonce"))
 
-    @classmethod
-    def _of_parts(cls, scheme: EncodingScheme, nonce: bytes, body: GridFunction) -> "SymCiphertext":
-        """SymCiphertext of a body of scheme.n samples and a 16-byte bytes nonce, with no check.
-
-        sym_encrypt builds its body on scheme.n and checks its nonce as
-        the constructor does; read_sym_ciphertext checks the body count
-        against the header's n and reads a 16-byte nonce field.
-        """
-        ct = object.__new__(cls)
-        object.__setattr__(ct, "scheme", scheme)
-        object.__setattr__(ct, "nonce", nonce)
-        object.__setattr__(ct, "body", body)
-        return ct
-
 
 def sym_encrypt(
     key: ErrorKey, msg: Message, scheme: EncodingScheme, nonce: bytes
@@ -104,7 +88,7 @@ def sym_encrypt(
     smoothed = hso.apply_operator(hso.build_hso(scheme.n), encode(msg, scheme))
     nonce = _fixed_bytes(nonce, NONCE_BYTES, "nonce")
     smoothed += derive_error(key, nonce)
-    return SymCiphertext._of_parts(scheme, nonce, GridFunction._of_samples(smoothed))
+    return SymCiphertext(scheme=scheme, nonce=nonce, body=GridFunction._of_samples(smoothed))
 
 
 def sym_decrypt(key: ErrorKey, ct: SymCiphertext) -> Message:

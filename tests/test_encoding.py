@@ -1,6 +1,7 @@
 """Bit-string embeddings: basis properties, capacities, roundtrips."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -60,6 +61,17 @@ def test_message_validation():
         Message.from_int(-1, 3)
     with pytest.raises(ValueError):
         Message.from_int(0, 0)
+
+
+@pytest.mark.parametrize("value", [3.0, np.float64(3.0), "3"])
+def test_message_from_int_refuses_a_value_that_is_not_an_integer(value):
+    with pytest.raises(TypeError, match=f"^message value must be an integer, got {re.escape(repr(value))}$"):
+        Message.from_int(value, 8)
+
+
+def test_message_from_int_takes_numpy_integers_and_bools():
+    assert Message.from_int(np.int64(6), 3) == Message.from_int(np.uint8(6), 3) == Message((1, 1, 0))
+    assert Message.from_int(True, 2) == Message((0, 1))
 
 
 @pytest.mark.parametrize("bit", [0.0, True, np.int64(1), np.float64(1.0), np.bool_(False)])

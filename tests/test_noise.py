@@ -170,8 +170,12 @@ def test_key_validates_seed_length():
         ErrorKey(seed=b"\x00" * 16, params=cb_params())
 
 
-@pytest.mark.parametrize("seed", ["k" * 32, [0] * 32, None, 32])
+@pytest.mark.parametrize(
+    "seed",
+    ["k" * 32, [0] * 32, None, 32, np.zeros(4), np.zeros(16, np.uint16), np.zeros((4, 8), np.uint8)],
+)
 def test_key_refuses_a_seed_that_is_not_bytes(seed):
+    """Only a flat buffer of single bytes is a seed: 4 float64s are 32 bytes but not 32 items."""
     with pytest.raises(TypeError, match=f"^key seed must be bytes, got {type(seed).__name__}$"):
         ErrorKey(seed=seed, params=cb_params())
 

@@ -328,6 +328,9 @@ def test_ciphertext_header_validation():
         SymCiphertext(scheme=EncodingScheme.map2(8, 64), nonce="n" * 16, body=body)
     with pytest.raises(TypeError, match="^nonce must be bytes, got list$"):
         SymCiphertext(scheme=EncodingScheme.map2(8, 64), nonce=[0] * 16, body=body)
+    for nonce in (np.zeros(2), np.zeros(8, np.uint16)):
+        with pytest.raises(TypeError, match="^nonce must be bytes, got ndarray$"):
+            SymCiphertext(scheme=EncodingScheme.map2(8, 64), nonce=nonce, body=body)
     # The header's (id, t, n) is checked where the scheme is built from it.
     with pytest.raises(ValueError, match="t \\| n"):
         EncodingScheme.from_encoding_id(0x03, 7, 64)

@@ -3,11 +3,10 @@
 The `_of_*` classmethods wrap a value with no copy and no check.  They
 are allowed only at the call sites in ALLOWED: producers whose output is
 valid by construction (keygen, encapsulation, encryption, the message
-constructors and decoders), the IPQ1 readers, which check the range of
-the file's words themselves first, and the IPC1 reader, which checks the
-body count and the body before it assembles the ciphertext.  Every other
-path, outside bytes above all, goes through the checked constructors.  A
-new call site must be added to ALLOWED, where a reviewer sees it.
+constructors and decoders) and the IPQ1 readers, which check the range
+of the file's words themselves first.  Every other path, outside bytes
+above all, goes through the checked constructors.  A new call site must
+be added to ALLOWED, where a reviewer sees it.
 """
 
 import ast
@@ -27,8 +26,6 @@ ALLOWED = {
     ("kem", "kem_keygen", "KemSecretKey._of_matrix"),
     ("kem", "kem_encaps", "KemCiphertext._of_uv"),
     ("symmetric", "sym_encrypt", "GridFunction._of_samples"),
-    ("symmetric", "sym_encrypt", "SymCiphertext._of_parts"),
-    ("formats", "read_sym_ciphertext", "SymCiphertext._of_parts"),
     ("formats", "read_kem_public_key", "KemPublicKey._of_matrix"),
     ("formats", "read_kem_ciphertext", "KemCiphertext._of_uv"),
 }
@@ -36,7 +33,6 @@ ALLOWED = {
 UNCHECKED = {
     "Message._of_bits",
     "GridFunction._of_samples",
-    "SymCiphertext._of_parts",
     "KemPublicKey._of_matrix",
     "KemSecretKey._of_matrix",
     "KemCiphertext._of_uv",
