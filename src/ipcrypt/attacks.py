@@ -2,7 +2,9 @@
 
 Every inversion attack is a spectral filter on the exact singular system,
 applied to the float64 samples of the ciphertext body:
-it keeps sum_k phi(s_k) <C, u_k> u_k and decodes.  The naive attack uses
+it keeps sum_k phi(s_k) <C, u_k> u_k and decodes.  `attack` is the entry
+point, and each method applies its filter on the grid of the body it is
+given, so the ciphertext picks the operator.  The naive method uses
 phi = 1/s, the exact inverse, which it applies in O(n) through the
 tridiagonal A^-1 without the singular vectors; the keyed error, amplified
 by 1/s_k across the spectrum, swamps most of the message.  It does not
@@ -23,7 +25,8 @@ difference of two ciphertexts cancels the error exactly, and a
 known-plaintext experiment checking that recovered error terms from
 chosen queries say nothing about fresh errors.  Inversions, encodings
 and differences are plain arrays; only a ciphertext carries its body as
-a GridFunction.
+a GridFunction.  attack_naive, attack_regularized and tikhonov_apply
+serve only the benchmark in perfbench/.
 """
 
 from __future__ import annotations
@@ -31,9 +34,8 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -44,11 +46,13 @@ from .noise import ErrorKey
 from .symmetric import SymCiphertext, sym_encrypt
 
 __all__ = [
+    "Naive",
     "Tikhonov",
     "Tsvd",
     "AttackReport",
     "KnownPlaintextReport",
     "bit_accuracy",
+    "attack",
     "tikhonov_apply",
     "attack_naive",
     "attack_regularized",
@@ -59,12 +63,24 @@ __all__ = [
 
 
 @dataclass(frozen=True)
+class Naive:
+    """Filter factors 1/s on every mode: the exact inverse."""
+
+    label = "naive"
+
+    def invert(self, samples: np.ndarray) -> np.ndarray:
+        return hso.naive_inverse_apply(hso.build_hso(samples.size), samples)
+
+
+@dataclass(frozen=True)
 class Tikhonov:
     """Filter factors s / (s^2 + alpha)."""
 
     alpha: float
 
     def __post_init__(self) -> None:
+        if not isinstance(self.alpha, numbers.Real):
+            raise TypeError(f"alpha must be a real number, got {self.alpha!r}")
         if not (self.alpha > 0 and math.isfinite(self.alpha)):
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
 
@@ -72,13 +88,15 @@ class Tikhonov:
     def label(self) -> str:
         return f"tikhonov:{self.alpha:g}"
 
+    def invert(self, samples: np.ndarray) -> np.ndarray:
+        return hso.tikhonov_inverse_apply(hso.build_hso(samples.size), samples, self.alpha)
+
 
 @dataclass(frozen=True)
 class Tsvd:
     """Keep the k largest modes, zero the rest.
 
-    k must be an integer: the filter cache keys on equal methods, and
-    Tsvd(8.0) == Tsvd(8) must not stand for a filter that 8.0 cannot slice.
+    k must be an integer, since it slices the spectrum.
     """
 
     k: int
@@ -97,6 +115,10 @@ class Tsvd:
         if self.k > s.size:
             raise ValueError(f"cutoff {self.k} exceeds {s.size} modes")
         return 1.0 / s[: self.k]
+
+    def invert(self, samples: np.ndarray) -> np.ndarray:
+        factors = hso.hso_svd(samples.size)
+        return hso.filtered_inverse(factors, samples, self.filter(factors.singular_values))
 
 
 @dataclass(frozen=True)
@@ -138,55 +160,41 @@ def bit_accuracy(a: Message, b: Message) -> float:
     return agree / a.t
 
 
-@lru_cache(maxsize=5)
-def _filter_factors(method: Tsvd, factors: hso.SVDFactors) -> np.ndarray:
-    """Read-only TSVD filter factors on the factors' singular values.
-
-    Cached per (method, factors) pair, since an attack campaign applies one
-    filter to every ciphertext; an entry keeps its factors alive, so the
-    cache is bounded (BENCH_caches.json, row `_filter_factors`).  A cutoff
-    that exceeds the modes raises on every call: an exception is not cached.
-    """
-    phi = method.filter(factors.singular_values)
-    phi.flags.writeable = False
-    return phi
-
-
 def tikhonov_apply(
     factors: hso.SVDFactors | hso.DiscretizedOperator, v: np.ndarray, alpha: float
 ) -> np.ndarray:
     """Filtered inversion sum_k s_k/(s_k^2 + alpha) <v, u_k> u_k of the samples v.
 
     The O(n) solve reads only the grid size factors.n, so the operator
-    serves as well as its singular system.
+    serves as well as its singular system.  Kept only while perfbench/ and
+    the tests call it; ROADMAP item 1 deletes it.
     """
     return hso.tikhonov_inverse_apply(hso.build_hso(factors.n), v, alpha)
 
 
-def _attack(
-    ct: SymCiphertext,
-    label: str,
-    invert: Callable[[np.ndarray], np.ndarray],
-    truth: Message | None,
-) -> AttackReport:
-    """Invert the ciphertext body, decode it, and score against truth.
-
-    invert is hso.naive_inverse_apply, hso.filtered_inverse or
-    hso.tikhonov_inverse_apply; each rejects a body on another grid than
-    the operator or the factors before any other work.
-    """
-    scheme = ct.scheme
-    inverted = invert(ct.body.values)
-    recovered = decode(inverted, scheme)
+def _score(ct: SymCiphertext, method, truth: Message | None) -> AttackReport:
+    """Invert the body by the method's filter, decode it, and score against truth."""
+    if not isinstance(method, (Naive, Tsvd, Tikhonov)):
+        raise ValueError(f"unknown regularization method {method!r}")
+    inverted = method.invert(ct.body.values)
+    recovered = decode(inverted, ct.scheme)
     reference = truth if truth is not None else recovered
-    residual = norm(inverted - encode(reference, scheme))
+    residual = norm(inverted - encode(reference, ct.scheme))
     accuracy = bit_accuracy(recovered, truth) if truth is not None else None
-    return AttackReport(
-        method=label,
-        recovered=recovered,
-        bit_accuracy=accuracy,
-        residual_norm=residual,
-    )
+    return AttackReport(method.label, recovered, accuracy, residual)
+
+
+def attack(
+    ct: SymCiphertext, methods: Sequence[Naive | Tsvd | Tikhonov], truth: Message | None = None
+) -> tuple[AttackReport, ...]:
+    """One report per method, in order, each inverting ct on the grid of its body."""
+    return tuple(_score(ct, method, truth) for method in methods)
+
+
+def _on_grid(ct: SymCiphertext, factors: hso.SVDFactors | hso.DiscretizedOperator):
+    if factors.n != ct.scheme.n:
+        raise ValueError(f"grid size mismatch: {(ct.scheme.n,)} vs {(factors.n,)}")
+    return ct
 
 
 def attack_naive(
@@ -194,14 +202,11 @@ def attack_naive(
     factors: hso.SVDFactors | hso.DiscretizedOperator,
     truth: Message | None = None,
 ) -> AttackReport:
-    """Invert the raw ciphertext as if there were no error term.
+    """attack(ct, (Naive(),), truth)[0] if factors.n is the ciphertext's grid size.
 
-    The exact inverse reads only the grid size factors.n, through the
-    cached operator, so the operator itself serves as well as its
-    singular system; a body on another grid is rejected.
+    Kept only while perfbench/ and tests/test_bench_names.py call it; ROADMAP item 1 deletes it.
     """
-    op = hso.build_hso(factors.n)
-    return _attack(ct, "naive", lambda v: hso.naive_inverse_apply(op, v), truth)
+    return _score(_on_grid(ct, factors), Naive(), truth)
 
 
 def attack_regularized(
@@ -210,22 +215,11 @@ def attack_regularized(
     method: Tikhonov | Tsvd,
     truth: Message | None = None,
 ) -> AttackReport:
-    """Invert with the method's stabilizing filter instead of the exact inverse.
+    """attack(ct, (method,), truth)[0] if factors.n is the ciphertext's grid size.
 
-    Tikhonov reads only the grid size factors.n, through the cached
-    operator, so the operator serves as well as its singular system;
-    truncated SVD needs the singular system.
+    Kept only while perfbench/ and tests/test_bench_names.py call it; ROADMAP item 1 deletes it.
     """
-    if isinstance(method, Tikhonov):
-        op, alpha = hso.build_hso(factors.n), method.alpha
-        return _attack(ct, method.label, lambda v: hso.tikhonov_inverse_apply(op, v, alpha), truth)
-    if not isinstance(method, Tsvd):
-        raise ValueError(f"unknown regularization method {method!r}")
-    if not isinstance(factors, hso.SVDFactors):
-        got = type(factors).__name__
-        raise TypeError(f"{method.label} needs the singular system (hso.hso_svd), got {got}")
-    phi = _filter_factors(method, factors)
-    return _attack(ct, method.label, lambda v: hso.filtered_inverse(factors, v, phi), truth)
+    return _score(_on_grid(ct, factors), method, truth)
 
 
 def error_reuse_diff(ct1: SymCiphertext, ct2: SymCiphertext) -> np.ndarray:

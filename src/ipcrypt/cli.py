@@ -236,7 +236,7 @@ def _cmd_decrypt_sym(args) -> str:
 
 def _parse_method(text: str):
     if text == "naive":
-        return None
+        return attacks.Naive()
     kind, _, value = text.partition(":")
     method = {"tsvd": (attacks.Tsvd, int), "tikhonov": (attacks.Tikhonov, float)}.get(kind)
     if method is not None:
@@ -254,25 +254,19 @@ def _parse_method(text: str):
 def _cmd_attack(args) -> str:
     """Every --method on each trial's ciphertext; one report block per method.
 
-    Rows are trial-major, so method i's rows are rows[i::len(methods)].
+    The ciphertext's grid picks each method's operator.  Rows are
+    trial-major, so method i's rows are rows[i::len(methods)].
     """
     methods = [_parse_method(text) for text in args.method]
     params = ErrorParams(n=args.n, scale=args.scale, distribution=CENTERED_BINOMIAL, eta=args.eta)
     scheme = _scheme_from_args(args.encoding, args.t, args.n)
-    # The exact and Tikhonov inverses read only n; TSVD needs the singular values.
-    tsvd = any(isinstance(method, attacks.Tsvd) for method in methods)
-    factors = hso.hso_svd(args.n) if tsvd else hso.build_hso(args.n)
     rows = []
     for trial in range(args.trials):
         rng = _trial_rng(args.seed, "attack", trial)
         key = symmetric.sym_keygen(params, rng)
         msg = Message.random(args.t, rng)
         ct = symmetric.sym_encrypt(key, msg, scheme, rng.bytes(16))
-        for method in methods:
-            if method is None:
-                report = attacks.attack_naive(ct, factors, truth=msg)
-            else:
-                report = attacks.attack_regularized(ct, factors, method, truth=msg)
+        for report in attacks.attack(ct, methods, truth=msg):
             rows.append((trial, report.method, report.bit_accuracy, report.residual_norm))
     if args.out:
         comment = (

@@ -31,6 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from .grid import midpoints
+from .kem import _integer
 
 __all__ = [
     "Message",
@@ -123,20 +124,16 @@ class EncodingScheme:
     def __post_init__(self) -> None:
         if self.kind not in ("map1", "map2"):
             raise ValueError(f"unknown encoding kind {self.kind!r}")
-        # A float t or n would pass every check below and fail only when a
-        # writer packs it, and the cached from_encoding_id must not meet one.
-        if not isinstance(self.t, numbers.Integral):
-            raise TypeError(f"message length must be an integer, got {self.t!r}")
+        # t and n are kept as plain ints, as a header's fields are.  A float
+        # would pass every check below and fail only when a writer packs it,
+        # the cached from_encoding_id must not meet one, and a numpy integer
+        # has no bit_length for the capacity check.
+        object.__setattr__(self, "t", _integer(self.t, "message length"))
         if self.t < 1:
             raise ValueError(f"message length must be positive, got {self.t}")
-        if not isinstance(self.n, numbers.Integral):
-            raise TypeError(f"grid size must be an integer, got {self.n!r}")
+        object.__setattr__(self, "n", _integer(self.n, "grid size"))
         if self.n < 1:
             raise ValueError(f"grid size must be positive, got {self.n}")
-        # Kept as plain ints, as a header's fields are (a numpy integer has
-        # no bit_length for the capacity check).
-        object.__setattr__(self, "t", int(self.t))
-        object.__setattr__(self, "n", int(self.n))
         if self.kind == "map1":
             if self.basis not in ("fourier", "haar"):
                 raise ValueError(f"map1 basis must be fourier or haar, got {self.basis!r}")

@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 import operator
 import os
 from dataclasses import dataclass, field
@@ -122,6 +123,33 @@ def _reduce(x: np.ndarray, q: int) -> np.ndarray:
     return x
 
 
+def _fixed_bytes(value, size: int, what: str) -> bytes:
+    """value as bytes of length size: a bytes object as it is, any other byte buffer copied.
+
+    A copy keeps a frozen object's field from changing with a mutable
+    buffer it was given.  What is not a flat buffer of single bytes (a
+    str, a list, a float64 array) is refused, so that size counts items.
+    """
+    if type(value) is not bytes:
+        try:
+            view = memoryview(value)
+        except TypeError:
+            view = None
+        if view is None or view.itemsize != 1 or view.ndim != 1:
+            raise TypeError(f"{what} must be bytes, got {type(value).__name__}")
+        value = view.tobytes()
+    if len(value) != size:
+        raise ValueError(f"{what} must be {size} bytes, got {len(value)}")
+    return value
+
+
+def _integer(value, what: str) -> int:
+    """value as a plain int; what is not an integer (a float, a str) is refused."""
+    if not isinstance(value, numbers.Integral):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class KemParams:
     """Modulus q, LWE dimension, shared-secret bits and the binomial eta.
@@ -136,6 +164,8 @@ class KemParams:
     eta: int = 2
 
     def __post_init__(self) -> None:
+        for name in ("q", "dim", "secret_bits", "eta"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.q < 2 or self.dim < 1 or self.secret_bits < 1 or self.eta < 1:
             raise ValueError("KEM parameters must be positive")
         if self.secret_bits % 8 != 0:
@@ -162,8 +192,7 @@ class KemPublicKey:
     b_pub: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.seed_a) != 32:
-            raise ValueError(f"matrix seed must be 32 bytes, got {len(self.seed_a)}")
+        object.__setattr__(self, "seed_a", _fixed_bytes(self.seed_a, 32, "matrix seed"))
         b = np.asarray(self.b_pub)
         shape = (self.params.dim, self.params.secret_bits)
         if b.shape != shape:

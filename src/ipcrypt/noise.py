@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .kem import _cbd_bytes, _cbd_table, cbd, xof_expand
+from .kem import _cbd_bytes, _cbd_table, _fixed_bytes, _integer, cbd, xof_expand
 
 __all__ = [
     "DISCRETE_GAUSSIAN",
@@ -78,6 +78,8 @@ class ErrorParams:
     sigma: float = 1.0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", _integer(self.n, "grid size"))
+        object.__setattr__(self, "eta", _integer(self.eta, "eta"))
         if self.n < 1:
             raise ValueError(f"grid size must be positive, got {self.n}")
         if not (self.scale > 0 and math.isfinite(self.scale)):
@@ -121,26 +123,6 @@ class ErrorKey:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "seed", _fixed_bytes(self.seed, 32, "key seed"))
-
-
-def _fixed_bytes(value, size: int, what: str) -> bytes:
-    """value as bytes of length size: a bytes object as it is, any other byte buffer copied.
-
-    A copy keeps a frozen object's field from changing with a mutable
-    buffer it was given.  What is not a flat buffer of single bytes (a
-    str, a list, a float64 array) is refused, so that size counts items.
-    """
-    if type(value) is not bytes:
-        try:
-            view = memoryview(value)
-        except TypeError:
-            view = None
-        if view is None or view.itemsize != 1 or view.ndim != 1:
-            raise TypeError(f"{what} must be bytes, got {type(value).__name__}")
-        value = view.tobytes()
-    if len(value) != size:
-        raise ValueError(f"{what} must be {size} bytes, got {len(value)}")
-    return value
 
 
 @lru_cache(maxsize=1)
@@ -214,8 +196,7 @@ def derive_error(key: ErrorKey, nonce: bytes) -> np.ndarray:
     (w >> 11) * 2^-53 up in the cached cdf: the draw is the first support
     point whose cdf entry exceeds it.
     """
-    if len(nonce) != NONCE_BYTES:
-        raise ValueError(f"nonce must be {NONCE_BYTES} bytes, got {len(nonce)}")
+    nonce = _fixed_bytes(nonce, NONCE_BYTES, "nonce")
     p = key.params
     if p.distribution == CENTERED_BINOMIAL:
         coins = xof_expand(key.seed + nonce, _cbd_bytes(p.n, p.eta))

@@ -27,8 +27,8 @@ from functools import lru_cache
 from . import hso
 from .encoding import EncodingScheme, Message, decode, encode
 from .grid import GridFunction
+from .kem import _fixed_bytes
 from .noise import NONCE_BYTES, CENTERED_BINOMIAL, ErrorKey, ErrorParams, derive_error
-from .noise import _fixed_bytes
 from .noise import keygen as sym_keygen
 
 __all__ = [
@@ -86,7 +86,6 @@ def sym_encrypt(
     if scheme.n != key.params.n:
         raise ValueError(f"scheme grid {scheme.n} != key grid {key.params.n}")
     smoothed = hso.apply_operator(hso.build_hso(scheme.n), encode(msg, scheme))
-    nonce = _fixed_bytes(nonce, NONCE_BYTES, "nonce")
     smoothed += derive_error(key, nonce)
     return SymCiphertext(scheme=scheme, nonce=nonce, body=GridFunction._of_samples(smoothed))
 

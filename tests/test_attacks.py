@@ -7,10 +7,11 @@ from ipcrypt import hso
 from ipcrypt.attacks import (
     AttackReport,
     KnownPlaintextReport,
+    Naive,
     Tikhonov,
     Tsvd,
+    attack,
     attack_naive,
-    _filter_factors,
     attack_regularized,
     bit_accuracy,
     decode_difference,
@@ -24,7 +25,6 @@ from ipcrypt.hso import apply_operator, build_hso, filtered_inverse, hso_svd, na
 from ipcrypt.symmetric import SymCiphertext, recommended_error_params, sym_encrypt, sym_keygen
 
 SCHEME = EncodingScheme.map2(8, 256)
-SCHEME_64 = EncodingScheme.map2(8, 64)
 
 
 def fresh_key(rng, scale=0.5):
@@ -64,6 +64,8 @@ def test_method_validation():
     with pytest.raises(TypeError, match="^cutoff must be an integer, got 8.0$"):
         Tsvd(k=8.0)
     assert Tsvd(k=np.int64(8)) == Tsvd(k=8)
+    with pytest.raises(TypeError, match="^alpha must be a real number, got '1e-4'$"):
+        Tikhonov(alpha="1e-4")
 
 
 # ---------------------------------------------------------------- tikhonov filter
@@ -90,23 +92,6 @@ def test_tikhonov_matches_filter_formula(method):
     k = phi.size
     expected = u[:, :k] @ (phi * (u[:, :k].T @ v))
     np.testing.assert_allclose(got, expected, atol=1e-12)
-
-
-def test_filter_factors_are_cached_read_only_and_never_returned():
-    factors = hso_svd(64)
-    v = np.random.default_rng(4).standard_normal(64)
-    method = Tsvd(k=8)
-    phi = _filter_factors(method, factors)
-    assert _filter_factors(method, factors) is phi
-    assert not phi.flags.writeable
-    assert np.array_equal(phi, method.filter(factors.singular_values))
-    out = filtered_inverse(factors, v, phi)
-    assert out.flags.writeable
-    assert not np.shares_memory(out, phi)
-    ct = SymCiphertext(scheme=SCHEME_64, nonce=bytes(16), body=GridFunction(v))
-    for _ in range(2):  # a rejection is not cached
-        with pytest.raises(ValueError, match="^cutoff 65 exceeds 64 modes$"):
-            attack_regularized(ct, factors, Tsvd(k=65))
 
 
 def test_tikhonov_tiny_alpha_approaches_exact_inverse():
@@ -206,6 +191,42 @@ def test_regularized_labels_and_validation():
         attack_regularized(ct, hso_svd(128), Tsvd(k=8))
 
 
+@pytest.mark.parametrize(
+    "scheme", [EncodingScheme.map2(32, 256), EncodingScheme.map1(8, 256, basis="haar")],
+    ids=["map2", "map1-haar"],
+)
+def test_attack_equals_the_single_method_calls(scheme):
+    rng = np.random.default_rng(13)
+    key = fresh_key(rng)
+    factors = hso_svd(256)
+    for scored in (False, True):
+        msg = Message.random(scheme.t, rng)
+        truth = msg if scored else None
+        ct = sym_encrypt(key, msg, scheme, rng.bytes(16))
+        reports = attack(ct, (Naive(), Tsvd(8), Tikhonov(1e-4)), truth=truth)
+        assert reports == (
+            attack_naive(ct, factors, truth=truth),
+            attack_regularized(ct, factors, Tsvd(8), truth=truth),
+            attack_regularized(ct, factors, Tikhonov(1e-4), truth=truth),
+        )
+        assert [r.method for r in reports] == ["naive", "tsvd:8", "tikhonov:0.0001"]
+    assert attack(ct, ()) == ()
+
+
+def test_attack_method_edges():
+    n = 256
+    rng = np.random.default_rng(14)
+    ct = sym_encrypt(fresh_key(rng), Message.random(8, rng), SCHEME, rng.bytes(16))
+    # Every mode kept is the exact inverse, up to rounding.
+    full, naive = attack(ct, (Tsvd(n), Naive()))
+    assert full.recovered == naive.recovered
+    assert np.isclose(full.residual_norm, naive.residual_norm, rtol=1e-6)
+    with pytest.raises(ValueError, match=f"^cutoff {n + 1} exceeds {n} modes$"):
+        attack(ct, (Naive(), Tsvd(n + 1)))
+    with pytest.raises(ValueError, match="^unknown regularization method None$"):
+        attack(ct, (None,))
+
+
 def test_regularized_attacks_never_build_the_basis(monkeypatch):
     """TSVD(8) builds its 8 leading columns and Tikhonov no column at all.
 
@@ -213,7 +234,8 @@ def test_regularized_attacks_never_build_the_basis(monkeypatch):
     test_naive_attack_never_computes_the_singular_system in test_cli.py.
     """
     n = 2048
-    factors = hso_svd.__wrapped__(n)
+    hso_svd.cache_clear()
+    factors = hso_svd(n)  # the singular system TSVD reads through the cache
     built = []
     kms_basis = hso._kms_basis
 
@@ -233,7 +255,7 @@ def test_regularized_attacks_never_build_the_basis(monkeypatch):
 
 
 def test_tikhonov_reads_only_the_grid_size():
-    """The operator serves Tikhonov as well as the factors; TSVD refuses it."""
+    """The operator serves Tikhonov, and TSVD too, as well as the factors."""
     rng = np.random.default_rng(12)
     key = fresh_key(rng)
     msg = Message.random(8, rng)
@@ -244,9 +266,8 @@ def test_tikhonov_reads_only_the_grid_size():
         tikhonov_apply(build_hso(256), ct.body.values, 1e-4),
         tikhonov_apply(hso_svd(256), ct.body.values, 1e-4),
     )
-    refusal = r"^tsvd:8 needs the singular system \(hso.hso_svd\), got DiscretizedOperator$"
-    with pytest.raises(TypeError, match=refusal):
-        attack_regularized(ct, build_hso(256), Tsvd(8))
+    by_factors = attack_regularized(ct, hso_svd(256), Tsvd(8), truth=msg)
+    assert attack_regularized(ct, build_hso(256), Tsvd(8), truth=msg) == by_factors
 
 
 def test_truncated_inversion_beats_naive_at_small_noise():

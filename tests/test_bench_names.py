@@ -54,6 +54,8 @@ def test_object_fields_the_workloads_read():
     factors = hso.hso_svd(n)
     reports = [attacks.attack_naive(ct, factors, truth=msg)]
     reports += [attacks.attack_regularized(ct, factors, m, truth=msg) for m in methods]
+    # attack-n256 times the path that `ipcrypt attack` runs.
+    assert tuple(reports) == attacks.attack(ct, (attacks.Naive(), *methods), truth=msg)
     for report in reports:
         assert len(report.recovered.bits) == t
         assert 0.0 <= report.bit_accuracy <= 1.0

@@ -6,6 +6,7 @@ import inspect
 import itertools
 import math
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -655,6 +656,16 @@ def test_params_validation_and_half_q():
             KemParams(q=q, dim=dim, eta=eta)
 
 
+@pytest.mark.parametrize("field", ["q", "dim", "secret_bits", "eta"])
+def test_params_refuse_a_count_that_is_not_an_integer(field):
+    """A float modulus once gave failure_log2 ~ -3.7e-15, a failure probability of 1."""
+    value = float(getattr(DESK_PARAMS, field))
+    with pytest.raises(TypeError, match=f"^{field} must be an integer, got {value!r}$"):
+        replace(DESK_PARAMS, **{field: value})
+    params = replace(DESK_PARAMS, **{field: np.int64(getattr(DESK_PARAMS, field))})
+    assert type(getattr(params, field)) is int and params == DESK_PARAMS
+
+
 # Texts generated by the parent implementation, which tested min() and
 # max() separately; "both" puts an entry >= q before a negative one.
 PUBLIC_KEY_RANGE_TEXT = "public matrix entries must lie in [0, q)"
@@ -802,12 +813,24 @@ def test_public_key_validation():
         KemSecretKey(params=SMALL, s=np.full((8, 8), 2))
 
 
+def test_public_key_keeps_its_own_bytes_of_the_matrix_seed():
+    b = np.zeros((8, 8), dtype=np.int64)
+    with pytest.raises(TypeError, match="^matrix seed must be bytes, got str$"):
+        KemPublicKey(params=SMALL, seed_a="s" * 32, b_pub=b)
+    buffer = bytearray(range(32))
+    pk = KemPublicKey(params=SMALL, seed_a=buffer, b_pub=b)
+    buffer[0] ^= 0xFF
+    assert type(pk.seed_a) is bytes and pk.seed_a == bytes(range(32))
+
+
 # ---------------------------------------------------------------- exact failure probability
 
 
 def test_failure_log2_at_the_desk_set():
     assert failure_log2() == failure_log2(DESK_PARAMS)
     assert abs(failure_log2(DESK_PARAMS) + 735.1485) < 1e-3
+    # A numpy integer modulus is read as the int it holds.
+    assert failure_log2(replace(DESK_PARAMS, q=np.int64(3329))) == failure_log2(DESK_PARAMS)
     # |noise| <= 3 never reaches q/4, so no mass fails at all.
     assert failure_log2(KemParams(q=3329, dim=1, secret_bits=8, eta=1)) == -math.inf
 

@@ -232,8 +232,22 @@ def test_derive_error_matches_declared_distribution():
 def test_derive_error_rejects_bad_nonce():
     key = keygen(cb_params(), np.random.default_rng(1))
     assert NONCE_BYTES == 16
-    with pytest.raises(ValueError, match="16 bytes"):
+    with pytest.raises(ValueError, match="^nonce must be 16 bytes, got 8$"):
         derive_error(key, b"\x00" * 8)
+    with pytest.raises(TypeError, match="^nonce must be bytes, got str$"):
+        derive_error(key, "n" * 16)
+    nonce = bytes(range(16))
+    assert np.array_equal(derive_error(key, bytearray(nonce)), derive_error(key, nonce))
+
+
+@pytest.mark.parametrize("field", ["n", "eta"])
+def test_params_refuse_a_count_that_is_not_an_integer(field):
+    what = {"n": "grid size", "eta": "eta"}[field]
+    with pytest.raises(TypeError, match=f"^{what} must be an integer, got 2.0$"):
+        ErrorParams(**{"n": 256, "scale": 0.5, field: 2.0})
+    params = ErrorParams(n=np.int64(256), scale=0.5, eta=np.int64(2))
+    assert type(params.n) is int and type(params.eta) is int
+    assert params == cb_params()
 
 
 # ---------------------------------------------------------------- SHAKE-256 sampler
