@@ -1,22 +1,23 @@
 """Attacks on the noise-masked cipher, honest and otherwise.
 
-Every inversion attack is a spectral filter on the exact singular system,
-applied to the float64 samples of the ciphertext body:
-it keeps sum_k phi(s_k) <C, u_k> u_k and decodes.  `attack` is the entry
-point, and each method applies its filter on the grid of the body it is
-given, so the ciphertext picks the operator.  The naive method uses
-phi = 1/s, the exact inverse, which it applies in O(n) through the
-tridiagonal A^-1 without the singular vectors; the keyed error, amplified
-by 1/s_k across the spectrum, swamps most of the message.  It does not
-reduce decoding to coin flipping: at the recommended parameters
-(n = 256, t = 32, scale 0.5, eta = 2) the naive attack reads about 59.5%
-of the bits (the mean over 20000 trials of `ipcrypt attack`), against the
-50% of a guess.  The regularized methods only change phi, and neither
-builds the n x n basis: truncated SVD keeps 1/s on the k largest modes,
-through hso.filtered_inverse on the k leading singular vectors alone,
-in O(nk); Tikhonov uses s / (s^2 + alpha) on every mode, through
-hso.tikhonov_inverse_apply, one complex tridiagonal solve in O(n) that
-reads only n.  They trade amplification for bias and do recover
+Every inversion attack is a spectral filter on the exact singular
+system, applied to the float64 samples of the ciphertext body: it keeps
+sum_k phi(s_k) <C, u_k> u_k and decodes.  `attack` is the entry point,
+and each method applies its filter to the body's samples alone, as in
+hso.naive_inverse_apply(ct.body.values), so the ciphertext's grid picks
+the operator.  The naive method uses phi = 1/s, the exact inverse, which
+it applies in O(n) through the tridiagonal A^-1 without the singular
+vectors; the keyed error, amplified by 1/s_k across the spectrum, swamps
+most of the message.  It does not reduce decoding to coin flipping: at
+the recommended parameters (n = 256, t = 32, scale 0.5, eta = 2) the
+naive attack reads about 59.5% of the bits (the mean over 20000 trials
+of `ipcrypt attack`), against the 50% of a guess.  The regularized
+methods only change phi, and neither builds the n x n basis: truncated
+SVD keeps 1/s on the k largest modes, through hso.filtered_inverse on
+the k leading singular vectors alone, in O(nk); Tikhonov uses
+s / (s^2 + alpha) on every mode, through
+hso.tikhonov_inverse_apply(samples, alpha), one complex tridiagonal
+solve in O(n).  They trade amplification for bias and do recover
 low-frequency structure when the noise is small, which is exactly the
 scale/cutoff trade-off the experiments chart.
 
@@ -69,7 +70,7 @@ class Naive:
     label = "naive"
 
     def invert(self, samples: np.ndarray) -> np.ndarray:
-        return hso.naive_inverse_apply(hso.build_hso(samples.size), samples)
+        return hso.naive_inverse_apply(samples)
 
 
 @dataclass(frozen=True)
@@ -89,7 +90,7 @@ class Tikhonov:
         return f"tikhonov:{self.alpha:g}"
 
     def invert(self, samples: np.ndarray) -> np.ndarray:
-        return hso.tikhonov_inverse_apply(hso.build_hso(samples.size), samples, self.alpha)
+        return hso.tikhonov_inverse_apply(samples, self.alpha)
 
 
 @dataclass(frozen=True)
@@ -102,6 +103,8 @@ class Tsvd:
     k: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.k, numbers.Real):
+            raise TypeError(f"cutoff must be a real number, got {self.k!r}")
         if self.k < 1:
             raise ValueError(f"cutoff must be positive, got {self.k}")
         if not isinstance(self.k, numbers.Integral):
@@ -117,8 +120,8 @@ class Tsvd:
         return 1.0 / s[: self.k]
 
     def invert(self, samples: np.ndarray) -> np.ndarray:
-        factors = hso.hso_svd(samples.size)
-        return hso.filtered_inverse(factors, samples, self.filter(factors.singular_values))
+        s = hso.hso_svd(samples.size).singular_values
+        return hso.filtered_inverse(samples, self.filter(s))
 
 
 @dataclass(frozen=True)
@@ -165,11 +168,13 @@ def tikhonov_apply(
 ) -> np.ndarray:
     """Filtered inversion sum_k s_k/(s_k^2 + alpha) <v, u_k> u_k of the samples v.
 
-    The O(n) solve reads only the grid size factors.n, so the operator
-    serves as well as its singular system.  Kept only while perfbench/ and
-    the tests call it; ROADMAP item 1 deletes it.
+    v must lie on the grid of factors.n; the operator serves as well as
+    its singular system.  Kept only while perfbench/ and the tests call
+    it; ROADMAP item 1 deletes it.
     """
-    return hso.tikhonov_inverse_apply(hso.build_hso(factors.n), v, alpha)
+    if v.shape != (factors.n,):
+        raise ValueError(f"grid size mismatch: {v.shape} vs {(factors.n,)}")
+    return hso.tikhonov_inverse_apply(v, alpha)
 
 
 def _score(ct: SymCiphertext, method, truth: Message | None) -> AttackReport:
@@ -244,7 +249,7 @@ def decode_difference(diff: np.ndarray, scheme: EncodingScheme) -> tuple[int, ..
     """
     if scheme.kind != "map2":
         raise ValueError("per-bit difference decoding needs the subinterval scheme")
-    inverted = hso.naive_inverse_apply(hso.build_hso(scheme.n), diff)
+    inverted = hso.naive_inverse_apply(diff)
     means = map2_cell_means(inverted, scheme)
     return tuple(0 if abs(m) < 0.5 else (1 if m > 0 else -1) for m in means)
 
@@ -268,12 +273,11 @@ def known_plaintext_experiment(
         return KnownPlaintextReport(
             queries=0, all_errors_distinct=True, holdout_accuracies=()
         )
-    op = hso.build_hso(scheme.n)
     recovered_errors = []
     for msg in queries:
         nonce = rng.bytes(16)
         ct = sym_encrypt(key, msg, scheme, nonce)
-        recovered_errors.append(ct.body.values - hso.apply_operator(op, encode(msg, scheme)))
+        recovered_errors.append(ct.body.values - hso.apply_operator(encode(msg, scheme)))
 
     seen = {e.tobytes() for e in recovered_errors}
     all_distinct = len(seen) == len(recovered_errors)
@@ -283,7 +287,7 @@ def known_plaintext_experiment(
     for _ in range(holdout_trials):
         msg = Message.random(scheme.t, rng)
         ct = sym_encrypt(key, msg, scheme, rng.bytes(16))
-        guess = decode(hso.naive_inverse_apply(op, ct.body.values - predictor), scheme)
+        guess = decode(hso.naive_inverse_apply(ct.body.values - predictor), scheme)
         accuracies.append(bit_accuracy(guess, msg))
 
     return KnownPlaintextReport(

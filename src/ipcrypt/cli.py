@@ -126,9 +126,8 @@ def _amplification_run(
 ) -> hso.AmplificationReport:
     """Naive-inversion noise amplification on a smooth sine source term."""
     profile = np.sin(2.0 * np.pi * midpoints(n))
-    return hso.noise_amplification_experiment(
-        hso.build_hso(n), profile, sigma, trials, _derive_entropy(seed, label)
-    )
+    entropy = _derive_entropy(seed, label)
+    return hso.noise_amplification_experiment(profile, sigma, trials, entropy)
 
 
 def _cmd_spectrum(args) -> str:

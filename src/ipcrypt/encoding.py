@@ -343,8 +343,10 @@ def map2_cell_means(u: np.ndarray, scheme: EncodingScheme) -> np.ndarray:
     """Mean of the n samples u over each of the t map2 cells.
 
     The same pairwise sum and division that `.mean(axis=1)` makes, without
-    its wrapper.
+    its wrapper.  u must lie on the scheme's grid, as decode_map2 checks.
     """
+    if u.shape != (scheme.n,):
+        raise ValueError(f"grid size mismatch: {u.shape} vs {(scheme.n,)}")
     return _map2_cell_sums(u, scheme) / (scheme.n // scheme.t)
 
 

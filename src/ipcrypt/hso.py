@@ -4,20 +4,22 @@ The operator is (S u)(y) = int_0^1 exp(-|y - s|) u(s) ds, discretized by
 the midpoint rule to A[i, j] = h * exp(-|y_i - y_j|), a scaled
 Kac-Murdock-Szegő matrix.  A function is the float64 array of its n
 midpoint samples, and every operator below takes and returns plain
-arrays.  The kernel separates, exp(-|y_i - y_j|) = exp(-y_i) exp(y_j)
-for j <= i, so A u is two cumulative sums over the weights exp(+-y), in
-O(n) time and memory; the dense n x n matrix is built only on demand,
-for the oracle tests.  The inverse of a KMS matrix is tridiagonal, so the
-exact inverse is also applied in O(n), with no singular vectors, and so
-is the Tikhonov filter, as one complex tridiagonal solve.  The singular
-system has the classical KMS closed form (Kac, Murdock & Szegő 1953):
-the values cost O(n), and any K of the orthonormal columns O(nK), with
-no eigensolver; truncated SVD builds only the K columns it keeps, and no
-inversion builds the whole basis.  The singular values follow the inverse
-square law s_k ~ 2 / (k pi)^2 (modes indexed from 0, largest first),
-which is the mild polynomial decay regime; inverting the operator
-amplifies noise at frequency k by 1/s_k, and the experiment below
-measures that blowup directly.
+arrays: apply_operator(u) and naive_inverse_apply(v) take the samples
+alone, whose n picks the grid and the cached operator.  The kernel
+separates, exp(-|y_i - y_j|) = exp(-y_i) exp(y_j) for j <= i, so A u is
+two cumulative sums over the weights exp(+-y), in O(n) time and memory;
+the dense n x n matrix is built only on demand, for the oracle tests.
+The inverse of a KMS matrix is tridiagonal, so the exact inverse is also
+applied in O(n), with no singular vectors, and so is the Tikhonov
+filter, as one complex tridiagonal solve.  The singular system has the
+classical KMS closed form (Kac, Murdock & Szegő 1953): the values cost
+O(n), and any K of the orthonormal columns O(nK), with no eigensolver;
+truncated SVD builds only the K columns it keeps, and no inversion
+builds the whole basis.  The singular values follow the inverse square
+law s_k ~ 2 / (k pi)^2 (modes indexed from 0, largest first), which is
+the mild polynomial decay regime; inverting the operator amplifies noise
+at frequency k by 1/s_k, and the experiment below measures that blowup
+directly.
 """
 
 from __future__ import annotations
@@ -198,7 +200,14 @@ def build_hso(n: int) -> DiscretizedOperator:
     )
 
 
-def apply_operator(op: DiscretizedOperator, u: np.ndarray) -> np.ndarray:
+def _operator(samples: np.ndarray) -> DiscretizedOperator:
+    """The cached operator on the grid of the samples, which must be 1-d and nonempty."""
+    if samples.ndim != 1 or samples.size == 0:
+        raise ValueError(f"samples must be a nonempty 1-d array, got shape {samples.shape}")
+    return build_hso(samples.size)
+
+
+def apply_operator(u: np.ndarray) -> np.ndarray:
     """A u in O(n) for the n samples u: the two triangles as cumulative sums.
 
     Both sums count the diagonal, hence the one u subtracted.  The weights
@@ -207,8 +216,7 @@ def apply_operator(op: DiscretizedOperator, u: np.ndarray) -> np.ndarray:
     place, the upper sum on the reversed view, in the order
     (lower + upper - u) / n.
     """
-    if u.shape != (op.n,):
-        raise ValueError(f"grid size mismatch: {u.shape} vs {(op.n,)}")
+    op = _operator(u)
     out = op.grow * u
     np.add.accumulate(out, out=out)
     out *= op.decay
@@ -301,7 +309,7 @@ def _leading_basis(factors: SVDFactors, k: int) -> np.ndarray:
     return _kms_basis(factors.phases[:k], factors.n)
 
 
-def filtered_inverse(factors: SVDFactors, v: np.ndarray, phi: np.ndarray) -> np.ndarray:
+def filtered_inverse(v: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Spectral filter sum_{k < phi.size} phi_k <v, u_k> u_k of the n samples v.
 
     Only the phi.size leading columns are built and touched, so the
@@ -309,13 +317,11 @@ def filtered_inverse(factors: SVDFactors, v: np.ndarray, phi: np.ndarray) -> np.
     filters that act on every mode have O(n) forms that need no basis:
     naive_inverse_apply (1/s) and tikhonov_inverse_apply (s / (s^2 + alpha)).
     """
-    if v.shape != (factors.n,):
-        raise ValueError(f"grid size mismatch: {v.shape} vs {(factors.n,)}")
-    u = _leading_basis(factors, phi.size)
+    u = _leading_basis(hso_svd(_operator(v).n), phi.size)
     return u @ (phi * (u.T @ v))
 
 
-def naive_inverse_apply(op: DiscretizedOperator, v: np.ndarray) -> np.ndarray:
+def naive_inverse_apply(v: np.ndarray) -> np.ndarray:
     """Exact unregularized inverse A^-1 v of the n samples v, in O(n).
 
     The inverse of the KMS matrix A = h rho^|i - j|, rho = e^-h, is exactly
@@ -326,10 +332,8 @@ def naive_inverse_apply(op: DiscretizedOperator, v: np.ndarray) -> np.ndarray:
     constants.  This is the filter 1/s on every mode, but no singular
     value or vector is computed.
     """
-    n = op.n
-    if v.shape != (n,):
-        raise ValueError(f"grid size mismatch: {v.shape} vs {(n,)}")
-    if n == 1:
+    op = _operator(v)
+    if op.n == 1:
         return v.copy()
     rho_v = op.rho * v
     out = op.diagonal * v
@@ -430,7 +434,7 @@ def _sweep(x: np.ndarray, system: _TikhonovSystem) -> np.ndarray:
     return y.reshape(-1)[:n]
 
 
-def tikhonov_inverse_apply(op: DiscretizedOperator, v: np.ndarray, alpha: float) -> np.ndarray:
+def tikhonov_inverse_apply(v: np.ndarray, alpha: float) -> np.ndarray:
     """Tikhonov filter sum_k s_k / (s_k^2 + alpha) <v, u_k> u_k of the n samples v, in O(n).
 
     With T = A^-1 tridiagonal (see naive_inverse_apply) the filter is
@@ -453,15 +457,13 @@ def tikhonov_inverse_apply(op: DiscretizedOperator, v: np.ndarray, alpha: float)
     max norm for alpha from 1e-300 to 1e30 and n up to 2048.  At n = 1,
     A = [1].
     """
-    n = op.n
-    if v.shape != (n,):
-        raise ValueError(f"grid size mismatch: {v.shape} vs {(n,)}")
+    n = _operator(v).n
     if not (alpha > 0 and math.isfinite(alpha)):
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
     if n == 1:
         return v / (1.0 + alpha)
     system = _tikhonov_system(n, alpha)
-    rhs = naive_inverse_apply(op, v) if system.rhs_inverse else v
+    rhs = naive_inverse_apply(v) if system.rhs_inverse else v
     if system.cross is None:
         p = _sweep(_sweep(rhs, system)[::-1], system) * system.gain
     else:
@@ -543,11 +545,7 @@ def classify_decay(
 
 
 def noise_amplification_experiment(
-    op: DiscretizedOperator,
-    psi: np.ndarray,
-    noise_scale: float,
-    trials: int,
-    seed: int,
+    psi: np.ndarray, noise_scale: float, trials: int, seed: int
 ) -> AmplificationReport:
     """Measure how naive inversion blows up additive Gaussian noise.
 
@@ -558,23 +556,22 @@ def noise_amplification_experiment(
     Trials draw from independent substreams of seed, so reports are
     reproducible and trial order is immaterial.
     """
-    if psi.shape != (op.n,):
-        raise ValueError(f"grid size mismatch: {psi.shape} vs {(op.n,)}")
+    n = _operator(psi).n
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     if not (noise_scale >= 0 and np.isfinite(noise_scale)):
         raise ValueError(f"noise scale must be finite and nonnegative, got {noise_scale}")
 
-    clean = apply_operator(op, psi)
-    sqrt_h = np.sqrt(1.0 / op.n)
+    clean = apply_operator(psi)
+    sqrt_h = np.sqrt(1.0 / n)
 
     noise_norms = np.empty(trials)
     error_norms = np.empty(trials)
     ratios = []
     for t in range(trials):
         rng = np.random.default_rng((seed, t))
-        g = rng.standard_normal(op.n)
-        recovered = naive_inverse_apply(op, clean + noise_scale * g)
+        g = rng.standard_normal(n)
+        recovered = naive_inverse_apply(clean + noise_scale * g)
         error = recovered - psi
         noise_norms[t] = noise_scale * sqrt_h * math.sqrt(g.dot(g))
         error_norms[t] = sqrt_h * math.sqrt(error.dot(error))
@@ -582,7 +579,7 @@ def noise_amplification_experiment(
             ratios.append(error_norms[t] / noise_norms[t])
 
     return AmplificationReport(
-        n=op.n,
+        n=n,
         trials=trials,
         noise_scale=noise_scale,
         noise_norms=noise_norms,

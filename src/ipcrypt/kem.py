@@ -123,21 +123,28 @@ def _reduce(x: np.ndarray, q: int) -> np.ndarray:
     return x
 
 
-def _fixed_bytes(value, size: int, what: str) -> bytes:
-    """value as bytes of length size: a bytes object as it is, any other byte buffer copied.
+def _as_bytes(value, what: str) -> bytes:
+    """value as bytes: a bytes object as it is, any other byte buffer copied.
 
     A copy keeps a frozen object's field from changing with a mutable
     buffer it was given.  What is not a flat buffer of single bytes (a
-    str, a list, a float64 array) is refused, so that size counts items.
+    str, a list, a float64 array) is refused, so that a length counts items.
     """
+    if type(value) is bytes:
+        return value
+    try:
+        view = memoryview(value)
+    except TypeError:
+        view = None
+    if view is None or view.itemsize != 1 or view.ndim != 1:
+        raise TypeError(f"{what} must be bytes, got {type(value).__name__}")
+    return view.tobytes()
+
+
+def _fixed_bytes(value, size: int, what: str) -> bytes:
+    """value as bytes of length size (see _as_bytes), with no call for a bytes object."""
     if type(value) is not bytes:
-        try:
-            view = memoryview(value)
-        except TypeError:
-            view = None
-        if view is None or view.itemsize != 1 or view.ndim != 1:
-            raise TypeError(f"{what} must be bytes, got {type(value).__name__}")
-        value = view.tobytes()
+        value = _as_bytes(value, what)
     if len(value) != size:
         raise ValueError(f"{what} must be {size} bytes, got {len(value)}")
     return value
@@ -313,9 +320,12 @@ class KemCiphertext:
 
 @dataclass(frozen=True)
 class SharedSecret:
+    """A nonempty byte string, kept as bytes; any other byte buffer is copied."""
+
     data: bytes = field(repr=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "data", _as_bytes(self.data, "shared secret"))
         if len(self.data) == 0:
             raise ValueError("shared secret must not be empty")
 

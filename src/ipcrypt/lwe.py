@@ -17,6 +17,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .hso import AmplificationReport, DecayClassification
+from .kem import _integer, _refuse_non_integer
 
 __all__ = [
     "LweParams",
@@ -53,8 +54,9 @@ def _is_prime(q: int) -> bool:
 class LweParams:
     """Modulus q (prime), secret dimension m, sample count n, error bound.
 
-    lwe_gen forms A s + e in int64, whose entries reach m (q - 1)^2 + bound,
-    so parameters where that reaches 2^63 are refused, before q's primality
+    Each is taken as a plain int; a float or a str is refused.  lwe_gen
+    forms A s + e in int64, whose entries reach m (q - 1)^2 + bound, so
+    parameters where that reaches 2^63 are refused, before q's primality
     is tested by trial division.
     """
 
@@ -64,6 +66,8 @@ class LweParams:
     error_bound: int
 
     def __post_init__(self) -> None:
+        for name in ("q", "m", "n", "error_bound"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.m * (self.q - 1) ** 2 + self.error_bound >= 2**63:
             raise ValueError(
                 f"m (q - 1)^2 + error bound must be below 2^63 for int64 arithmetic, "
@@ -83,7 +87,11 @@ class LweParams:
 
 @dataclass(frozen=True, eq=False)
 class LweInstance:
-    """A sampled system; stores the witness (secret, error) for checking."""
+    """A sampled system; stores the witness (secret, error) for checking.
+
+    Each array is kept as a read-only int64 copy; arrays that are not of
+    an integer type (floats, bools) are refused, not truncated.
+    """
 
     params: LweParams
     a_matrix: np.ndarray
@@ -93,14 +101,15 @@ class LweInstance:
 
     def __post_init__(self) -> None:
         p = self.params
-        a = np.asarray(self.a_matrix, dtype=np.int64)
-        b = np.asarray(self.b, dtype=np.int64)
-        s = np.asarray(self.secret, dtype=np.int64)
-        e = np.asarray(self.error, dtype=np.int64)
+        names = ("a_matrix", "b", "secret", "error")
+        a, b, s, e = (np.asarray(getattr(self, name)) for name in names)
         if a.shape != (p.n, p.m):
             raise ValueError(f"sample matrix shape {a.shape} != ({p.n}, {p.m})")
         if b.shape != (p.n,) or s.shape != (p.m,) or e.shape != (p.n,):
             raise ValueError("component shapes do not match the parameters")
+        for name, arr in zip(names, (a, b, s, e)):
+            _refuse_non_integer(arr, f"{name} entries")
+        a, b, s, e = (arr.astype(np.int64) for arr in (a, b, s, e))
         for name, arr in (("a_matrix", a), ("b", b), ("secret", s)):
             if np.any(arr < 0) or np.any(arr >= p.q):
                 raise ValueError(f"{name} entries must lie in [0, q)")
@@ -108,8 +117,7 @@ class LweInstance:
             raise ValueError(f"error entries must be bounded by {p.error_bound}")
         if np.any((a @ s + e - b) % p.q != 0):
             raise ValueError("b != A s + e mod q")
-        for name, arr in (("a_matrix", a), ("b", b), ("secret", s), ("error", e)):
-            arr = arr.copy()
+        for name, arr in zip(names, (a, b, s, e)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 

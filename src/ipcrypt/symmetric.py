@@ -1,10 +1,11 @@
 """Noise-masked operator cipher: C = S(encode(mu)) + E.
 
-Encryption pushes the encoded message through the smoothing operator and
-adds a small keyed error; the operator buries the message in the flat
-tail of its spectrum and the error makes naive un-smoothing blow up for
-anyone without the key.  The key holder regenerates E from (key, nonce),
-subtracts it, applies the exact inverse of the operator, and decodes.
+Encryption pushes the encoded message through the smoothing operator,
+hso.apply_operator(encode(msg, scheme)), and adds a small keyed error;
+the operator buries the message in the flat tail of its spectrum and the
+error makes naive un-smoothing blow up for anyone without the key.  The
+key holder regenerates E from (key, nonce) and decodes the exact inverse
+hso.naive_inverse_apply(ct.body.values - E), on the samples' own grid.
 That inverse is tridiagonal, so decryption costs O(n) time and memory
 and builds no singular vectors.  Every step computes on plain float64
 arrays; the ciphertext body alone is a GridFunction, checked where
@@ -85,7 +86,7 @@ def sym_encrypt(
     """
     if scheme.n != key.params.n:
         raise ValueError(f"scheme grid {scheme.n} != key grid {key.params.n}")
-    smoothed = hso.apply_operator(hso.build_hso(scheme.n), encode(msg, scheme))
+    smoothed = hso.apply_operator(encode(msg, scheme))
     smoothed += derive_error(key, nonce)
     return SymCiphertext(scheme=scheme, nonce=nonce, body=GridFunction._of_samples(smoothed))
 
@@ -93,9 +94,9 @@ def sym_encrypt(
 def sym_decrypt(key: ErrorKey, ct: SymCiphertext) -> Message:
     """Subtract the regenerated error, invert exactly, decode.
 
-    The inversion is hso.naive_inverse_apply, the tridiagonal A^-1 in
-    O(n); it reads only the grid size of the cached operator.  The
-    hso_svd call computes nothing the inversion uses: perfbench reads
+    The inversion is hso.naive_inverse_apply(clean), the tridiagonal
+    A^-1 in O(n) on the grid of the samples it is given.  The hso_svd
+    call computes nothing the inversion uses: perfbench reads
     hso.hso_svd.cold_s from it on the keyed workloads, and it goes when
     the benchmark times hso_svd where a workload needs the factors.
     """
@@ -104,5 +105,4 @@ def sym_decrypt(key: ErrorKey, ct: SymCiphertext) -> Message:
         raise ValueError(f"ciphertext grid {n} != key grid {key.params.n}")
     hso.hso_svd(n)
     clean = ct.body.values - derive_error(key, ct.nonce)
-    recovered = hso.naive_inverse_apply(hso.build_hso(n), clean)
-    return decode(recovered, ct.scheme)
+    return decode(hso.naive_inverse_apply(clean), ct.scheme)

@@ -1,5 +1,7 @@
 """Attacks: naive inversion, regularized variants, structural leaks."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,11 @@ def test_method_validation():
     assert Tsvd(k=np.int64(8)) == Tsvd(k=8)
     with pytest.raises(TypeError, match="^alpha must be a real number, got '1e-4'$"):
         Tikhonov(alpha="1e-4")
+    # Not a number: refused by name before the sign check compares it with 1.
+    for k in ("8", None, 8 + 0j):
+        text = f"cutoff must be a real number, got {k!r}"
+        with pytest.raises(TypeError, match=f"^{re.escape(text)}$"):
+            Tsvd(k=k)
 
 
 # ---------------------------------------------------------------- tikhonov filter
@@ -84,9 +91,9 @@ def test_tikhonov_matches_filter_formula(method):
     v = rng.standard_normal(n)
     s, u = factors.singular_values, factors.left_vectors
     if method is None:
-        got, phi = naive_inverse_apply(build_hso(n), v), 1.0 / s
+        got, phi = naive_inverse_apply(v), 1.0 / s
     elif isinstance(method, Tsvd):
-        got, phi = filtered_inverse(factors, v, method.filter(s)), 1.0 / s[: method.k]
+        got, phi = filtered_inverse(v, method.filter(s)), 1.0 / s[: method.k]
     else:
         got, phi = tikhonov_apply(factors, v, method.alpha), s / (s * s + method.alpha)
     k = phi.size
@@ -98,10 +105,9 @@ def test_tikhonov_tiny_alpha_approaches_exact_inverse():
     n = 64
     factors = hso_svd(n)
     y = (np.arange(n) + 0.5) / n
-    op = build_hso(n)
-    v = apply_operator(op, np.sin(2 * np.pi * y))
+    v = apply_operator(np.sin(2 * np.pi * y))
     smooth = tikhonov_apply(factors, v, 1e-14)
-    exact = naive_inverse_apply(op, v)
+    exact = naive_inverse_apply(v)
     assert norm(smooth - exact) < 1e-4
 
 
@@ -127,7 +133,7 @@ def test_naive_attack_succeeds_without_noise():
     rng = np.random.default_rng(1)
     key = fresh_key(rng)
     msg = Message.from_int(0xB4, 8)
-    body = GridFunction(apply_operator(build_hso(256), encode(msg, SCHEME)))
+    body = GridFunction(apply_operator(encode(msg, SCHEME)))
     ct = SymCiphertext(scheme=SCHEME, nonce=b"\x00" * 16, body=body)
     rep = attack_naive(ct, hso_svd(256), truth=msg)
     assert rep.method == "naive"
@@ -306,8 +312,7 @@ def test_error_reuse_difference_is_noise_free():
     c1 = sym_encrypt(key, m1, SCHEME, nonce)
     c2 = sym_encrypt(key, m2, SCHEME, nonce)
     diff = error_reuse_diff(c1, c2)
-    op = build_hso(256)
-    clean = apply_operator(op, encode(m1, SCHEME)) - apply_operator(op, encode(m2, SCHEME))
+    clean = apply_operator(encode(m1, SCHEME)) - apply_operator(encode(m2, SCHEME))
     assert norm(diff - clean) < 1e-9
 
 

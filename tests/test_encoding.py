@@ -510,6 +510,11 @@ def test_map2_length_mismatch():
         encode_map2(Message.from_int(0, 2), scheme)
     with pytest.raises(ValueError, match="mismatch"):
         decode_map2(np.zeros(4), scheme)
+    # 512 samples are not read as 32 cells of 16 on a 256-point scheme.
+    for u in (np.ones(512), np.ones(128), np.ones((32, 8))):
+        text = f"grid size mismatch: {u.shape} vs (256,)"
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            map2_cell_means(u, EncodingScheme.map2(32, 256))
 
 
 # ---------------------------------------------------------------- dispatchers

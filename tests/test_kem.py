@@ -28,6 +28,7 @@ from ipcrypt.kem import (
     KemParams,
     KemPublicKey,
     KemSecretKey,
+    SharedSecret,
     cbd,
     expand_matrix,
     failure_log2,
@@ -791,6 +792,20 @@ def test_constructors_accept_every_integer_dtype():
         pk = KemPublicKey(params=SMALL, seed_a=bytes(32), b_pub=np.ones((8, 8), dtype=dtype))
         sk = KemSecretKey(params=SMALL, s=np.ones((8, 8), dtype=dtype))
         assert pk.b_pub.dtype == sk.s.dtype == np.int64
+
+
+def test_shared_secret_takes_only_byte_buffers():
+    """A str was once kept as the secret and printed as SharedSecret()."""
+    for value in ("abc", [1, 2, 3], np.ones(4)):
+        with pytest.raises(TypeError, match="^shared secret must be bytes, got "):
+            SharedSecret(value)
+    with pytest.raises(ValueError, match="^shared secret must not be empty$"):
+        SharedSecret(bytearray())
+    buffer = bytearray(b"abc")
+    shared = SharedSecret(buffer)
+    buffer[0] = 0
+    assert type(shared.data) is bytes and shared.data == b"abc"
+    assert SharedSecret(memoryview(b"xyz")).data == b"xyz"
 
 
 def test_shape_is_checked_before_the_entries_are_integers():

@@ -37,6 +37,19 @@ def test_params_validation():
     LweParams(q=17, m=2, n=4, error_bound=4)
 
 
+@pytest.mark.parametrize("field", ["q", "m", "n", "error_bound"])
+def test_params_refuse_a_count_that_is_not_an_integer(field):
+    """LweParams(q=17.0) was once built; each field is now a plain int or refused."""
+    good = {"q": 17, "m": 3, "n": 12, "error_bound": 1}
+    value = float(good[field])
+    with pytest.raises(TypeError, match=f"^{field} must be an integer, got {value!r}$"):
+        LweParams(**{**good, field: value})
+    with pytest.raises(TypeError, match=f"^{field} must be an integer, got '1'$"):
+        LweParams(**{**good, field: "1"})
+    params = LweParams(**{**good, field: np.int64(good[field])})
+    assert type(getattr(params, field)) is int and params == LweParams(**good)
+
+
 # Largest prime q with 3 (q - 1)^2 < 2^63, and the next prime, where it is not.
 LARGEST_Q_AT_M3 = 1_753_413_037
 NEXT_PRIME = 1_753_413_059
@@ -147,6 +160,19 @@ def test_instance_validation():
         LweInstance(
             params, a, np.array([0, 3, 4]), np.array([2, 3]), np.array([-2, 0, -1])
         )
+
+
+def test_instance_refuses_entries_that_are_not_integers():
+    """An a_matrix of A + 0.4 was once stored as A; no component is truncated now."""
+    inst = hand_instance()
+    parts = {name: getattr(inst, name) for name in ("a_matrix", "b", "secret", "error")}
+    for name, arr in parts.items():
+        for bad in (arr + 0.4, arr.astype(np.float64), arr != 0):
+            with pytest.raises(ValueError, match=f"^{name} entries must be integers$"):
+                LweInstance(inst.params, **{**parts, name: bad})
+    again = LweInstance(inst.params, **{k: v.astype(np.int32) for k, v in parts.items()})
+    assert all(getattr(again, k).dtype == np.int64 for k in parts)
+    assert all(np.array_equal(getattr(again, k), v) for k, v in parts.items())
 
 
 def test_lwe_gen_reproducible_and_valid():

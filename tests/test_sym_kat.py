@@ -87,7 +87,7 @@ def _encrypt(name: str) -> SymCiphertext:
     scheme, msg, nonce, key = _case_inputs(name)
     if key is not None:
         return sym_encrypt(key, msg, scheme, nonce)
-    body = GridFunction(hso.apply_operator(hso.build_hso(scheme.n), encode(msg, scheme)))
+    body = GridFunction(hso.apply_operator(encode(msg, scheme)))
     return SymCiphertext(scheme=scheme, nonce=nonce, body=body)
 
 
@@ -95,7 +95,7 @@ def _decrypt(name: str, ct: SymCiphertext) -> Message:
     _, _, _, key = _case_inputs(name)
     if key is not None:
         return sym_decrypt(key, ct)
-    recovered = hso.naive_inverse_apply(hso.build_hso(ct.scheme.n), ct.body.values)
+    recovered = hso.naive_inverse_apply(ct.body.values)
     return decode(recovered, ct.scheme)
 
 

@@ -89,7 +89,7 @@ def test_ciphertext_hides_the_plaintext_profile():
     scheme = EncodingScheme.map2(8, 256)
     msg = Message.from_int(0xF0, 8)
     ct = sym_encrypt(key, msg, scheme, rng.bytes(16))
-    smoothed = apply_operator(build_hso(256), np.repeat(np.asarray(msg.bits, dtype=np.float64), 32))
+    smoothed = apply_operator(np.repeat(np.asarray(msg.bits, dtype=np.float64), 32))
     gap = norm(ct.body.values - smoothed)
     assert gap > 0.3  # eta=2, scale=0.5 noise has grid norm near 0.5
 
@@ -130,10 +130,9 @@ def test_nonce_reuse_cancels_the_error_term():
     m1, m2 = Message.from_int(0x0F, 8), Message.from_int(0x35, 8)
     c1 = sym_encrypt(key, m1, scheme, nonce)
     c2 = sym_encrypt(key, m2, scheme, nonce)
-    op = build_hso(256)
     diff = c1.body.values - c2.body.values
-    clean1 = apply_operator(op, np.repeat(np.asarray(m1.bits, float), 32))
-    clean2 = apply_operator(op, np.repeat(np.asarray(m2.bits, float), 32))
+    clean1 = apply_operator(np.repeat(np.asarray(m1.bits, float), 32))
+    clean2 = apply_operator(np.repeat(np.asarray(m2.bits, float), 32))
     assert norm(diff - (clean1 - clean2)) < 1e-9
 
 
@@ -143,7 +142,7 @@ def test_body_is_smoothed_message_plus_derived_error():
     scheme = EncodingScheme.map2(8, 256)
     msg = Message.from_int(3, 8)
     ct = sym_encrypt(key, msg, scheme, b"\x22" * 16)
-    clean = apply_operator(build_hso(256), np.repeat(np.asarray(msg.bits, float), 32))
+    clean = apply_operator(np.repeat(np.asarray(msg.bits, float), 32))
     np.testing.assert_allclose(
         ct.body.values - clean, derive_error(key, ct.nonce), rtol=0, atol=1e-12
     )
@@ -293,7 +292,7 @@ def test_exact_inverse_paths_never_compute_the_singular_system():
     assert decode_difference(diff, scheme) == tuple(a - b for a, b in zip(m1.bits, m2.bits))
     known_plaintext_experiment(key, [m1], scheme, rng, holdout_trials=2)
     profile = np.sin(2.0 * np.pi * midpoints(n))
-    hso.noise_amplification_experiment(build_hso(n), profile, 0.01, trials=2, seed=0)
+    hso.noise_amplification_experiment(profile, 0.01, trials=2, seed=0)
     assert hso.hso_svd.cache_info() == before
 
 
