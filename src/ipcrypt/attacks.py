@@ -33,7 +33,6 @@ serve only the benchmark in perfbench/.
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -42,7 +41,7 @@ import numpy as np
 
 from . import hso
 from .encoding import EncodingScheme, Message, decode, encode, map2_cell_means
-from .grid import norm
+from .grid import _integer, _real, norm
 from .noise import ErrorKey
 from .symmetric import SymCiphertext, sym_encrypt
 
@@ -80,8 +79,7 @@ class Tikhonov:
     alpha: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.alpha, numbers.Real):
-            raise TypeError(f"alpha must be a real number, got {self.alpha!r}")
+        object.__setattr__(self, "alpha", _real(self.alpha, "alpha"))
         if not (self.alpha > 0 and math.isfinite(self.alpha)):
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
 
@@ -95,20 +93,15 @@ class Tikhonov:
 
 @dataclass(frozen=True)
 class Tsvd:
-    """Keep the k largest modes, zero the rest.
-
-    k must be an integer, since it slices the spectrum.
-    """
+    """Keep the k largest modes, zero the rest; k slices the spectrum, so it is an integer."""
 
     k: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.k, numbers.Real):
-            raise TypeError(f"cutoff must be a real number, got {self.k!r}")
+        _real(self.k, "cutoff")
         if self.k < 1:
             raise ValueError(f"cutoff must be positive, got {self.k}")
-        if not isinstance(self.k, numbers.Integral):
-            raise TypeError(f"cutoff must be an integer, got {self.k!r}")
+        object.__setattr__(self, "k", _integer(self.k, "cutoff"))
 
     @property
     def label(self) -> str:

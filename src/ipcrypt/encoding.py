@@ -24,14 +24,12 @@ tests.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .grid import midpoints
-from .kem import _integer
+from .grid import _integer, midpoints
 
 __all__ = [
     "Message",
@@ -88,8 +86,7 @@ class Message:
     def from_int(cls, value: int, t: int) -> "Message":
         if t < 1:
             raise ValueError(f"bit length must be positive, got {t}")
-        if type(value) is not int and not isinstance(value, numbers.Integral):
-            raise TypeError(f"message value must be an integer, got {value!r}")
+        value = _integer(value, "message value")
         if not 0 <= value < (1 << t):
             raise ValueError(f"value {value} does not fit in {t} bits")
         return cls._of_bits(tuple(format(value, f"0{t}b").encode().translate(_BINARY_DIGITS)))
@@ -124,10 +121,8 @@ class EncodingScheme:
     def __post_init__(self) -> None:
         if self.kind not in ("map1", "map2"):
             raise ValueError(f"unknown encoding kind {self.kind!r}")
-        # t and n are kept as plain ints, as a header's fields are.  A float
-        # would pass every check below and fail only when a writer packs it,
-        # the cached from_encoding_id must not meet one, and a numpy integer
-        # has no bit_length for the capacity check.
+        # t and n are kept as plain ints, as a header's fields are: the typed
+        # from_encoding_id must not meet a float, nor the capacity check a numpy int.
         object.__setattr__(self, "t", _integer(self.t, "message length"))
         if self.t < 1:
             raise ValueError(f"message length must be positive, got {self.t}")

@@ -16,12 +16,14 @@ the element-wise pass that accepts it or names its first non-finite
 index.  Encryption, whose fresh body holds those properties by
 construction, wraps it as it is (`GridFunction._of_samples`).
 This module has no byte layout of its own (the ciphertext file reader in
-`formats` builds the body through the constructor).
+`formats` builds the body through the constructor).  Its `_integer`,
+`_real` and byte gates check the fields of every layer where they enter.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,6 +87,60 @@ class GridFunction:
 
     def __len__(self) -> int:
         return self.values.size
+
+
+def _integer(value, what: str) -> int:
+    """value as a plain int; a bool or a numpy integer is taken, a float or a str refused."""
+    if type(value) is int:
+        return value
+    if not isinstance(value, numbers.Integral):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _real(value, what: str) -> float:
+    """value as a float; an int or a bool is taken (+-inf past a float's range), a str refused."""
+    if type(value) is float:
+        return value
+    if not isinstance(value, numbers.Real):
+        raise TypeError(f"{what} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _refuse_non_integer(arr: np.ndarray, what: str) -> None:
+    """Refuse an array that casting to int64 would truncate (floats, NaN, complex, bool)."""
+    if arr.dtype.kind not in "iu":
+        raise ValueError(f"{what} must be integers")
+
+
+def _as_bytes(value, what: str) -> bytes:
+    """value as bytes: a bytes object as it is, any other byte buffer copied.
+
+    A copy keeps a frozen object's field from changing with a mutable
+    buffer it was given.  What is not a flat buffer of single bytes (a
+    str, a list, a float64 array) is refused, so that a length counts items.
+    """
+    if type(value) is bytes:
+        return value
+    try:
+        view = memoryview(value)
+    except TypeError:
+        view = None
+    if view is None or view.itemsize != 1 or view.ndim != 1:
+        raise TypeError(f"{what} must be bytes, got {type(value).__name__}")
+    return view.tobytes()
+
+
+def _fixed_bytes(value, size: int, what: str) -> bytes:
+    """value as bytes of length size (see _as_bytes), with no call for a bytes object."""
+    if type(value) is not bytes:
+        value = _as_bytes(value, what)
+    if len(value) != size:
+        raise ValueError(f"{what} must be {size} bytes, got {len(value)}")
+    return value
 
 
 def midpoints(n: int) -> np.ndarray:

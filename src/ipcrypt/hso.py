@@ -30,7 +30,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .grid import midpoints
+from .grid import _integer, _real, midpoints
 
 __all__ = [
     "DiscretizedOperator",
@@ -176,12 +176,13 @@ class AmplificationReport:
         return float(np.max(self.amplification_factors))
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=1, typed=True)
 def build_hso(n: int) -> DiscretizedOperator:
     """Weights of h * exp(-|y_i - y_j|) on the n-point midpoint grid.
 
-    Cached for one grid size (BENCH_caches.json, row `build_hso`).
+    Cached for one grid size and typed (BENCH_caches.json, row `build_hso`).
     """
+    n = _integer(n, "grid size")
     if n < 1:
         raise ValueError(f"operator needs n >= 1, got {n}")
     y = midpoints(n)
@@ -257,7 +258,7 @@ def _kms_basis(phases: np.ndarray, n: int) -> np.ndarray:
     return basis
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=1, typed=True)
 def hso_svd(n: int) -> SVDFactors:
     """Cached singular system of the n-point operator, in closed form.
 
@@ -274,8 +275,9 @@ def hso_svd(n: int) -> SVDFactors:
     cos theta are near 1.  rho and h (1 - rho^2) are the constants build_hso
     keeps, which also refuses n < 1.  The values cost O(n); basis columns
     are built from the phases only when filtered_inverse or left_vectors
-    asks.  Cached for one grid size (BENCH_caches.json, row `hso_svd`).
+    asks.  Cached for one grid size and typed (BENCH_caches.json, row `hso_svd`).
     """
+    n = _integer(n, "grid size")
     op = build_hso(n)
     rho, one_minus_rho = op.rho, -np.expm1(-1.0 / n)
 
@@ -557,6 +559,7 @@ def noise_amplification_experiment(
     reproducible and trial order is immaterial.
     """
     n = _operator(psi).n
+    trials, noise_scale = _integer(trials, "trials"), _real(noise_scale, "noise scale")
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     if not (noise_scale >= 0 and np.isfinite(noise_scale)):

@@ -28,13 +28,13 @@ Results reduce as x - q * (x // q) (`_reduce`): integer x // q is exactly
 floor(x / q), so this is x % q for every int64 x and q >= 2, and numpy
 divides by a scalar with a multiply and a shift where % divides each value.
 
-Keys and ciphertexts are checked once, where they enter the program.
-Their public constructors refuse arrays of the wrong shape, with
-non-integer entries or with entries out of range, and keep read-only
-int64 copies.  Keygen and encapsulation build their arrays in range and
-wrap them as they are, with no copy and no second check (the `_of_*`
-classmethods); so does the IPQ1 reader, once it has checked the file's
-words.
+Keys and ciphertexts are checked once, where they enter the program,
+by the type gates in `grid`.  Their public constructors refuse arrays of
+the wrong shape, with non-integer entries or with entries out of range,
+and keep read-only int64 copies.  Keygen and encapsulation build their
+arrays in range and wrap them as they are, with no copy and no second
+check (the `_of_*` classmethods); so does the IPQ1 reader, once it has
+checked the file's words.
 
 Every coin is a bit of one SHAKE-256 squeeze over a 32-byte seed.
 Keygen takes d = rng.bytes(32) and splits SHAKE-256(d) into the matrix
@@ -58,13 +58,13 @@ from __future__ import annotations
 
 import hashlib
 import math
-import numbers
-import operator
 import os
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
+
+from .grid import _as_bytes, _fixed_bytes, _integer, _refuse_non_integer
 
 __all__ = [
     "KemParams",
@@ -111,50 +111,10 @@ def _float_copy(*blocks: np.ndarray) -> np.ndarray:
     return f
 
 
-def _refuse_non_integer(arr: np.ndarray, what: str) -> None:
-    """Refuse an array that casting to int64 would truncate (floats, NaN, complex, bool)."""
-    if arr.dtype.kind not in "iu":
-        raise ValueError(f"{what} must be integers")
-
-
 def _reduce(x: np.ndarray, q: int) -> np.ndarray:
     """x % q, computed in place on a fresh int64 array x (see the module docstring)."""
     x -= q * (x // q)
     return x
-
-
-def _as_bytes(value, what: str) -> bytes:
-    """value as bytes: a bytes object as it is, any other byte buffer copied.
-
-    A copy keeps a frozen object's field from changing with a mutable
-    buffer it was given.  What is not a flat buffer of single bytes (a
-    str, a list, a float64 array) is refused, so that a length counts items.
-    """
-    if type(value) is bytes:
-        return value
-    try:
-        view = memoryview(value)
-    except TypeError:
-        view = None
-    if view is None or view.itemsize != 1 or view.ndim != 1:
-        raise TypeError(f"{what} must be bytes, got {type(value).__name__}")
-    return view.tobytes()
-
-
-def _fixed_bytes(value, size: int, what: str) -> bytes:
-    """value as bytes of length size (see _as_bytes), with no call for a bytes object."""
-    if type(value) is not bytes:
-        value = _as_bytes(value, what)
-    if len(value) != size:
-        raise ValueError(f"{what} must be {size} bytes, got {len(value)}")
-    return value
-
-
-def _integer(value, what: str) -> int:
-    """value as a plain int; what is not an integer (a float, a str) is refused."""
-    if not isinstance(value, numbers.Integral):
-        raise TypeError(f"{what} must be an integer, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -404,7 +364,7 @@ def cbd(data: bytes, count: int, eta: int) -> np.ndarray:
     SamplePolyCBD takes them, generalized to any eta: with b the bit
     string of data, value i is b[2 i eta] + ... + b[2 i eta + eta - 1]
     minus the sum of the next eta bits.  The first ceil(2 eta count / 8)
-    bytes are read and the rest ignored.  A non-integer count raises
+    bytes are read and the rest ignored.  A non-integer count or eta raises
     TypeError; a negative count, eta < 1 or too short data ValueError.
 
     When 2 eta divides 8 (eta = 1, 2 or 4) every byte holds whole values,
@@ -412,7 +372,7 @@ def cbd(data: bytes, count: int, eta: int) -> np.ndarray:
     as Kyber's reference cbd2 does; any other eta sums the bits in
     planes.  Both give the same values, and the result is a fresh array.
     """
-    count = operator.index(count)
+    count, eta = _integer(count, "count"), _integer(eta, "eta")
     if eta < 1:
         raise ValueError(f"eta must be positive, got {eta}")
     if count < 0:

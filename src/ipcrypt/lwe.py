@@ -16,8 +16,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .grid import _integer, _refuse_non_integer
 from .hso import AmplificationReport, DecayClassification
-from .kem import _integer, _refuse_non_integer
 
 __all__ = [
     "LweParams",

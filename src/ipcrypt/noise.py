@@ -28,7 +28,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .kem import _cbd_bytes, _cbd_table, _fixed_bytes, _integer, cbd, xof_expand
+from .grid import _fixed_bytes, _integer, _real
+from .kem import _cbd_bytes, _cbd_table, cbd, xof_expand
 
 __all__ = [
     "DISCRETE_GAUSSIAN",
@@ -79,7 +80,8 @@ class ErrorParams:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", _integer(self.n, "grid size"))
-        object.__setattr__(self, "eta", _integer(self.eta, "eta"))
+        for name, gate in (("eta", _integer), ("scale", _real), ("sigma", _real)):
+            object.__setattr__(self, name, gate(getattr(self, name), name))
         if self.n < 1:
             raise ValueError(f"grid size must be positive, got {self.n}")
         if not (self.scale > 0 and math.isfinite(self.scale)):
@@ -154,13 +156,12 @@ def _point_table(
     return support, probs, cdf, entropy
 
 
-@lru_cache(maxsize=1, typed=True)
+@lru_cache(maxsize=1)
 def _scaled_cbd_table(eta: int, scale: float) -> np.ndarray:
     """Read-only (256, 4 / eta) table, row b the draws of coin byte b times scale.
 
-    Its entries are the products scale * k that scaling a `kem.cbd` draw
-    makes, of the same types: the cache is typed, so a scale of another
-    type gets a table of its own (BENCH_caches.json, row `_scaled_cbd_table`).
+    Its entries are the float64 products scale * k that scaling a `kem.cbd`
+    draw makes (BENCH_caches.json, row `_scaled_cbd_table`).
     """
     table = scale * _cbd_table(eta).view(np.int16).reshape(256, 4 // eta)
     table.flags.writeable = False

@@ -27,8 +27,7 @@ from functools import lru_cache
 
 from . import hso
 from .encoding import EncodingScheme, Message, decode, encode
-from .grid import GridFunction
-from .kem import _fixed_bytes
+from .grid import GridFunction, _fixed_bytes
 from .noise import NONCE_BYTES, CENTERED_BINOMIAL, ErrorKey, ErrorParams, derive_error
 from .noise import keygen as sym_keygen
 

@@ -586,3 +586,19 @@ def test_amplification_input_validation():
     for scale in (-0.1, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="nonneg"):
             noise_amplification_experiment(psi, scale, trials=1, seed=0)
+
+
+def test_amplification_refuses_a_trial_count_or_a_scale_of_the_wrong_type():
+    psi = smooth_profile(16)
+    with pytest.raises(TypeError, match="^trials must be an integer, got 2.0$"):
+        noise_amplification_experiment(psi, 0.01, trials=2.0, seed=0)
+    with pytest.raises(TypeError, match="^noise scale must be a real number, got '0.1'$"):
+        noise_amplification_experiment(psi, "0.1", trials=2, seed=0)
+    with pytest.raises(TypeError, match=r"^noise scale must be a real number, got \[0.1\]$"):
+        noise_amplification_experiment(psi, [0.1], trials=2, seed=0)
+    # A bool and a numpy integer are taken as the float and the int they equal.
+    got = noise_amplification_experiment(psi, True, trials=np.int64(2), seed=0)
+    want = noise_amplification_experiment(psi, 1.0, trials=2, seed=0)
+    assert type(got.noise_scale) is float and type(got.trials) is int
+    assert (got.noise_scale, got.trials) == (want.noise_scale, want.trials)
+    np.testing.assert_array_equal(got.error_norms, want.error_norms)

@@ -250,6 +250,32 @@ def test_params_refuse_a_count_that_is_not_an_integer(field):
     assert params == cb_params()
 
 
+@pytest.mark.parametrize("scale", [1, True, np.int64(1), np.float32(0.5)])
+@pytest.mark.parametrize("eta", [2, 3])
+def test_derive_error_is_float64_for_every_scale(eta, scale):
+    """A scale of 1 once gave int16 errors through the typed table; the key keeps a float."""
+    key = ErrorKey(seed=bytes(range(32)), params=cb_params(scale=scale, eta=eta))
+    assert type(key.params.scale) is float
+    got = derive_error(key, bytes(range(16)))
+    assert got.dtype == np.float64
+    np.testing.assert_array_equal(got, float(scale) * kem.cbd(
+        kem.xof_expand(bytes(range(32)) + bytes(range(16)), (2 * eta * 256 + 7) // 8), 256, eta))
+
+
+# SHA-256 of the error bytes of a scale = 0.5 key, seed 0..31 and nonce 0..15, per eta.
+HALF_SCALE_ERROR_SHA256 = {
+    2: "a27bba8e7e354cc967fb1d0e9cfe833b7b2a69c9a207549b3fe41a77b25296eb",
+    3: "f1955e6c2079941d83f6c1852b8797ba99d94ba82e2a5bc2ec8bce93a2e57625",
+}
+
+
+@pytest.mark.parametrize("eta", sorted(HALF_SCALE_ERROR_SHA256))
+def test_half_scale_error_bytes_are_pinned(eta):
+    key = ErrorKey(seed=bytes(range(32)), params=cb_params(scale=0.5, eta=eta))
+    got = derive_error(key, bytes(range(16)))
+    assert hashlib.sha256(got.tobytes()).hexdigest() == HALF_SCALE_ERROR_SHA256[eta]
+
+
 # ---------------------------------------------------------------- SHAKE-256 sampler
 
 
