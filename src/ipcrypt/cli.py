@@ -24,8 +24,8 @@ import numpy as np
 from . import attacks, formats, hso, hybrid, lwe, symmetric
 from .encoding import EncodingScheme, Message, encode
 from .grid import midpoints, norm
-from .kem import DESK_PARAMS, kem_keygen, xof_expand
-from .noise import CENTERED_BINOMIAL, DISCRETE_GAUSSIAN, ErrorParams
+from .kem import DESK_PARAMS, kem_keygen
+from .noise import CENTERED_BINOMIAL, DISCRETE_GAUSSIAN, ErrorParams, xof_expand
 
 __all__ = ["main", "build_parser"]
 

@@ -73,9 +73,6 @@ class Message:
     def t(self) -> int:
         return len(self.bits)
 
-    def __len__(self) -> int:
-        return len(self.bits)
-
     def to_int(self) -> int:
         value = 0
         for b in self.bits:

@@ -37,12 +37,12 @@ whose finiteness check is one dot product; and the SymCiphertext
 constructor checks the body against the scheme and keeps the nonce.
 KEM keys and ciphertexts carry their parameter set: the writers label
 it with its registered id (and refuse a set that has none), and the
-readers check the arrays against the set the id names.  The secret key
-reader passes its bytes to the checked constructor, which keeps an
-int64 copy.  The public key and ciphertext readers check the range on
-the file's u16 words, with one max, and wrap a single int64 widening of
-them with no second pass; a word out of range goes to the checked
-constructor, which refuses it with its own text.
+readers check the arrays against the set the id names.  The key readers
+pass their words to the checked constructors, which keep int64 copies;
+a key is read once per rotation.  The ciphertext reader, once per
+message, checks the range on the file's u16 words, with one max, and
+wraps a single int64 widening of them with no second pass; a word out of
+range goes to the checked constructor, which refuses it with its own text.
 """
 
 from __future__ import annotations
@@ -246,8 +246,6 @@ def read_kem_public_key(data: bytes) -> KemPublicKey:
     b = _KEM_PUBLIC.array(data, _KEM_PUBLIC.size, _U16, count, "public matrix")
     _KEM_PUBLIC.done(data, _KEM_PUBLIC.size + _U16.itemsize * count)
     b = b.reshape(params.dim, params.secret_bits)
-    if b.max() < params.q:
-        return KemPublicKey._of_matrix(params, fields[4], b.astype(np.int64))
     return KemPublicKey(params=params, seed_a=fields[4], b_pub=b)
 
 

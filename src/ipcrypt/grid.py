@@ -41,7 +41,7 @@ class GridFunction:
 
     values is a read-only float64 array of the samples, 1-d, nonempty,
     real and finite: the constructor checks them and keeps a copy, and
-    `_of_samples` wraps a fresh array; h = 1/n is the quadrature weight.
+    `_of_samples` wraps a fresh array.
     """
 
     values: np.ndarray
@@ -79,13 +79,6 @@ class GridFunction:
 
     @property
     def n(self) -> int:
-        return self.values.size
-
-    @property
-    def h(self) -> float:
-        return 1.0 / self.values.size
-
-    def __len__(self) -> int:
         return self.values.size
 
 

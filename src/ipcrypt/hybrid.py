@@ -19,8 +19,8 @@ import numpy as np
 # The KEM is called as kem.kem_*, so a wrapper set on the kem module sees every call.
 from . import kem
 from .encoding import EncodingScheme, Message
-from .kem import DESK_PARAMS, KemCiphertext, KemKeyPair, SharedSecret, xof_expand
-from .noise import NONCE_BYTES, ErrorKey, ErrorParams
+from .kem import DESK_PARAMS, KemCiphertext, KemKeyPair, SharedSecret
+from .noise import NONCE_BYTES, ErrorKey, ErrorParams, xof_expand
 from .symmetric import SymCiphertext, recommended_error_params, sym_decrypt, sym_encrypt
 
 __all__ = [

@@ -31,20 +31,19 @@ divides by a scalar with a multiply and a shift where % divides each value.
 Keys and ciphertexts are checked once, where they enter the program,
 by the type gates in `grid`.  Their public constructors refuse arrays of
 the wrong shape, with non-integer entries or with entries out of range,
-and keep read-only int64 copies.  Keygen and encapsulation build their
-arrays in range and wrap them as they are, with no copy and no second
-check (the `_of_*` classmethods); so does the IPQ1 reader, once it has
-checked the file's words.
+and keep read-only int64 copies.  Keygen's public matrix and
+encapsulation's ciphertext are built in range and wrapped as they are,
+with no copy and no second check (the `_of_*` classmethods); so is the
+IPQ1 reader's ciphertext, once it has checked the file's words.
 
-Every coin is a bit of one SHAKE-256 squeeze over a 32-byte seed.
+Every coin is a bit of one SHAKE-256 squeeze over a 32-byte seed, drawn
+through `noise`'s `xof_expand` and `cbd`, as the cipher's errors are.
 Keygen takes d = rng.bytes(32) and splits SHAKE-256(d) into the matrix
 seed (32 bytes) and one `cbd` draw of 2 dim secret_bits values: S, then
 E, each filled row by row.  Encapsulation takes one more rng.bytes(32)
 and splits its squeeze into the shared secret (secret_bits / 8 bytes,
 whose bits, little endian within each byte, are the encapsulated ones)
 and one `cbd` draw of 2 dim + secret_bits values: r, then e_u, then e_v.
-At eta = 1, 2 or 4 a byte holds whole values, and `cbd` reads whole bytes
-through a cached table of 256 entries; other eta sum the bits in planes.
 The rng supplies those seeds and nothing else, so keys and ciphertexts
 are functions of the seeds and SHAKE-256 alone; with no rng, each seed
 is os.urandom(32).
@@ -56,7 +55,6 @@ setting.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
 from dataclasses import dataclass, field
@@ -65,6 +63,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .grid import _as_bytes, _fixed_bytes, _integer, _refuse_non_integer
+from .noise import _cbd_bytes, cbd, xof_expand
 
 __all__ = [
     "KemParams",
@@ -74,25 +73,12 @@ __all__ = [
     "KemKeyPair",
     "KemCiphertext",
     "SharedSecret",
-    "xof_expand",
     "expand_matrix",
-    "cbd",
     "kem_keygen",
     "kem_encaps",
     "kem_decaps",
     "failure_log2",
 ]
-
-
-def xof_expand(data: bytes, out_len: int) -> bytes:
-    """First out_len bytes of the SHAKE-256 stream over data.
-
-    Longer requests extend shorter ones: the output for out_len = a is a
-    prefix of the output for out_len = b whenever a <= b.
-    """
-    if out_len < 0:
-        raise ValueError(f"output length must be nonnegative, got {out_len}")
-    return hashlib.shake_256(data).digest(out_len)
 
 
 def _exact_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -173,10 +159,7 @@ class KemPublicKey:
 
     @classmethod
     def _of_matrix(cls, params: KemParams, seed_a: bytes, b: np.ndarray) -> "KemPublicKey":
-        """Public key of a fresh int64 matrix b in [0, q), with no copy and no check.
-
-        Keygen reduces b mod q; the IPQ1 reader checks its words first.
-        """
+        """Public key of keygen's fresh int64 matrix b, reduced mod q, with no copy and no check."""
         b.flags.writeable = False
         pk = object.__new__(cls)
         object.__setattr__(pk, "params", params)
@@ -205,20 +188,12 @@ class KemSecretKey:
         if s.shape != shape:
             raise ValueError(f"secret matrix shape {s.shape} != {shape}")
         _refuse_non_integer(s, "secret entries")
-        s = np.array(s, dtype=np.int64)
+        # Checked before the copy, so an int16 draw or an int8 file is scanned narrow.
         if s.min() < -self.params.eta or s.max() > self.params.eta:
             raise ValueError("secret entries must be bounded by eta")
+        s = np.array(s, dtype=np.int64)
         s.flags.writeable = False
         object.__setattr__(self, "s", s)
-
-    @classmethod
-    def _of_matrix(cls, params: KemParams, s: np.ndarray) -> "KemSecretKey":
-        """Secret key of a fresh int64 matrix s of `cbd` draws, bounded by eta by construction."""
-        s.flags.writeable = False
-        sk = object.__new__(cls)
-        object.__setattr__(sk, "params", params)
-        object.__setattr__(sk, "s", s)
-        return sk
 
     @cached_property
     def s_f32(self) -> np.ndarray:
@@ -326,66 +301,6 @@ def expand_matrix(seed: bytes, params: KemParams = DESK_PARAMS) -> np.ndarray:
         out_len *= 2
 
 
-def _cbd_bytes(count: int, eta: int) -> int:
-    """Bytes `cbd` reads for count values: ceil(2 eta count / 8)."""
-    return (2 * eta * count + 7) // 8
-
-
-def _cbd_planes(coins: np.ndarray, count: int, eta: int) -> np.ndarray:
-    """`cbd` by bit planes, for any eta, from its checked uint8 coin bytes."""
-    bits = np.unpackbits(coins, count=2 * eta * count, bitorder="little")
-    # Row k of the planes holds bit k of every value, so each sum adds
-    # whole contiguous rows; int16 holds the sum exactly up to eta = 256.
-    planes = np.ascontiguousarray(bits.reshape(count, 2 * eta).T).view(np.int8)
-    return (planes[:eta] - planes[eta:]).sum(axis=0, dtype=np.int16)
-
-
-@lru_cache(maxsize=1)
-def _cbd_table(eta: int) -> np.ndarray:
-    """Read-only table of 256 entries, one per byte, for an eta with 2 eta | 8.
-
-    A byte holds 4 / eta whole values, and entry b packs byte b's values
-    as that many int16 lanes in one unsigned word, so viewing the words
-    of table.take(bytes) as int16 gives the draw in order.  The entries
-    are the bit-plane draw of the bytes 0, 1, ..., 255 (BENCH_caches.json,
-    row `_cbd_table`).
-    """
-    lanes = 4 // eta
-    table = _cbd_planes(np.arange(256, dtype=np.uint8), 256 * lanes, eta)
-    table = table.view(np.dtype(f"u{2 * lanes}"))
-    table.flags.writeable = False
-    return table
-
-
-def cbd(data: bytes, count: int, eta: int) -> np.ndarray:
-    """count centered binomial values from the bits of data, as int16.
-
-    Bits are taken little endian within each byte, as FIPS 203's
-    SamplePolyCBD takes them, generalized to any eta: with b the bit
-    string of data, value i is b[2 i eta] + ... + b[2 i eta + eta - 1]
-    minus the sum of the next eta bits.  The first ceil(2 eta count / 8)
-    bytes are read and the rest ignored.  A non-integer count or eta raises
-    TypeError; a negative count, eta < 1 or too short data ValueError.
-
-    When 2 eta divides 8 (eta = 1, 2 or 4) every byte holds whole values,
-    so the draw reads whole bytes through a cached table of 256 entries,
-    as Kyber's reference cbd2 does; any other eta sums the bits in
-    planes.  Both give the same values, and the result is a fresh array.
-    """
-    count, eta = _integer(count, "count"), _integer(eta, "eta")
-    if eta < 1:
-        raise ValueError(f"eta must be positive, got {eta}")
-    if count < 0:
-        raise ValueError(f"count must be nonnegative, got {count}")
-    need = _cbd_bytes(count, eta)
-    if len(data) < need:
-        raise ValueError(f"{count} draws at eta = {eta} read {need} bytes, got {len(data)}")
-    coins = np.frombuffer(data, dtype=np.uint8, count=need)
-    if 8 % (2 * eta) == 0:
-        return _cbd_table(eta).take(coins).view(np.int16)[:count]
-    return _cbd_planes(coins, count, eta)
-
-
 def kem_keygen(params: KemParams = DESK_PARAMS, rng: np.random.Generator | None = None) -> KemKeyPair:
     """Key pair from one 32-byte seed d = rng.bytes(32); see the module docstring."""
     seed = os.urandom(32) if rng is None else rng.bytes(32)
@@ -395,7 +310,7 @@ def kem_keygen(params: KemParams = DESK_PARAMS, rng: np.random.Generator | None 
     s, e = cbd(stream[32:], 2 * count, params.eta).reshape(2, params.dim, params.secret_bits)
     b = _reduce(_exact_matmul(expand_matrix(seed_a, params), s) + e, params.q)
     public = KemPublicKey._of_matrix(params, seed_a, b)
-    secret = KemSecretKey._of_matrix(params, s.astype(np.int64))
+    secret = KemSecretKey(params=params, s=s)
     return KemKeyPair(public=public, secret=secret)
 
 

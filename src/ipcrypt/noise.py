@@ -6,22 +6,29 @@ centered binomial (parameter eta) or a truncated discrete Gaussian
 parameters; derive_error reads its coins straight from SHAKE-256 over
 seed || nonce, so equal nonces reproduce the same error, distinct
 nonces give independent-looking ones, and the error depends on the key,
-the nonce and SHAKE-256 alone.  Binomial coins are read as FIPS 203's
-SamplePolyCBD reads them.  When 2 eta divides 8 each coin byte indexes
-one row of a cached 256-row table of its 4 / eta draws already times the
-scale, so the error is one table lookup of the SHAKE-256 bytes; any other
-eta sums bit planes (`kem.cbd`) and scales after.  A Gaussian point looks
-a 53-bit uniform up in a cumulative distribution table, as FrodoKEM
-samples its noise.
+the nonce and SHAKE-256 alone.  A Gaussian point looks a 53-bit uniform
+up in a cumulative distribution table, as FrodoKEM samples its noise.
+
+Binomial coins are read by `cbd`, FIPS 203's SamplePolyCBD, from the
+SHAKE-256 stream `xof_expand`; the KEM draws its coins through both, and
+the cipher side imports nothing from the KEM.  At eta = 1, 2 or 4 a byte
+holds whole values, and `cbd` reads whole bytes through a cached table of
+256 entries; other eta sum the bits in planes.  At those eta each error
+coin byte indexes one row of a cached table of its 4 / eta draws already
+times the scale, so the error is one table lookup of the SHAKE-256 bytes;
+other eta scale the `cbd` draw after.
 
 The distribution must carry enough entropy that enumerating error
 candidates is hopeless: ErrorParams enforces a 128-bit floor on
 n * (per-point entropy) at construction time, computed from the table
-the sampler reads.
+the sampler reads.  It also caps n at MAX_GRID_N, the largest grid whose
+decryption has been seen exact, so a key file cannot make the cipher
+allocate without bound.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -29,19 +36,21 @@ from functools import lru_cache
 import numpy as np
 
 from .grid import _fixed_bytes, _integer, _real
-from .kem import _cbd_bytes, _cbd_table, cbd, xof_expand
 
 __all__ = [
     "DISCRETE_GAUSSIAN",
     "CENTERED_BINOMIAL",
     "ErrorParams",
     "ErrorKey",
+    "xof_expand",
+    "cbd",
     "point_distribution",
     "entropy_bits",
     "keygen",
     "derive_error",
     "NONCE_BYTES",
     "ENTROPY_FLOOR_BITS",
+    "MAX_GRID_N",
 ]
 
 DISCRETE_GAUSSIAN = "discrete_gaussian"
@@ -49,6 +58,9 @@ CENTERED_BINOMIAL = "centered_binomial"
 
 NONCE_BYTES = 16
 ENTROPY_FLOOR_BITS = 128.0
+
+# The largest n an ErrorParams takes (ROADMAP item 6 derives the exact bound).
+MAX_GRID_N = 1 << 20
 
 # Gaussian tails beyond 6 sigma carry ~1e-8 of the mass; cut them there.
 _GAUSS_TAIL_SIGMAS = 6.0
@@ -60,6 +72,77 @@ _MAX_SUPPORT = 256
 
 # The uniform double (w >> 11) * 2^-53 of a 64-bit word w.
 _DOUBLE_STEP = 1.0 / (1 << 53)
+
+
+def xof_expand(data: bytes, out_len: int) -> bytes:
+    """First out_len bytes of the SHAKE-256 stream over data.
+
+    Longer requests extend shorter ones: the output for out_len = a is a
+    prefix of the output for out_len = b whenever a <= b.
+    """
+    if out_len < 0:
+        raise ValueError(f"output length must be nonnegative, got {out_len}")
+    return hashlib.shake_256(data).digest(out_len)
+
+
+def _cbd_bytes(count: int, eta: int) -> int:
+    """Bytes `cbd` reads for count values: ceil(2 eta count / 8)."""
+    return (2 * eta * count + 7) // 8
+
+
+def _cbd_planes(coins: np.ndarray, count: int, eta: int) -> np.ndarray:
+    """`cbd` by bit planes, for any eta, from its checked uint8 coin bytes."""
+    bits = np.unpackbits(coins, count=2 * eta * count, bitorder="little")
+    # Row k of the planes holds bit k of every value, so each sum adds
+    # whole contiguous rows; int16 holds the sum exactly up to eta = 256.
+    planes = np.ascontiguousarray(bits.reshape(count, 2 * eta).T).view(np.int8)
+    return (planes[:eta] - planes[eta:]).sum(axis=0, dtype=np.int16)
+
+
+@lru_cache(maxsize=1)
+def _cbd_table(eta: int) -> np.ndarray:
+    """Read-only table of 256 entries, one per byte, for an eta with 2 eta | 8.
+
+    A byte holds 4 / eta whole values, and entry b packs byte b's values
+    as that many int16 lanes in one unsigned word, so viewing the words
+    of table.take(bytes) as int16 gives the draw in order.  The entries
+    are the bit-plane draw of the bytes 0, 1, ..., 255 (BENCH_caches.json,
+    row `_cbd_table`).
+    """
+    lanes = 4 // eta
+    table = _cbd_planes(np.arange(256, dtype=np.uint8), 256 * lanes, eta)
+    table = table.view(np.dtype(f"u{2 * lanes}"))
+    table.flags.writeable = False
+    return table
+
+
+def cbd(data: bytes, count: int, eta: int) -> np.ndarray:
+    """count centered binomial values from the bits of data, as int16.
+
+    Bits are taken little endian within each byte, as FIPS 203's
+    SamplePolyCBD takes them, generalized to any eta: with b the bit
+    string of data, value i is b[2 i eta] + ... + b[2 i eta + eta - 1]
+    minus the sum of the next eta bits.  The first ceil(2 eta count / 8)
+    bytes are read and the rest ignored.  A non-integer count or eta raises
+    TypeError; a negative count, eta < 1 or too short data ValueError.
+
+    When 2 eta divides 8 (eta = 1, 2 or 4) every byte holds whole values,
+    so the draw reads whole bytes through a cached table of 256 entries,
+    as Kyber's reference cbd2 does; any other eta sums the bits in
+    planes.  Both give the same values, and the result is a fresh array.
+    """
+    count, eta = _integer(count, "count"), _integer(eta, "eta")
+    if eta < 1:
+        raise ValueError(f"eta must be positive, got {eta}")
+    if count < 0:
+        raise ValueError(f"count must be nonnegative, got {count}")
+    need = _cbd_bytes(count, eta)
+    if len(data) < need:
+        raise ValueError(f"{count} draws at eta = {eta} read {need} bytes, got {len(data)}")
+    coins = np.frombuffer(data, dtype=np.uint8, count=need)
+    if 8 % (2 * eta) == 0:
+        return _cbd_table(eta).take(coins).view(np.int16)[:count]
+    return _cbd_planes(coins, count, eta)
 
 
 @dataclass(frozen=True)
@@ -84,6 +167,8 @@ class ErrorParams:
             object.__setattr__(self, name, gate(getattr(self, name), name))
         if self.n < 1:
             raise ValueError(f"grid size must be positive, got {self.n}")
+        if self.n > MAX_GRID_N:
+            raise ValueError(f"grid size must be at most {MAX_GRID_N}, got {self.n}")
         if not (self.scale > 0 and math.isfinite(self.scale)):
             raise ValueError(f"scale must be positive and finite, got {self.scale}")
         if self.distribution == CENTERED_BINOMIAL:
@@ -160,7 +245,7 @@ def _point_table(
 def _scaled_cbd_table(eta: int, scale: float) -> np.ndarray:
     """Read-only (256, 4 / eta) table, row b the draws of coin byte b times scale.
 
-    Its entries are the float64 products scale * k that scaling a `kem.cbd`
+    Its entries are the float64 products scale * k that scaling a `cbd`
     draw makes (BENCH_caches.json, row `_scaled_cbd_table`).
     """
     table = scale * _cbd_table(eta).view(np.int16).reshape(256, 4 // eta)
@@ -189,10 +274,10 @@ def derive_error(key: ErrorKey, nonce: bytes) -> np.ndarray:
 
     The integers k are distributed per key.params, and their coins are
     the SHAKE-256 stream over seed || nonce.  A binomial key reads its
-    first ceil(2 eta n / 8) bytes as `kem.cbd` does: when 2 eta divides 8
+    first ceil(2 eta n / 8) bytes as `cbd` does: when 2 eta divides 8
     each byte picks its row of the cached scaled table, and the first n
     entries of those rows, in order, are the error; any other eta scales
-    the `kem.cbd` draw.  The result is a fresh array.  A Gaussian key reads
+    the `cbd` draw.  The result is a fresh array.  A Gaussian key reads
     n little-endian 64-bit words w and looks each uniform
     (w >> 11) * 2^-53 up in the cached cdf: the draw is the first support
     point whose cdf entry exceeds it.

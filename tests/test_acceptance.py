@@ -27,10 +27,9 @@ from ipcrypt.kem import (
     kem_decaps,
     kem_encaps,
     kem_keygen,
-    xof_expand,
 )
 from ipcrypt.lwe import LweInstance, LweParams, lwe_brute_force, lwe_gen
-from ipcrypt.noise import CENTERED_BINOMIAL, ErrorParams
+from ipcrypt.noise import CENTERED_BINOMIAL, ErrorParams, xof_expand
 from ipcrypt.symmetric import sym_decrypt, sym_encrypt, sym_keygen
 
 SEED = 20260823

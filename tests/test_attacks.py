@@ -326,6 +326,16 @@ def test_error_reuse_requires_matching_nonces():
         error_reuse_diff(c1, c2)
 
 
+def test_error_reuse_requires_matching_grids():
+    nonce = bytes(16)
+    c1, c2 = (
+        SymCiphertext(scheme=EncodingScheme.map2(8, n), nonce=nonce, body=GridFunction(np.zeros(n)))
+        for n in (256, 512)
+    )
+    with pytest.raises(ValueError, match="^grid size mismatch: 256 vs 512$"):
+        error_reuse_diff(c1, c2)
+
+
 def test_decode_difference_recovers_bit_pattern():
     rng = np.random.default_rng(10)
     key = fresh_key(rng)

@@ -14,7 +14,7 @@ from ipcrypt import symmetric
 from ipcrypt.cli import main
 from ipcrypt.formats import read_error_key, read_sym_ciphertext
 from ipcrypt.hso import hso_svd
-from ipcrypt.kem import xof_expand
+from ipcrypt.noise import xof_expand
 from report_parsing import report_from_keyvalues
 
 try:

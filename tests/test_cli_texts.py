@@ -129,6 +129,7 @@ REFUSALS = {
     "keygen-sym --dist binomial --sigma 3 --out x.ipk":
         "sigma is unused by the binomial; keep 1.0, got 3.0",
     "keygen-sym --scale -1 --out x.ipk": "scale must be positive and finite, got -1.0",
+    "keygen-sym --n 1048577 --out x.ipk": "grid size must be at most 1048576, got 1048577",
     "encrypt-sym --key nope.ipk --msg ff --out y.ipc":
         "[Errno 2] No such file or directory: 'nope.ipk'",
     "encrypt-sym --key sym.ipc --msg ff --out y.ipc":
@@ -183,6 +184,22 @@ CONFIG_REFUSALS = {
 }
 
 
+# argv -> the last stderr line of an argument-type refusal; every one exits 2.
+ARGUMENT_REFUSALS = {
+    "keygen-sym --seed zz --out x.ipk":
+        "ipcrypt keygen-sym: error: argument --seed: not a hex string: 'zz'",
+    "lwe-demo --trials 0": "ipcrypt lwe-demo: error: argument --trials: must be positive, got 0",
+}
+
+ANALOGY_UNDERDETERMINED = """\
+aspect     finite-dimensional                                             operator
+Dimension  secret space Z_5^3                                             missing
+Data       3 noisy samples b = A s + e mod 5                              missing
+Solution   enumeration: 27 consistent candidates, secret not pinned down  missing
+Noise      integer error bounded by 1                                     missing
+"""
+
+
 def run(capsys, command):
     code = main(command.split())
     captured = capsys.readouterr()
@@ -232,6 +249,31 @@ def test_analogy_lwe_only_report_and_file(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, "analogy --lwe-only --out analogy.txt")
     assert (code, out, err) == (0, ANALOGY_TABLE + "wrote report to analogy.txt\n", "")
     assert (tmp_path / "analogy.txt").read_text() == ANALOGY_FILE
+
+
+def test_analogy_reports_a_secret_that_is_not_pinned_down(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "analogy --q 5 --m 3 --n 3 --ebound 1 --lwe-only --out a.txt")
+    assert (code, out, err) == (0, ANALOGY_UNDERDETERMINED + "wrote report to a.txt\n", "")
+    status = "brute_force_status=27 consistent candidates, secret not pinned down\n"
+    assert status in (tmp_path / "a.txt").read_text()
+
+
+@pytest.mark.parametrize("command", sorted(ARGUMENT_REFUSALS))
+def test_argument_refusal_text(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_info:
+        main(command.split())
+    captured = capsys.readouterr()
+    assert (exit_info.value.code, captured.out) == (2, "")
+    assert captured.err.splitlines()[-1] == ARGUMENT_REFUSALS[command]
+
+
+def test_argument_gates_take_the_edge_values(tmp_path, capsys, monkeypatch):
+    """One trial and a hex seed of one byte are the accepted sides of the refusals above."""
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, "lwe-demo --trials 1 --seed 0a")
+    assert code == 0 and "trials=1\nunique_fraction=" in out and out.endswith("seed=0a\n")
 
 
 @pytest.mark.parametrize("command", [*REFUSALS, *CONFIG_REFUSALS])

@@ -99,6 +99,12 @@ def test_message_random_is_reproducible():
     assert set(a.bits) <= {0, 1}
 
 
+def test_message_random_needs_a_positive_length():
+    with pytest.raises(ValueError, match="^bit length must be positive, got 0$"):
+        Message.random(0, np.random.default_rng(3))
+    assert Message.random(1, np.random.default_rng(3)).t == 1
+
+
 def test_built_messages_equal_validated_messages():
     """Decoders and constructors skip validation, yet build the same value."""
     rng = np.random.default_rng(11)
@@ -194,6 +200,8 @@ def test_map1_capacity_values():
     assert map1_capacity(12, "haar") == 4
     assert map1_capacity(96, "haar") == 32
     assert map1_capacity(256, "haar") == 256
+    with pytest.raises(ValueError, match="^map1 basis must be fourier or haar, got 'walsh'$"):
+        map1_capacity(64, "walsh")
 
 
 def test_fourier_nyquist_mode_vanishes_at_midpoints():

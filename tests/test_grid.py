@@ -33,8 +33,6 @@ def test_midpoints_rejects_nonpositive():
 def test_grid_function_basic_properties():
     u = GridFunction([1.0, 2.0, 3.0])
     assert u.n == 3
-    assert len(u) == 3
-    assert u.h == pytest.approx(1.0 / 3.0)
     assert u.values.dtype == np.float64
     assert not u.values.flags.writeable
 

@@ -499,6 +499,22 @@ def test_classify_refuses_non_finite_singular_values(bad, where):
         classify_decay(s)
 
 
+def test_classify_a_flat_spectrum_fits_both_models_exactly():
+    """Constant log data leaves no variance to explain: R^2 is 1 for both fits."""
+    res = classify_decay(np.ones(64))
+    assert (res.kind, res.decay_exponent, res.fit_quality) == (MILD, 0.0, 1.0)
+    assert res.low_confidence
+
+
+def test_classify_needs_a_vector_of_two_values():
+    for bad in (np.ones(1), np.ones((8, 8))):
+        with pytest.raises(ValueError, match="^need a 1-d array of at least two singular values$"):
+            classify_decay(bad)
+    # Two values pass the shape check and meet the fit window's.
+    with pytest.raises(ValueError, match="^grid too small for a decay fit: n = 2$"):
+        classify_decay(np.ones(2))
+
+
 def test_default_fit_range():
     assert default_fit_range(512) == (5, 50)
     assert default_fit_range(256) == (5, 50)

@@ -11,9 +11,8 @@ from ipcrypt.kem import (
     KemParams,
     kem_decaps,
     kem_keygen,
-    xof_expand,
 )
-from ipcrypt.noise import NONCE_BYTES
+from ipcrypt.noise import NONCE_BYTES, xof_expand
 
 SCHEME = EncodingScheme.map2(32, 256)
 

@@ -23,12 +23,12 @@ from ipcrypt.formats import (
 from ipcrypt.kem import (
     DESK_PARAMS,
     KemParams,
-    cbd,
     expand_matrix,
     kem_decaps,
     kem_encaps,
     kem_keygen,
 )
+from ipcrypt.noise import cbd
 
 KAT_PATH = Path(__file__).parent / "kat" / "kem.json"
 

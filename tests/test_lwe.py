@@ -37,6 +37,14 @@ def test_params_validation():
     LweParams(q=17, m=2, n=4, error_bound=4)
 
 
+def test_the_smallest_moduli_are_prime_and_four_is_not():
+    """q = 2 and 3 are prime without trial division; q = 4 is the first even refusal."""
+    for q in (2, 3):
+        assert LweParams(q=q, m=1, n=1, error_bound=0).q == q
+    with pytest.raises(ValueError, match="^modulus must be prime, got 4$"):
+        LweParams(q=4, m=1, n=1, error_bound=0)
+
+
 @pytest.mark.parametrize("field", ["q", "m", "n", "error_bound"])
 def test_params_refuse_a_count_that_is_not_an_integer(field):
     """LweParams(q=17.0) was once built; each field is now a plain int or refused."""
@@ -160,6 +168,14 @@ def test_instance_validation():
         LweInstance(
             params, a, np.array([0, 3, 4]), np.array([2, 3]), np.array([-2, 0, -1])
         )
+
+
+@pytest.mark.parametrize("name", ["b", "secret", "error"])
+def test_instance_refuses_a_vector_of_the_wrong_length(name):
+    inst = hand_instance()
+    parts = {k: getattr(inst, k) for k in ("a_matrix", "b", "secret", "error")}
+    with pytest.raises(ValueError, match="^component shapes do not match the parameters$"):
+        LweInstance(inst.params, **{**parts, name: np.append(parts[name], 0)})
 
 
 def test_instance_refuses_entries_that_are_not_integers():

@@ -258,8 +258,8 @@ def test_derive_error_is_float64_for_every_scale(eta, scale):
     assert type(key.params.scale) is float
     got = derive_error(key, bytes(range(16)))
     assert got.dtype == np.float64
-    np.testing.assert_array_equal(got, float(scale) * kem.cbd(
-        kem.xof_expand(bytes(range(32)) + bytes(range(16)), (2 * eta * 256 + 7) // 8), 256, eta))
+    np.testing.assert_array_equal(got, float(scale) * noise.cbd(
+        noise.xof_expand(bytes(range(32)) + bytes(range(16)), (2 * eta * 256 + 7) // 8), 256, eta))
 
 
 # SHA-256 of the error bytes of a scale = 0.5 key, seed 0..31 and nonce 0..15, per eta.
@@ -341,8 +341,8 @@ def test_derive_error_is_the_scaled_cbd_draw_exactly(eta, n):
         key = ErrorKey(seed=seed, params=_unchecked_params(n, scale, eta))
         for i in range(3):
             nonce = bytes([eta, n % 256, i]) * 5 + b"\x00"
-            coins = kem.xof_expand(seed + nonce, (2 * eta * n + 7) // 8)
-            expected = scale * kem.cbd(coins, n, eta)
+            coins = noise.xof_expand(seed + nonce, (2 * eta * n + 7) // 8)
+            expected = scale * noise.cbd(coins, n, eta)
             got = derive_error(key, nonce)
             assert got.dtype == expected.dtype and got.shape == (n,)
             assert got.tobytes() == expected.tobytes()

@@ -8,6 +8,7 @@ allocation) is a reader bug.
 
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from ipcrypt.formats import (
     write_sym_ciphertext,
 )
 from ipcrypt.hybrid import pke_encrypt, pke_keygen
-from ipcrypt.noise import DISCRETE_GAUSSIAN, ErrorKey, ErrorParams
+from ipcrypt.noise import DISCRETE_GAUSSIAN, MAX_GRID_N, ErrorKey, ErrorParams
 from ipcrypt.symmetric import recommended_error_params, sym_encrypt
 
 SEED = bytes(range(32))
@@ -342,6 +343,8 @@ KEY_REFUSALS = [
     ("short distribution id", _short(b"IPK1\x02\xff"), "unknown distribution id 0xff"),
     ("grid size 0, short seed", lambda b: b[:-36] + struct.pack("<I", 0) + b[-32:-1],
      "grid size must be positive, got 0"),
+    ("grid size 2^20+1", lambda b: b[:-36] + struct.pack("<I", 2**20 + 1) + b[-32:],
+     "grid size must be at most 1048576, got 1048577"),
 ]
 KEM_REFUSALS = {
     "kem public key": [
@@ -428,3 +431,20 @@ FIELD_REFUSALS = (
 def test_bad_fields_keep_their_text(name, edit, text):
     reader, blob = BLOBS[name]
     assert _text(reader, edit(blob)) == text
+
+
+def test_error_key_grid_size_cap_is_checked_before_any_grid_allocation():
+    """A 54-byte key naming n = 2^20 + 1 is refused in a few KiB; n = 2^20 is read."""
+    blob = BLOBS["binomial key"][1]
+    at = len(blob) - 36
+    assert MAX_GRID_N == 2**20
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^grid size must be at most 1048576, got 1048577$"):
+            read_error_key(blob[:at] + struct.pack("<I", MAX_GRID_N + 1) + blob[at + 4 :])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 10
+    key = read_error_key(blob[:at] + struct.pack("<I", MAX_GRID_N) + blob[at + 4 :])
+    assert key.params.n == MAX_GRID_N

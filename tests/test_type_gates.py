@@ -25,9 +25,9 @@ from ipcrypt import noise
 from ipcrypt.attacks import Tikhonov, Tsvd
 from ipcrypt.encoding import EncodingScheme, Message
 from ipcrypt.hso import build_hso, hso_svd
-from ipcrypt.kem import DESK_PARAMS, KemPublicKey, SharedSecret, cbd
+from ipcrypt.kem import DESK_PARAMS, KemPublicKey, SharedSecret
 from ipcrypt.lwe import LweParams
-from ipcrypt.noise import DISCRETE_GAUSSIAN, ErrorKey, ErrorParams, derive_error
+from ipcrypt.noise import DISCRETE_GAUSSIAN, ErrorKey, ErrorParams, cbd, derive_error
 
 PACKAGE = Path(ipcrypt.__file__).parent
 
@@ -199,7 +199,7 @@ def test_typed_caches_keep_a_float_from_an_int_entry():
 # (module, enclosing function) allowed to decide what an integer or a real is
 KIND_DECIDERS = {("grid", "_integer"), ("grid", "_real")}
 KIND_NAMES = {("numbers", "Integral"), ("numbers", "Real"), ("operator", "index")}
-BELOW_THE_KEM = ("encoding", "symmetric", "lwe", "hso")
+BELOW_THE_KEM = ("encoding", "symmetric", "lwe", "hso", "noise", "attacks")
 
 
 class _Walk(ast.NodeVisitor):

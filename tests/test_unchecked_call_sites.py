@@ -2,9 +2,9 @@
 
 The `_of_*` classmethods wrap a value with no copy and no check.  They
 are allowed only at the call sites in ALLOWED: producers whose output is
-valid by construction (keygen, encapsulation, encryption, the message
-constructors and decoders) and the IPQ1 readers, which check the range
-of the file's words themselves first.  Every other path, outside bytes
+valid by construction (keygen's public key, encapsulation, encryption,
+the message constructors and decoders) and the IPQ1 ciphertext reader,
+which checks the range of the file's words itself first.  Every other path, outside bytes
 above all, goes through the checked constructors.  A new call site must
 be added to ALLOWED, where a reviewer sees it.
 """
@@ -23,10 +23,8 @@ ALLOWED = {
     ("encoding", "Message.random", "cls._of_bits"),
     ("encoding", "decode_map2", "Message._of_bits"),
     ("kem", "kem_keygen", "KemPublicKey._of_matrix"),
-    ("kem", "kem_keygen", "KemSecretKey._of_matrix"),
     ("kem", "kem_encaps", "KemCiphertext._of_uv"),
     ("symmetric", "sym_encrypt", "GridFunction._of_samples"),
-    ("formats", "read_kem_public_key", "KemPublicKey._of_matrix"),
     ("formats", "read_kem_ciphertext", "KemCiphertext._of_uv"),
 }
 
@@ -34,7 +32,6 @@ UNCHECKED = {
     "Message._of_bits",
     "GridFunction._of_samples",
     "KemPublicKey._of_matrix",
-    "KemSecretKey._of_matrix",
     "KemCiphertext._of_uv",
 }
 
